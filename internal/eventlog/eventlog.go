@@ -65,7 +65,9 @@ func New(capacity int) *Log {
 // SetNow replaces the time source used to stamp events appended with a
 // zero Time (default: time.Now). The deterministic simulator points it
 // at a virtual clock so event timestamps are in simulated time. Call
-// before the log is shared.
+// before the log is shared. Append reads the clock while holding the
+// log's lock (stamps then agree with ring order), so now must not call
+// back into the log.
 func (l *Log) SetNow(now func() time.Time) {
 	l.mu.Lock()
 	l.now = now
@@ -76,17 +78,14 @@ func (l *Log) SetNow(now func() time.Time) {
 // out to subscribers (dropping for any subscriber whose buffer is full
 // — observability must never block the data path).
 func (l *Log) Append(e Event) {
+	l.mu.Lock()
 	if e.Time.IsZero() {
-		l.mu.Lock()
-		now := l.now
-		l.mu.Unlock()
-		if now != nil {
-			e.Time = now()
+		if l.now != nil {
+			e.Time = l.now()
 		} else {
 			e.Time = time.Now()
 		}
 	}
-	l.mu.Lock()
 	if l.count < len(l.buf) {
 		l.buf[(l.start+l.count)%len(l.buf)] = e
 		l.count++

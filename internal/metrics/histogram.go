@@ -15,34 +15,65 @@ type Histogram struct {
 	mu      sync.Mutex
 	samples []time.Duration
 	sorted  bool
+	total   int // samples ever observed
+
+	// window > 0 bounds samples to the most recent window observations,
+	// held as a ring in arrival order (next is the oldest slot).
+	window, next int
 }
 
-// NewHistogram returns an empty histogram.
+// NewHistogram returns an empty histogram that keeps every sample, so
+// its statistics are exact over the whole run.
 func NewHistogram() *Histogram {
 	return &Histogram{}
+}
+
+// NewWindowHistogram returns an empty histogram that keeps only the
+// most recent window samples: for a long-lived process that observes
+// once per operation and must not grow with uptime. Count stays
+// cumulative; every other statistic describes the retained window.
+func NewWindowHistogram(window int) *Histogram {
+	if window < 1 {
+		window = 1
+	}
+	return &Histogram{window: window}
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.total++
+	if h.window > 0 && len(h.samples) == h.window {
+		h.samples[h.next] = d
+		h.next = (h.next + 1) % h.window
+		return
+	}
 	h.samples = append(h.samples, d)
 	h.sorted = false
 }
 
-// Count returns the number of samples.
+// Count returns the number of samples ever observed.
 func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.samples)
+	return h.total
 }
 
-// sortLocked orders samples for quantile queries. Caller holds h.mu.
-func (h *Histogram) sortLocked() {
+// sortedLocked returns the retained samples in ascending order. Caller
+// holds h.mu. An unbounded histogram sorts in place; a windowed one
+// sorts a copy, because its ring must stay in arrival order.
+func (h *Histogram) sortedLocked() []time.Duration {
+	if h.window > 0 {
+		s := append([]time.Duration(nil), h.samples...)
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		return s
+	}
 	if !h.sorted {
 		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
 		h.sorted = true
 	}
+	return h.samples
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) using
@@ -50,24 +81,29 @@ func (h *Histogram) sortLocked() {
 func (h *Histogram) Percentile(p float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
+	return percentileOf(h.sortedLocked(), p)
+}
+
+// percentileOf is nearest-rank over ascending samples.
+func percentileOf(sorted []time.Duration, p float64) time.Duration {
+	n := len(sorted)
+	if n == 0 {
 		return 0
 	}
-	h.sortLocked()
 	if p <= 0 {
-		return h.samples[0]
+		return sorted[0]
 	}
 	if p >= 100 {
-		return h.samples[len(h.samples)-1]
+		return sorted[n-1]
 	}
-	rank := int(p/100*float64(len(h.samples))+0.5) - 1
+	rank := int(p/100*float64(n)+0.5) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	if rank >= len(h.samples) {
-		rank = len(h.samples) - 1
+	if rank >= n {
+		rank = n - 1
 	}
-	return h.samples[rank]
+	return sorted[rank]
 }
 
 // Mean returns the average sample, or 0 when empty.
@@ -88,22 +124,14 @@ func (h *Histogram) Mean() time.Duration {
 func (h *Histogram) Max() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	return h.samples[len(h.samples)-1]
+	return percentileOf(h.sortedLocked(), 100)
 }
 
 // Min returns the smallest sample, or 0 when empty.
 func (h *Histogram) Min() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	return h.samples[0]
+	return percentileOf(h.sortedLocked(), 0)
 }
 
 // Summary renders "p50=… p95=… p99=… max=… (n=…)".
@@ -122,12 +150,15 @@ func (h *Histogram) Reset() {
 	defer h.mu.Unlock()
 	h.samples = h.samples[:0]
 	h.sorted = false
+	h.total, h.next = 0, 0
 }
 
 // HistogramSnapshot is an immutable point-in-time view of a Histogram.
 // Unlike querying the live histogram stat by stat, a snapshot is
 // internally consistent (all statistics describe the same sample set)
-// and costs the lock only once.
+// and costs the lock only once. Count is the number of samples ever
+// observed; for a windowed histogram the other statistics describe the
+// retained window only.
 type HistogramSnapshot struct {
 	Count          int
 	Mean, Min, Max time.Duration
@@ -140,11 +171,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	samples := make([]time.Duration, len(h.samples))
 	copy(samples, h.samples)
+	total := h.total
 	h.mu.Unlock()
 	// Sort the copy outside the lock; Observe stays cheap.
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	s := HistogramSnapshot{Count: len(samples), sorted: samples}
-	if s.Count == 0 {
+	s := HistogramSnapshot{Count: total, sorted: samples}
+	if len(samples) == 0 {
 		return s
 	}
 	s.Min = samples[0]
@@ -153,30 +185,14 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	for _, d := range samples {
 		sum += d
 	}
-	s.Mean = sum / time.Duration(s.Count)
+	s.Mean = sum / time.Duration(len(samples))
 	return s
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) of the snapshot
 // using nearest-rank, or 0 when empty.
 func (s HistogramSnapshot) Percentile(p float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return s.sorted[0]
-	}
-	if p >= 100 {
-		return s.sorted[s.Count-1]
-	}
-	rank := int(p/100*float64(s.Count)+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= s.Count {
-		rank = s.Count - 1
-	}
-	return s.sorted[rank]
+	return percentileOf(s.sorted, p)
 }
 
 // Summary renders the snapshot like Histogram.Summary.

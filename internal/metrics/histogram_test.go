@@ -175,3 +175,36 @@ func TestHistogramSnapshotConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// A windowed histogram keeps the most recent samples only: the count
+// stays cumulative, every other statistic describes the window, and
+// quantile queries in between do not disturb which sample is oldest.
+func TestWindowHistogramKeepsMostRecent(t *testing.T) {
+	h := NewWindowHistogram(4)
+	for i := 1; i <= 6; i++ {
+		h.Observe(time.Duration(10-i) * time.Millisecond) // 9 8 7 6 5 4: descending, so sorted order != arrival order
+		h.Percentile(50)                                  // must not reorder the ring
+	}
+	// Retained: 7 6 5 4.
+	if h.Count() != 6 {
+		t.Fatalf("Count = %d, want the cumulative 6", h.Count())
+	}
+	if h.Min() != 4*time.Millisecond || h.Max() != 7*time.Millisecond {
+		t.Fatalf("min/max = %v/%v, want 4ms/7ms", h.Min(), h.Max())
+	}
+	if got := h.Mean(); got != 5500*time.Microsecond {
+		t.Fatalf("Mean = %v, want 5.5ms", got)
+	}
+	s := h.Snapshot()
+	if s.Count != 6 || s.Min != 4*time.Millisecond || s.Max != 7*time.Millisecond || s.Mean != 5500*time.Microsecond {
+		t.Fatalf("snapshot = %+v", s)
+	}
+	if s.Percentile(50) != 5*time.Millisecond || s.Percentile(100) != 7*time.Millisecond {
+		t.Fatalf("snapshot p50/p100 = %v/%v", s.Percentile(50), s.Percentile(100))
+	}
+	h.Reset()
+	h.Observe(time.Millisecond)
+	if h.Count() != 1 || h.Max() != time.Millisecond {
+		t.Fatalf("after Reset: count %d max %v", h.Count(), h.Max())
+	}
+}

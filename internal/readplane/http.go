@@ -114,8 +114,9 @@ func (p *Plane) handleStock(w http.ResponseWriter, r *http.Request) {
 		amount, found := s.Amount(key)
 		resp.Key, resp.Amount, resp.Found = key, &amount, &found
 	} else {
+		// Unordered on purpose: the JSON encoder sorts map keys itself.
 		resp.Amounts = make(map[string]int64, s.Len())
-		s.Each(func(k string, v int64) bool {
+		s.scan(func(k string, v int64) bool {
 			resp.Amounts[k] = v
 			return true
 		})

@@ -13,10 +13,12 @@
 //   - hot: the top-K most-updated keys (update count and volume)
 //
 // Each model is a copy-on-swap immutable snapshot behind an
-// atomic.Pointer: readers load a pointer and never block the applier;
-// the applier clones on first mutation after a publish and swaps. Every
-// snapshot carries an applied-LSN watermark and an as-of timestamp, so
-// staleness is explicit rather than hidden.
+// atomic.Pointer: readers load a pointer and never block the applier.
+// A publish costs what the burst touched, not the catalog: the stock
+// view is a fixed table of hash segments copied on write one segment at
+// a time, and the hot view's top K is kept incrementally (models.go).
+// Every snapshot carries an applied-LSN watermark and an as-of
+// timestamp, so staleness is explicit rather than hidden.
 //
 // Session guarantees ride on the watermark: a Token{site, lsn} minted
 // on commit lets a client demand read-your-writes by calling WaitFor,
@@ -134,6 +136,11 @@ type Plane struct {
 	waitHist *metrics.Histogram // WaitFor blocking durations
 }
 
+// histWindow is how many of the most recent samples the lag and wait
+// histograms keep: one arrives per publish and per RYW wait, for as long
+// as the node serves.
+const histWindow = 4096
+
 type waiter struct {
 	lsn uint64
 	ch  chan struct{}
@@ -142,8 +149,20 @@ type waiter struct {
 // New subscribes to the feed, materializes the initial models from the
 // engine, and starts the applier.
 func New(cfg Config) (*Plane, error) {
+	p, st, err := newPlane(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.wg.Add(1)
+	go p.run(st)
+	return p, nil
+}
+
+// newPlane is New without the applier goroutine: the caller owns st and
+// drives ingest/publish itself (tests and benchmarks step it).
+func newPlane(cfg Config) (*Plane, *applierState, error) {
 	if cfg.Engine == nil || cfg.Feed == nil {
-		return nil, fmt.Errorf("readplane: Engine and Feed are required")
+		return nil, nil, fmt.Errorf("readplane: Engine and Feed are required")
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -161,8 +180,8 @@ func New(cfg Config) (*Plane, error) {
 		cfg:      cfg,
 		waiters:  make(map[*waiter]struct{}),
 		stop:     make(chan struct{}),
-		lagHist:  metrics.NewHistogram(),
-		waitHist: metrics.NewHistogram(),
+		lagHist:  metrics.NewWindowHistogram(histWindow),
+		waitHist: metrics.NewWindowHistogram(histWindow),
 	}
 	// Subscribe first: every batch applied after the snapshot below is
 	// either in the snapshot (LSN <= cursor, discarded as stale) or on
@@ -170,52 +189,29 @@ func New(cfg Config) (*Plane, error) {
 	p.sub = cfg.Feed.NewSubscriber(cfg.Buffer)
 	st := &applierState{
 		pending: make(map[uint64]eventlog.Event),
-		counts:  make(map[string]*hotStat),
+		hot:     newHotModel(cfg.TopK),
 	}
 	if err := p.resync(st); err != nil {
 		p.sub.Cancel()
-		return nil, err
+		return nil, nil, err
 	}
 	p.publish(st)
-	p.wg.Add(1)
-	go p.run(st)
-	return p, nil
+	return p, st, nil
 }
 
 // applierState is owned by the applier goroutine (and by New before the
 // goroutine starts).
 type applierState struct {
-	amounts map[string]int64
-	cow     bool // amounts is shared with a published snapshot; clone before mutating
-	counts  map[string]*hotStat
-	applied uint64 // contiguous watermark: every batch <= applied is in amounts
+	stock   *stockModel
+	hot     *hotModel
+	applied uint64 // contiguous watermark: every batch <= applied is in stock
 	// published is the watermark of the last published snapshots;
 	// publish is skipped while nothing advanced.
-	published  uint64
-	everPub    bool
-	pending    map[uint64]eventlog.Event // parked out-of-order events by LSN
-	lastDrop   uint64                    // sub.Dropped() at the last check
-	lastEvent  time.Time                 // event time of the newest applied batch
-	hotChanged bool
-}
-
-type hotStat struct {
-	updates uint64
-	volume  int64
-}
-
-// mutable returns the amounts map safe to write (cloning it when the
-// current one is referenced by a published snapshot).
-func (st *applierState) mutable() map[string]int64 {
-	if st.cow {
-		clone := make(map[string]int64, len(st.amounts))
-		for k, v := range st.amounts {
-			clone[k] = v
-		}
-		st.amounts = clone
-		st.cow = false
-	}
-	return st.amounts
+	published uint64
+	everPub   bool
+	pending   map[uint64]eventlog.Event // parked out-of-order events by LSN
+	lastDrop  uint64                    // sub.Dropped() at the last check
+	lastEvent time.Time                 // event time of the newest applied batch
 }
 
 func (p *Plane) run(st *applierState) {
@@ -230,7 +226,7 @@ func (p *Plane) run(st *applierState) {
 			}
 			p.ingest(st, e)
 			// Drain whatever is already buffered so one wakeup yields
-			// one publish (snapshot clones amortize over the burst).
+			// one publish (segment copies amortize over the burst).
 		drain:
 			for {
 				select {
@@ -292,13 +288,13 @@ func (p *Plane) applyEvent(st *applierState, e eventlog.Event, ops []storage.Op)
 		op := &ops[i]
 		switch op.Kind {
 		case storage.OpPut:
-			st.mutable()[op.Key] = op.Rec.Amount
-			st.bump(op.Key, 0)
+			st.stock.set(op.Key, op.Rec.Amount)
+			st.hot.bump(op.Key, 0)
 		case storage.OpDelete:
-			delete(st.mutable(), op.Key)
+			st.stock.del(op.Key)
 		case storage.OpDelta:
-			st.mutable()[op.Key] += op.Delta
-			st.bump(op.Key, op.Delta)
+			st.stock.add(op.Key, op.Delta)
+			st.hot.bump(op.Key, op.Delta)
 		default:
 			// Meta ops (replication logs, watermarks) are not part of
 			// the read schema; the batch still advances the watermark.
@@ -307,21 +303,6 @@ func (p *Plane) applyEvent(st *applierState, e eventlog.Event, ops []storage.Op)
 	st.applied = e.LSN
 	st.lastEvent = e.Time
 	p.eventsApplied.Add(1)
-}
-
-// bump records one update against the hot view's counters.
-func (st *applierState) bump(key string, delta int64) {
-	h := st.counts[key]
-	if h == nil {
-		h = &hotStat{}
-		st.counts[key] = h
-	}
-	h.updates++
-	if delta < 0 {
-		delta = -delta
-	}
-	h.volume += delta
-	st.hotChanged = true
 }
 
 // resync rebuilds the stock model from the engine's consistent
@@ -334,8 +315,7 @@ func (p *Plane) resync(st *applierState) error {
 	if err != nil {
 		return err
 	}
-	st.amounts = amounts
-	st.cow = false
+	st.stock = newStockModel(amounts)
 	if st.everPub {
 		// Only bootstrap (the first materialization) is free.
 		p.resyncs.Add(1)
@@ -356,23 +336,21 @@ func (p *Plane) publish(st *applierState) {
 		return
 	}
 	now := p.cfg.Now()
-	p.stock.Store(&StockSnapshot{
+	snap := &StockSnapshot{
 		Site:       p.cfg.Site,
 		AppliedLSN: st.applied,
 		AsOf:       now,
 		LastEvent:  st.lastEvent,
-		amounts:    st.amounts,
-	})
-	st.cow = true
-	if st.hotChanged || !st.everPub {
-		p.hot.Store(buildHot(p.cfg.Site, st, now, p.cfg.TopK))
-		st.hotChanged = false
-	} else if h := p.hot.Load(); h != nil {
-		// Content unchanged; republish with the advanced watermark.
-		fresh := *h
-		fresh.AppliedLSN, fresh.AsOf = st.applied, now
-		p.hot.Store(&fresh)
 	}
+	snap.root, snap.n = st.stock.freeze()
+	p.stock.Store(snap)
+	hot := &HotSnapshot{Site: p.cfg.Site, AppliedLSN: st.applied, AsOf: now}
+	if h := p.hot.Load(); h != nil && !st.hot.changed {
+		hot.Top = h.Top // content unchanged; only the watermark advanced
+	} else {
+		hot.Top = st.hot.snapshot()
+	}
+	p.hot.Store(hot)
 	st.published = st.applied
 	st.everPub = true
 	if !st.lastEvent.IsZero() {
