@@ -16,8 +16,8 @@
 // wal_records_synced_total outruns wal_fsync_total, group commit is
 // amortizing fsyncs across concurrent durable operations. With
 // -readplane (the default) the dump also carries the readplane_*
-// counters — events applied/stale, resyncs, feed drops, per-model read
-// counts, RYW waits/timeouts/violations — and the readplane_lag and
+// counters — events applied/stale, per-model read counts, RYW
+// waits/timeouts/violations — and the readplane_lag and
 // readplane_ryw_wait histograms. When the node runs with -epoch, stats
 // follows the dump with a derived summary of the epoch commit pipeline:
 // current/durable epoch, mean commits per epoch (the live fsync

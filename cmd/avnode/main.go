@@ -23,6 +23,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -45,6 +46,13 @@ import (
 	"avdb/internal/wal"
 	"avdb/internal/wire"
 )
+
+// histWindow is how many recent samples each /metrics histogram keeps.
+const histWindow = 4096
+
+// commandTimeout bounds UPDATE and SYNC, the client commands that can
+// wait on other sites.
+const commandTimeout = 5 * time.Second
 
 func main() {
 	var (
@@ -109,20 +117,23 @@ func main() {
 	var tracer *trace.Tracer
 	var updateLatency *metrics.Histogram
 	// walStats aggregates fsync/group-commit counters across the storage
-	// WAL and the AV journal; the histograms (which retain samples) are
-	// attached only when the admin server will actually serve them.
+	// WAL and the AV journal; the histograms are attached only when the
+	// admin server will actually serve them. Every histogram on /metrics
+	// keeps its most recent histWindow samples (its _count stays
+	// cumulative): a sample arrives per update, fsync round or epoch for
+	// as long as the node serves, and every scrape sorts what is kept.
 	walStats := &wal.Stats{}
 	// epochStats aggregates epoch-pipeline counters across the storage
 	// engine and the AV journal (both share one manager configuration).
 	epochStats := &epoch.Stats{}
 	if *admin != "" {
 		tracer = trace.New(*traceBuf)
-		updateLatency = metrics.NewHistogram()
-		walStats.GroupSize = metrics.NewHistogram()
-		walStats.SyncWait = metrics.NewHistogram()
-		epochStats.CommitsPerEpoch = metrics.NewHistogram()
-		epochStats.CloseLatency = metrics.NewHistogram()
-		epochStats.AckWait = metrics.NewHistogram()
+		updateLatency = metrics.NewWindowHistogram(histWindow)
+		walStats.GroupSize = metrics.NewWindowHistogram(histWindow)
+		walStats.SyncWait = metrics.NewWindowHistogram(histWindow)
+		epochStats.CommitsPerEpoch = metrics.NewWindowHistogram(histWindow)
+		epochStats.CloseLatency = metrics.NewWindowHistogram(histWindow)
+		epochStats.AckWait = metrics.NewWindowHistogram(histWindow)
 	}
 
 	network := &tcpnet.Network{Cfg: tcpnet.Config{
@@ -210,7 +221,7 @@ func main() {
 		srv.RegisterCounter("twopc_pipelined_commits", s.TwoPC().Stats().PipelinedCommits.Load)
 		// Attached before any coordinator traffic exists; the engine only
 		// ever reads this field.
-		s.TwoPC().Stats().OverlapDepth = metrics.NewHistogram()
+		s.TwoPC().Stats().OverlapDepth = metrics.NewWindowHistogram(histWindow)
 		srv.RegisterSizeHistogram("twopc_overlap_depth", s.TwoPC().Stats().OverlapDepth)
 		srv.RegisterSizeHistogram("epoch_commits_per_epoch", epochStats.CommitsPerEpoch)
 		srv.RegisterHistogram("epoch_close_latency", epochStats.CloseLatency)
@@ -222,8 +233,6 @@ func main() {
 			srv.Handle("GET /read/", p.HTTPHandler())
 			srv.RegisterCounter("readplane_events_applied", func() int64 { return p.Stats().EventsApplied })
 			srv.RegisterCounter("readplane_events_stale", func() int64 { return p.Stats().EventsStale })
-			srv.RegisterCounter("readplane_resyncs", func() int64 { return p.Stats().Resyncs })
-			srv.RegisterCounter("readplane_feed_dropped", func() int64 { return int64(p.Stats().FeedDropped) })
 			srv.RegisterCounter("readplane_reads_stock", func() int64 { return p.Stats().ReadsStock })
 			srv.RegisterCounter("readplane_reads_global", func() int64 { return p.Stats().ReadsGlobal })
 			srv.RegisterCounter("readplane_reads_hot", func() int64 { return p.Stats().ReadsHot })
@@ -402,7 +411,6 @@ func serveClient(s *site.Site, conn net.Conn, updateLatency *metrics.Histogram) 
 		if len(fields) == 0 {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		switch strings.ToUpper(fields[0]) {
 		case "UPDATE":
 			if len(fields) != 3 {
@@ -414,11 +422,13 @@ func serveClient(s *site.Site, conn net.Conn, updateLatency *metrics.Histogram) 
 				reply("ERR bad delta: %v", err)
 				break
 			}
+			ctx, cancel := context.WithTimeout(context.Background(), commandTimeout)
 			start := time.Now()
 			res, err := s.Update(ctx, fields[1], delta)
 			if updateLatency != nil {
 				updateLatency.Observe(time.Since(start))
 			}
+			cancel()
 			if err != nil {
 				reply("ERR %v", err)
 				break
@@ -449,17 +459,23 @@ func serveClient(s *site.Site, conn net.Conn, updateLatency *metrics.Histogram) 
 			}
 			reply("OK %d", s.AV().Avail(fields[1]))
 		case "SYNC":
-			if err := s.Flush(ctx); err != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), commandTimeout)
+			err := s.Flush(ctx)
+			cancel()
+			if err != nil {
 				reply("ERR %v", err)
 				break
 			}
 			reply("OK")
 		case "QUIT":
-			cancel()
 			return
 		default:
 			reply("ERR unknown command %q", fields[0])
 		}
-		cancel()
+	}
+	// A line over the scanner's 64 KiB limit ends the loop; say why
+	// before the deferred close instead of just hanging up.
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		reply("ERR line too long")
 	}
 }

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"avdb/internal/partition"
 	"avdb/internal/site"
@@ -176,5 +180,52 @@ func TestPartitionsHandler(t *testing.T) {
 	}
 	if len(reply.Hosted) != len(pm.Hosted(0)) {
 		t.Fatalf("hosted %d partitions, map says %d", len(reply.Hosted), len(pm.Hosted(0)))
+	}
+}
+
+// A command line over the scanner's 64 KiB limit used to close the
+// connection with no reply; the client must be told why.
+func TestServeClientLineTooLong(t *testing.T) {
+	s, err := site.Open(site.Config{ID: 0}, memnet.New(memnet.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := seed(s, 1, 100, 40, 0, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serveClient(s, server, nil)
+	}()
+	client.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	r := bufio.NewReader(client)
+	roundTrip := func(cmd string) string {
+		t.Helper()
+		// The pipe is unbuffered and the server stops reading at the
+		// limit, so the write may fail half way: only the reply matters.
+		go client.Write([]byte(cmd + "\n")) //nolint:errcheck
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("%.20q: no reply: %v", cmd, err)
+		}
+		return strings.TrimSpace(line)
+	}
+	if got := roundTrip("AV product-0000"); got != "OK 40" {
+		t.Fatalf("AV reply %q", got)
+	}
+	if got := roundTrip("UPDATE product-0000 -1"); !strings.HasPrefix(got, "OK ") {
+		t.Fatalf("UPDATE reply %q", got)
+	}
+	if got := roundTrip("READ " + strings.Repeat("k", bufio.MaxScanTokenSize+1)); got != "ERR line too long" {
+		t.Fatalf("oversized line reply %q", got)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("serveClient still running after an oversized line")
 	}
 }

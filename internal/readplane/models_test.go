@@ -9,55 +9,8 @@ import (
 	"sync"
 	"testing"
 
-	"avdb/internal/eventlog"
 	"avdb/internal/storage"
 )
-
-// stepped is a plane without its applier goroutine: the test drives
-// ingest and publish itself, one event at a time, so every intermediate
-// snapshot can be inspected.
-type stepped struct {
-	eng   *storage.Engine
-	plane *Plane
-	st    *applierState
-	evs   []eventlog.Event // applied batches the observer has seen, not yet ingested
-}
-
-func newStepped(tb testing.TB, cfg Config) *stepped {
-	tb.Helper()
-	eng, err := storage.Open(storage.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s := &stepped{eng: eng}
-	eng.SetApplyObserver(func(lsn uint64, ops []storage.Op) {
-		s.evs = append(s.evs, eventlog.Event{
-			Site: 1, Type: EventType, LSN: lsn,
-			Payload: append([]storage.Op(nil), ops...),
-		})
-	})
-	cfg.Site, cfg.Engine, cfg.Feed = 1, eng, eventlog.New(16)
-	s.plane, s.st, err = newPlane(cfg)
-	if err != nil {
-		eng.Close()
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() {
-		s.plane.Close()
-		eng.Close()
-	})
-	return s
-}
-
-// pump ingests what the engine applied since the last call and
-// publishes.
-func (s *stepped) pump() {
-	for _, e := range s.evs {
-		s.plane.ingest(s.st, e)
-	}
-	s.evs = s.evs[:0]
-	s.plane.publish(s.st)
-}
 
 // referenceTop is the full-sort definition of the hot view the
 // incremental top-K must equal.
@@ -84,7 +37,8 @@ func referenceTop(counts map[string]HotKey, k int) []HotKey {
 // The incremental top-K equals the full sort after every step of random
 // update sequences. Few keys and deltas from {0, ±1, ±2} keep ties on
 // both update count and volume frequent; K runs from 1 to beyond the
-// number of distinct keys; a resync lands in the middle of each run.
+// number of distinct keys. Every engine op is applied and published
+// before it returns, so each step's snapshot is inspected.
 func TestHotTopKMatchesFullSort(t *testing.T) {
 	for _, tc := range []struct{ keys, k, steps int }{
 		{keys: 6, k: 1, steps: 400},
@@ -94,7 +48,7 @@ func TestHotTopKMatchesFullSort(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("keys=%d,k=%d", tc.keys, tc.k), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.keys*100 + tc.k)))
-			s := newStepped(t, Config{TopK: tc.k})
+			s := newHarness(t, 1, storage.Options{}, Config{TopK: tc.k})
 			want := make(map[string]HotKey)
 			bump := func(key string, delta int64) {
 				h := want[key]
@@ -126,12 +80,6 @@ func TestHotTopKMatchesFullSort(t *testing.T) {
 						t.Fatal(err)
 					}
 					bump(key, delta)
-				}
-				s.pump()
-				if step == tc.steps/2 {
-					if err := s.plane.resync(s.st); err != nil {
-						t.Fatal(err)
-					}
 				}
 				got := s.plane.Hot()
 				if ref := referenceTop(want, tc.k); !reflect.DeepEqual(got.Top, ref) {
@@ -286,48 +234,34 @@ func TestHeldStockSnapshotIsImmutable(t *testing.T) {
 	}
 }
 
-// seededStepped is a stepped plane bootstrapped over a catalog of n
-// keys.
-func seededStepped(tb testing.TB, n int) (*stepped, []string) {
+// seededHarness is a plane bootstrapped over a catalog of n keys.
+func seededHarness(tb testing.TB, n int) (*harness, []string) {
 	tb.Helper()
-	s := newStepped(tb, Config{})
-	keys := make([]string, n)
-	ops := make([]storage.Op, 0, 1000)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("product-%06d", i)
-		ops = append(ops, storage.PutOp(storage.Record{Key: keys[i], Amount: 1 << 30}))
-		if len(ops) == cap(ops) || i == n-1 {
-			if err := s.eng.Apply(ops...); err != nil {
-				tb.Fatal(err)
-			}
-			ops = ops[:0]
-		}
-	}
-	s.evs = nil // the resync below covers them
-	if err := s.plane.resync(s.st); err != nil {
+	eng, err := storage.Open(storage.Options{})
+	if err != nil {
 		tb.Fatal(err)
 	}
-	s.plane.publish(s.st)
-	return s, keys
+	tb.Cleanup(func() { eng.Close() })
+	keys := seedKeys(tb, eng, n, 1<<30)
+	plane := attach(tb, eng, Config{Site: 1})
+	tb.Cleanup(plane.Close)
+	return &harness{eng: eng, plane: plane}, keys
 }
 
-// applyOne feeds the plane one single-key delta event and publishes:
-// what every update of a serving node costs the read plane.
-func (s *stepped) applyOne(key string) {
-	s.plane.ingest(s.st, eventlog.Event{
-		Site: 1, Type: EventType, LSN: s.st.applied + 1,
-		Payload: []storage.Op{storage.DeltaOp(key, -1)},
-	})
-	s.plane.publish(s.st)
+// applyOne hands the plane one single-key delta batch, which it applies
+// and publishes before returning: what every update of a serving node
+// costs its committing goroutine.
+func (h *harness) applyOne(key string) {
+	h.plane.Apply(h.plane.stock.Load().AppliedLSN+1, []storage.Op{storage.DeltaOp(key, -1)})
 }
 
-// BenchmarkPublishPerUpdate is one single-key event, ingested and
+// BenchmarkPublishPerUpdate is one single-key batch, applied and
 // published, over catalogs of growing size: the cost must not follow
 // the catalog.
 func BenchmarkPublishPerUpdate(b *testing.B) {
 	for _, n := range []int{2000, 20000, 200000} {
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
-			s, keys := seededStepped(b, n)
+			s, keys := seededHarness(b, n)
 			rng := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -343,7 +277,7 @@ func BenchmarkPublishPerUpdate(b *testing.B) {
 // (With one map cloned per publish the ratio was ~100.)
 func TestPublishAllocationIndependentOfCatalog(t *testing.T) {
 	perEvent := func(n int) float64 {
-		s, keys := seededStepped(t, n)
+		s, keys := seededHarness(t, n)
 		rng := rand.New(rand.NewSource(1))
 		const events = 2000
 		var before, after runtime.MemStats
@@ -352,8 +286,8 @@ func TestPublishAllocationIndependentOfCatalog(t *testing.T) {
 			s.applyOne(keys[rng.Intn(n)])
 		}
 		runtime.ReadMemStats(&after)
-		if got := s.plane.Stock().AppliedLSN; got != s.st.applied || s.plane.Stats().EventsApplied < events {
-			t.Fatalf("events were not applied: watermark %d", got)
+		if got := s.plane.Stats().EventsApplied; got != events {
+			t.Fatalf("%d of %d events applied", got, events)
 		}
 		return float64(after.TotalAlloc-before.TotalAlloc) / events
 	}

@@ -1,8 +1,8 @@
 // Package readplane is avdb's event-sourced read subsystem (CQRS): it
-// tails a site's storage apply stream — published as eventlog events
-// carrying the WAL LSN and ops of every applied batch — into lock-free
-// materialized read models, so heavy read traffic is served from
-// purpose-built views instead of the transactional core.
+// folds a site's storage apply stream — the WAL LSN and ops of every
+// applied batch, handed over by the engine's apply observer — into
+// lock-free materialized read models, so heavy read traffic is served
+// from purpose-built views instead of the transactional core.
 //
 // Three models are maintained per site:
 //
@@ -31,12 +31,16 @@
 // stays dense and a token minted from an epoch-released commit is
 // satisfiable exactly as before.
 //
-// The applier is resilient to its feed: events may arrive out of LSN
-// order (batches on disjoint stripes race to publish), so it parks
-// out-of-order events and advances a contiguous watermark; events may
-// be dropped entirely (the feed never blocks the data path), which the
-// per-subscriber drop counter reveals, and the applier then
-// resynchronizes from the engine's consistent SnapshotAmounts pair.
+// There is no applier goroutine and no queue: Apply runs on the
+// goroutine that committed the batch, still inside the engine's stripe
+// locks, and "the applier" below is whichever committer holds the plane
+// mutex. LSNs are dense and every assigned LSN reaches Apply, so no
+// batch can go missing; batches on disjoint stripes can reach Apply out
+// of LSN order, so an early one is parked (copied) until its
+// predecessors arrive and the watermark stays contiguous. Lock order is
+// engine stripes -> plane mutex -> (waiter mutex, histograms); readers
+// never take the plane mutex, and the plane never calls back into the
+// engine while holding it.
 package readplane
 
 import (
@@ -47,16 +51,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"avdb/internal/eventlog"
 	"avdb/internal/metrics"
 	"avdb/internal/storage"
 	"avdb/internal/wire"
 )
-
-// EventType is the eventlog event type the applier consumes. Feed
-// publishers stamp applied batches with it, the batch LSN, and the ops
-// slice as Payload.
-const EventType = "apply"
 
 // Plane errors.
 var (
@@ -82,13 +80,9 @@ type PeerView interface {
 type Config struct {
 	// Site is the identity snapshots and tokens carry.
 	Site wire.SiteID
-	// Engine is the authoritative store: the bootstrap/resync source
-	// and the cursor tokens are checked against.
+	// Engine is the authoritative store: the bootstrap source and the
+	// cursor tokens are checked against.
 	Engine *storage.Engine
-	// Feed is the event stream of applied batches (see EventType). The
-	// plane subscribes before its initial materialization, so no batch
-	// falls between snapshot and tail.
-	Feed *eventlog.Log
 	// AV, when non-nil, feeds the global view's local AV columns.
 	AV AVSampler
 	// View, when non-nil, feeds the global view's peer AV columns.
@@ -100,31 +94,29 @@ type Config struct {
 	Now func() time.Time
 	// TopK bounds the hot view (default 10).
 	TopK int
-	// Buffer is the feed subscription depth (default 1024).
-	Buffer int
-	// PendingLimit bounds the out-of-order parking buffer; beyond it
-	// the applier resynchronizes from the engine (default 256).
-	PendingLimit int
 }
 
-// Plane tails one site's apply stream into its read models.
+// Plane folds one site's apply stream into its read models.
 type Plane struct {
 	cfg Config
-	sub *eventlog.Subscriber
 
 	stock atomic.Pointer[StockSnapshot]
 	hot   atomic.Pointer[HotSnapshot]
+
+	// mu serializes the appliers (committing goroutines inside Apply,
+	// and Start). Callers of Apply hold engine stripe locks, so nothing
+	// that takes engine locks may run under it.
+	mu sync.Mutex
+	st applierState
 
 	wmu     sync.Mutex
 	waiters map[*waiter]struct{}
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
 
 	eventsApplied atomic.Int64
 	eventsStale   atomic.Int64
-	resyncs       atomic.Int64
 	readsStock    atomic.Int64
 	readsGlobal   atomic.Int64
 	readsHot      atomic.Int64
@@ -132,7 +124,7 @@ type Plane struct {
 	rywTimeouts   atomic.Int64
 	rywViolations atomic.Int64
 
-	lagHist  *metrics.Histogram // event time -> publish time, per publish
+	lagHist  *metrics.Histogram // Apply entry -> publish time, per publish
 	waitHist *metrics.Histogram // WaitFor blocking durations
 }
 
@@ -146,144 +138,113 @@ type waiter struct {
 	ch  chan struct{}
 }
 
-// New subscribes to the feed, materializes the initial models from the
-// engine, and starts the applier.
-func New(cfg Config) (*Plane, error) {
-	p, st, err := newPlane(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.wg.Add(1)
-	go p.run(st)
-	return p, nil
-}
-
-// newPlane is New without the applier goroutine: the caller owns st and
-// drives ingest/publish itself (tests and benchmarks step it).
-func newPlane(cfg Config) (*Plane, *applierState, error) {
-	if cfg.Engine == nil || cfg.Feed == nil {
-		return nil, nil, fmt.Errorf("readplane: Engine and Feed are required")
-	}
+// New builds a plane that is not serving yet: hand its Apply to the
+// engine's SetApplyObserver, then call Start. In between, Apply parks
+// every batch, so none falls between Start's snapshot and the stream.
+func New(cfg Config) *Plane {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	if cfg.TopK <= 0 {
 		cfg.TopK = 10
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 1024
-	}
-	if cfg.PendingLimit <= 0 {
-		cfg.PendingLimit = 256
-	}
-	p := &Plane{
+	return &Plane{
 		cfg:      cfg,
+		st:       applierState{pending: make(map[uint64]parked), hot: newHotModel(cfg.TopK)},
 		waiters:  make(map[*waiter]struct{}),
 		stop:     make(chan struct{}),
 		lagHist:  metrics.NewWindowHistogram(histWindow),
 		waitHist: metrics.NewWindowHistogram(histWindow),
 	}
-	// Subscribe first: every batch applied after the snapshot below is
-	// either in the snapshot (LSN <= cursor, discarded as stale) or on
-	// the channel. Nothing can fall in between.
-	p.sub = cfg.Feed.NewSubscriber(cfg.Buffer)
-	st := &applierState{
-		pending: make(map[uint64]eventlog.Event),
-		hot:     newHotModel(cfg.TopK),
-	}
-	if err := p.resync(st); err != nil {
-		p.sub.Cancel()
-		return nil, nil, err
-	}
-	p.publish(st)
-	return p, st, nil
 }
 
-// applierState is owned by the applier goroutine (and by New before the
-// goroutine starts).
+// Start materializes the models from the engine's consistent (amounts,
+// cursor) pair, drops the parked batches the snapshot already covers,
+// applies the rest and publishes. The snapshot takes every stripe's
+// read lock while committers wait for the plane mutex under their
+// stripe's write lock, so it is taken before the mutex, never under it.
+func (p *Plane) Start() error {
+	amounts, lsn, err := p.cfg.Engine.SnapshotAmounts()
+	if err != nil {
+		return err
+	}
+	stock := newStockModel(amounts)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := &p.st
+	st.stock, st.applied, st.started = stock, lsn, true
+	for l := range st.pending {
+		if l <= lsn {
+			delete(st.pending, l)
+			p.eventsStale.Add(1)
+		}
+	}
+	p.drain()
+	p.publish()
+	return nil
+}
+
+// applierState is the writable side of the models, guarded by Plane.mu.
 type applierState struct {
 	stock   *stockModel
 	hot     *hotModel
+	started bool   // Start adopted the engine snapshot
 	applied uint64 // contiguous watermark: every batch <= applied is in stock
-	// published is the watermark of the last published snapshots;
-	// publish is skipped while nothing advanced.
-	published uint64
-	everPub   bool
-	pending   map[uint64]eventlog.Event // parked out-of-order events by LSN
-	lastDrop  uint64                    // sub.Dropped() at the last check
-	lastEvent time.Time                 // event time of the newest applied batch
+	// pending holds the batches that reached Apply before a predecessor
+	// did (or before Start), by LSN. Each leaves when the watermark
+	// reaches it: what is parked is what committed on other stripes
+	// while the oldest missing batch's committer is between its LSN
+	// assignment and its Apply.
+	pending   map[uint64]parked
+	lastEvent time.Time // event time of the newest applied batch
 }
 
-func (p *Plane) run(st *applierState) {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case e, ok := <-p.sub.C():
-			if !ok {
-				return
-			}
-			p.ingest(st, e)
-			// Drain whatever is already buffered so one wakeup yields
-			// one publish (segment copies amortize over the burst).
-		drain:
-			for {
-				select {
-				case <-p.stop:
-					return
-				case e, ok := <-p.sub.C():
-					if !ok {
-						break drain
-					}
-					p.ingest(st, e)
-				default:
-					break drain
-				}
-			}
-			// A drop means a batch is gone from the feed forever: the
-			// contiguous watermark would stall, so resynchronize from
-			// the engine. Same cure when reordering parks too much.
-			if d := p.sub.Dropped(); d != st.lastDrop || len(st.pending) > p.cfg.PendingLimit {
-				st.lastDrop = d
-				if err := p.resync(st); err != nil {
-					return // engine closed; the plane is shutting down
-				}
-			}
-			p.publish(st)
-		}
-	}
+// parked is an early batch: its event time and a copy of its ops (the
+// caller's slice is the caller's again once Apply returns).
+type parked struct {
+	at  time.Time
+	ops []storage.Op
 }
 
-// ingest routes one feed event: apply it if it extends the contiguous
-// watermark (then drain any parked successors), park it if it is
-// early, drop it if it is already covered.
-func (p *Plane) ingest(st *applierState, e eventlog.Event) {
-	ops, ok := e.Payload.([]storage.Op)
-	if !ok || e.LSN == 0 {
-		return // not an apply event; feeds may carry other traffic
-	}
-	if e.LSN <= st.applied {
+// Apply folds one committed batch into the models and publishes, on the
+// committing goroutine: it is the engine's apply observer, called under
+// the batch's stripe locks, and does not retain ops. A batch that
+// extends the contiguous watermark is applied in place, followed by any
+// parked successors; an early one is parked as a copy; one the
+// watermark already covers is dropped.
+func (p *Plane) Apply(lsn uint64, ops []storage.Op) {
+	at := p.cfg.Now() // before the mutex: readplane_lag includes the wait for it
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := &p.st
+	switch {
+	case !st.started || lsn > st.applied+1:
+		st.pending[lsn] = parked{at: at, ops: append([]storage.Op(nil), ops...)}
+	case lsn <= st.applied:
 		p.eventsStale.Add(1)
-		return
+	default:
+		p.applyBatch(lsn, at, ops)
+		p.drain()
+		p.publish()
 	}
-	if e.LSN != st.applied+1 {
-		st.pending[e.LSN] = e
-		return
-	}
-	p.applyEvent(st, e, ops)
-	for {
+}
+
+// drain applies the parked batches that now extend the watermark. The
+// caller holds p.mu, as for applyBatch and publish.
+func (p *Plane) drain() {
+	st := &p.st
+	for len(st.pending) > 0 {
 		next, ok := st.pending[st.applied+1]
 		if !ok {
 			return
 		}
 		delete(st.pending, st.applied+1)
-		nops, _ := next.Payload.([]storage.Op)
-		p.applyEvent(st, next, nops)
+		p.applyBatch(st.applied+1, next.at, next.ops)
 	}
 }
 
-func (p *Plane) applyEvent(st *applierState, e eventlog.Event, ops []storage.Op) {
+func (p *Plane) applyBatch(lsn uint64, at time.Time, ops []storage.Op) {
+	st := &p.st
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
@@ -300,41 +261,15 @@ func (p *Plane) applyEvent(st *applierState, e eventlog.Event, ops []storage.Op)
 			// the read schema; the batch still advances the watermark.
 		}
 	}
-	st.applied = e.LSN
-	st.lastEvent = e.Time
+	st.applied = lsn
+	st.lastEvent = at
 	p.eventsApplied.Add(1)
 }
 
-// resync rebuilds the stock model from the engine's consistent
-// (amounts, cursor) pair and jumps the watermark to the cursor. Parked
-// events the snapshot already covers are discarded; later ones stay
-// parked. Hot counters survive (they are cumulative heuristics, not a
-// projection of current state).
-func (p *Plane) resync(st *applierState) error {
-	amounts, lsn, err := p.cfg.Engine.SnapshotAmounts()
-	if err != nil {
-		return err
-	}
-	st.stock = newStockModel(amounts)
-	if st.everPub {
-		// Only bootstrap (the first materialization) is free.
-		p.resyncs.Add(1)
-	}
-	st.applied = lsn
-	for l := range st.pending {
-		if l <= lsn {
-			delete(st.pending, l)
-		}
-	}
-	return nil
-}
-
 // publish swaps fresh immutable snapshots in and wakes satisfied RYW
-// waiters. Skipped when the watermark has not advanced.
-func (p *Plane) publish(st *applierState) {
-	if st.everPub && st.applied == st.published {
-		return
-	}
+// waiters. The caller has advanced the watermark (or is Start).
+func (p *Plane) publish() {
+	st := &p.st
 	now := p.cfg.Now()
 	snap := &StockSnapshot{
 		Site:       p.cfg.Site,
@@ -351,14 +286,8 @@ func (p *Plane) publish(st *applierState) {
 		hot.Top = st.hot.snapshot()
 	}
 	p.hot.Store(hot)
-	st.published = st.applied
-	st.everPub = true
 	if !st.lastEvent.IsZero() {
-		if lag := now.Sub(st.lastEvent); lag > 0 {
-			p.lagHist.Observe(lag)
-		} else {
-			p.lagHist.Observe(0)
-		}
+		p.lagHist.Observe(max(now.Sub(st.lastEvent), 0))
 	}
 	p.notify(st.applied)
 }
@@ -386,13 +315,13 @@ func (p *Plane) removeWaiter(w *waiter) {
 // Site returns the identity the plane serves.
 func (p *Plane) Site() wire.SiteID { return p.cfg.Site }
 
-// Stock returns the current stock snapshot. Never nil after New.
+// Stock returns the current stock snapshot. Never nil after Start.
 func (p *Plane) Stock() *StockSnapshot {
 	p.readsStock.Add(1)
 	return p.stock.Load()
 }
 
-// Hot returns the current top-K snapshot. Never nil after New.
+// Hot returns the current top-K snapshot. Never nil after Start.
 func (p *Plane) Hot() *HotSnapshot {
 	p.readsHot.Add(1)
 	return p.hot.Load()
@@ -468,10 +397,8 @@ func (p *Plane) WaitCaughtUp(ctx context.Context) error {
 
 // Stats is a point-in-time summary of the plane's counters.
 type Stats struct {
-	EventsApplied int64  // batches applied to the models
-	EventsStale   int64  // feed events already covered by the watermark
-	Resyncs       int64  // engine resynchronizations after drops/overflow
-	FeedDropped   uint64 // feed events dropped at the subscription
+	EventsApplied int64 // batches applied to the models
+	EventsStale   int64 // batches the bootstrap snapshot already covered
 	ReadsStock    int64
 	ReadsGlobal   int64
 	ReadsHot      int64
@@ -485,8 +412,6 @@ func (p *Plane) Stats() Stats {
 	return Stats{
 		EventsApplied: p.eventsApplied.Load(),
 		EventsStale:   p.eventsStale.Load(),
-		Resyncs:       p.resyncs.Load(),
-		FeedDropped:   p.sub.Dropped(),
 		ReadsStock:    p.readsStock.Load(),
 		ReadsGlobal:   p.readsGlobal.Load(),
 		ReadsHot:      p.readsHot.Load(),
@@ -496,18 +421,16 @@ func (p *Plane) Stats() Stats {
 	}
 }
 
-// LagHistogram is the event-time-to-publish lag distribution (one
-// sample per publish).
+// LagHistogram is the Apply-entry-to-publish lag distribution (one
+// sample per publish): the wait for the plane mutex plus, for a batch
+// that arrived early, the time it was parked.
 func (p *Plane) LagHistogram() *metrics.Histogram { return p.lagHist }
 
 // WaitHistogram is the WaitFor blocking-time distribution.
 func (p *Plane) WaitHistogram() *metrics.Histogram { return p.waitHist }
 
-// Close stops the applier and releases pending waiters. Idempotent.
+// Close releases pending waiters with ErrClosed. Idempotent. The plane
+// owns no goroutine; the owner closes the engine, which ends the stream.
 func (p *Plane) Close() {
-	p.stopOnce.Do(func() {
-		close(p.stop)
-		p.sub.Cancel()
-		p.wg.Wait()
-	})
+	p.stopOnce.Do(func() { close(p.stop) })
 }

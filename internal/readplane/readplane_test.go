@@ -8,45 +8,43 @@ import (
 	"testing"
 	"time"
 
-	"avdb/internal/eventlog"
 	"avdb/internal/lockmgr"
 	"avdb/internal/storage"
 	"avdb/internal/txn"
 	"avdb/internal/wire"
 )
 
-// harness wires an engine's apply observer into a feed log the way a
-// site does, and builds a plane over the pair.
+// harness is an engine with a plane installed as its apply observer,
+// the way a site wires the pair.
 type harness struct {
 	eng   *storage.Engine
-	feed  *eventlog.Log
 	plane *Plane
 }
 
-func newHarness(t *testing.T, site wire.SiteID, opts storage.Options, cfg Config) *harness {
-	t.Helper()
+// attach builds a plane over eng in a site's order: observer first,
+// then the bootstrap snapshot.
+func attach(tb testing.TB, eng *storage.Engine, cfg Config) *Plane {
+	tb.Helper()
+	cfg.Engine = eng
+	plane := New(cfg)
+	eng.SetApplyObserver(plane.Apply)
+	if err := plane.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	return plane
+}
+
+func newHarness(tb testing.TB, site wire.SiteID, opts storage.Options, cfg Config) *harness {
+	tb.Helper()
 	eng, err := storage.Open(opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	feed := eventlog.New(64)
-	eng.SetApplyObserver(func(lsn uint64, ops []storage.Op) {
-		feed.Append(eventlog.Event{
-			Site: site, Type: EventType, LSN: lsn,
-			Payload: append([]storage.Op(nil), ops...),
-		})
-	})
-	cfg.Site, cfg.Engine, cfg.Feed = site, eng, feed
-	plane, err := New(cfg)
-	if err != nil {
-		eng.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		plane.Close()
-		eng.Close()
-	})
-	return &harness{eng: eng, feed: feed, plane: plane}
+	tb.Cleanup(func() { eng.Close() })
+	cfg.Site = site
+	plane := attach(tb, eng, cfg)
+	tb.Cleanup(plane.Close)
+	return &harness{eng: eng, plane: plane}
 }
 
 func waitCtx(t *testing.T) context.Context {
@@ -94,11 +92,7 @@ func TestBootstrapCoversPreexistingState(t *testing.T) {
 	if err := eng.Put(storage.Record{Key: "seeded", Amount: 42}); err != nil {
 		t.Fatal(err)
 	}
-	feed := eventlog.New(64)
-	plane, err := New(Config{Site: 3, Engine: eng, Feed: feed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plane := attach(t, eng, Config{Site: 3})
 	defer plane.Close()
 	s := plane.Stock()
 	if v, ok := s.Amount("seeded"); !ok || v != 42 {
@@ -110,88 +104,64 @@ func TestBootstrapCoversPreexistingState(t *testing.T) {
 }
 
 func TestOutOfOrderEventsApplyInLSNOrder(t *testing.T) {
-	eng, err := storage.Open(storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	feed := eventlog.New(64)
-	plane, err := New(Config{Site: 1, Engine: eng, Feed: feed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plane.Close()
+	h := newHarness(t, 1, storage.Options{}, Config{})
 	// LSN 2 (a delta) arrives before LSN 1 (the put it depends on).
-	feed.Append(eventlog.Event{Site: 1, Type: EventType, LSN: 2,
-		Payload: []storage.Op{storage.DeltaOp("k", -4)}})
-	feed.Append(eventlog.Event{Site: 1, Type: EventType, LSN: 1,
-		Payload: []storage.Op{storage.PutOp(storage.Record{Key: "k", Amount: 10})}})
-	if err := plane.WaitFor(waitCtx(t), Token{Site: 1, LSN: 2}); err != nil {
+	h.plane.Apply(2, []storage.Op{storage.DeltaOp("k", -4)})
+	if got := h.plane.Stock().AppliedLSN; got != 0 {
+		t.Fatalf("watermark %d with LSN 1 missing", got)
+	}
+	h.plane.Apply(1, []storage.Op{storage.PutOp(storage.Record{Key: "k", Amount: 10})})
+	if err := h.plane.WaitFor(waitCtx(t), Token{Site: 1, LSN: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := plane.Stock().Amount("k"); !ok || v != 6 {
+	if v, ok := h.plane.Stock().Amount("k"); !ok || v != 6 {
 		t.Fatalf("k = %d %v, want 6", v, ok)
 	}
 }
 
-func TestGapBeyondPendingLimitResyncsFromEngine(t *testing.T) {
-	eng, err := storage.Open(storage.Options{})
-	if err != nil {
-		t.Fatal(err)
+// A parked batch is a copy: the caller's slice is the caller's again
+// the moment Apply returns, and what it does to it afterwards must not
+// reach the models. 3, 2, 1 also drains two parked successors at once.
+func TestParkedBatchIsCopied(t *testing.T) {
+	h := newHarness(t, 1, storage.Options{}, Config{})
+	ops3 := []storage.Op{storage.DeltaOp("k", -3)}
+	h.plane.Apply(3, ops3)
+	ops3[0] = storage.DeltaOp("k", -1000)
+	ops2 := []storage.Op{storage.DeltaOp("k", -2), storage.PutOp(storage.Record{Key: "j", Amount: 5})}
+	h.plane.Apply(2, ops2)
+	ops2[0], ops2[1] = storage.DeleteOp("k"), storage.DeleteOp("j")
+	if n := h.parked(); n != 2 {
+		t.Fatalf("parked %d batches, want 2", n)
 	}
-	defer eng.Close()
-	feed := eventlog.New(64)
-	plane, err := New(Config{Site: 1, Engine: eng, Feed: feed, PendingLimit: 2})
-	if err != nil {
-		t.Fatal(err)
+	if s := h.plane.Stock(); s.AppliedLSN != 0 || s.Len() != 0 {
+		t.Fatalf("published LSN %d with %d keys before LSN 1 arrived", s.AppliedLSN, s.Len())
 	}
-	defer plane.Close()
-	// The authoritative state the resync must recover.
-	if err := eng.Put(storage.Record{Key: "k", Amount: 99}); err != nil { // LSN 1 (observer not wired: event lost)
-		t.Fatal(err)
+	h.plane.Apply(1, []storage.Op{storage.PutOp(storage.Record{Key: "k", Amount: 10})})
+	s := h.plane.Stock()
+	if s.AppliedLSN != 3 || h.parked() != 0 {
+		t.Fatalf("watermark %d, %d still parked", s.AppliedLSN, h.parked())
 	}
-	// Feed events 3..6 with 1 and 2 missing: the parking buffer
-	// overflows the limit and forces a resync to the engine cursor.
-	for lsn := uint64(3); lsn <= 6; lsn++ {
-		feed.Append(eventlog.Event{Site: 1, Type: EventType, LSN: lsn,
-			Payload: []storage.Op{storage.DeltaOp("lost", 1)}})
+	if v, ok := s.Amount("k"); !ok || v != 5 {
+		t.Fatalf("k = %d %v, want 10-2-3 = 5", v, ok)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for plane.Stats().Resyncs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no resync after pending overflow")
-		}
-		time.Sleep(time.Millisecond)
+	if v, ok := s.Amount("j"); !ok || v != 5 {
+		t.Fatalf("j = %d %v, want 5", v, ok)
 	}
-	if err := plane.WaitFor(waitCtx(t), Token{Site: 1, LSN: eng.LastLSN()}); err != nil {
-		t.Fatal(err)
+	// A replay of something the watermark covers changes nothing.
+	h.plane.Apply(2, []storage.Op{storage.DeltaOp("k", -2)})
+	if st := h.plane.Stats(); st.EventsApplied != 3 || st.EventsStale != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
-	if v, ok := plane.Stock().Amount("k"); !ok || v != 99 {
-		t.Fatalf("k = %d %v after resync, want 99", v, ok)
+	if v, _ := h.plane.Stock().Amount("k"); v != 5 {
+		t.Fatalf("k = %d after a stale replay", v)
 	}
 }
 
-func TestSlowFeedConvergesUnderPressure(t *testing.T) {
-	// A tiny subscription buffer under a fast writer drops events; the
-	// plane must detect the drops and still converge to the engine.
-	h := newHarness(t, 1, storage.Options{}, Config{Buffer: 1})
-	if err := h.eng.Put(storage.Record{Key: "k", Amount: 0}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if _, err := h.eng.ApplyDelta("k", 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := h.plane.Stock().Amount("k"); !ok || v != 500 {
-		t.Fatalf("k = %d %v, want 500", v, ok)
-	}
-	if h.plane.Stats().RYWViolations != 0 {
-		t.Fatalf("violations = %d", h.plane.Stats().RYWViolations)
-	}
+// parked is how many batches wait for a predecessor.
+func (h *harness) parked() int {
+	h.plane.mu.Lock()
+	defer h.plane.mu.Unlock()
+	return len(h.plane.st.pending)
 }
 
 func TestHotViewRanksTopK(t *testing.T) {
@@ -431,17 +401,7 @@ func TestRYWTokenReplayAfterRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feed := eventlog.New(64)
-		eng.SetApplyObserver(func(lsn uint64, ops []storage.Op) {
-			feed.Append(eventlog.Event{Site: 1, Type: EventType, LSN: lsn,
-				Payload: append([]storage.Op(nil), ops...)})
-		})
-		plane, err := New(Config{Site: 1, Engine: eng, Feed: feed})
-		if err != nil {
-			eng.Close()
-			t.Fatal(err)
-		}
-		return eng, plane
+		return eng, attach(t, eng, Config{Site: 1})
 	}
 	eng, plane := open()
 	if err := eng.Put(storage.Record{Key: "k", Amount: 7}); err != nil {
@@ -475,10 +435,7 @@ func TestWaitForOnClosedPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	plane, err := New(Config{Site: 1, Engine: eng, Feed: eventlog.New(64)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plane := attach(t, eng, Config{Site: 1})
 	done := make(chan error, 1)
 	go func() {
 		done <- plane.WaitFor(context.Background(), Token{Site: 1, LSN: 100})

@@ -649,10 +649,12 @@ func (h *harness) checkNoMint() *Violation {
 // token minted by the commit must be satisfiable at the read plane of
 // the site that applied it — the origin for local commits, the remote
 // owner for routed updates (the token carries the applying site's ID).
-// The wait deadline is real time on purpose — the plane's applier
-// free-runs outside the settle/advance scheduler and its feed log is
-// not part of the hashed trace, so registering a virtual-clock timer
-// here would perturb bit-reproducibility.
+// The plane applied the batch on the goroutine that committed it, so
+// unless a lower-LSN batch on another stripe is still on its way into
+// the plane the token is satisfied without waiting. The deadline is
+// real time on purpose: the plane is not part of the hashed trace, and
+// registering a virtual-clock timer here would perturb
+// bit-reproducibility.
 func (h *harness) checkRYW(idx int, opRes core.Result) *Violation {
 	s := h.c.Sites[idx]
 	if opRes.Site != wire.SiteID(idx) && int(opRes.Site) < len(h.c.Sites) {

@@ -150,9 +150,9 @@ type Config struct {
 	// ReadPlane materializes the event-sourced read models (per-site
 	// stock, cross-site global position, top-K hot keys) off the
 	// storage apply stream, with read-your-writes session tokens. The
-	// feed is a dedicated eventlog (not Events, which stays a pure
-	// observability surface), so enabling it never perturbs recorded
-	// protocol traces.
+	// plane is the engine's apply observer and folds every batch in on
+	// the committing goroutine; it never touches Events, so enabling it
+	// never perturbs recorded protocol traces.
 	ReadPlane bool
 	// ReadPlaneTopK bounds the hot view (default 10).
 	ReadPlaneTopK int
@@ -182,7 +182,6 @@ type Site struct {
 	accel *core.Accelerator
 	node  transport.Node
 	det   *failure.Detector
-	feed  *eventlog.Log    // apply stream feeding the read plane
 	plane *readplane.Plane // nil unless cfg.ReadPlane
 
 	// Partition routing state (nil/zero when partitioning is off). The
@@ -355,31 +354,19 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 	s.accel = core.New(coreCfg, s.avt, s.tm, s.iu, s.repl)
 
 	if cfg.ReadPlane {
-		// The feed must be live before the plane snapshots the engine:
-		// the plane subscribes first, then materializes, so no batch
-		// falls between its snapshot and its tail.
-		s.feed = eventlog.New(4096)
-		s.feed.SetNow(cfg.Clock.Now)
-		feed := s.feed
-		id := cfg.ID
-		eng.SetApplyObserver(func(lsn uint64, ops []storage.Op) {
-			// Copy: the batch slice belongs to the committing caller.
-			feed.Append(eventlog.Event{
-				Site: id, Type: readplane.EventType, LSN: lsn,
-				Payload: append([]storage.Op(nil), ops...),
-			})
-		})
-		s.plane, err = readplane.New(readplane.Config{
+		s.plane = readplane.New(readplane.Config{
 			Site:   cfg.ID,
 			Engine: eng,
-			Feed:   s.feed,
 			AV:     s.avt,
 			View:   s.accel.View(),
 			Peers:  cfg.Peers,
 			Now:    cfg.Clock.Now,
 			TopK:   cfg.ReadPlaneTopK,
 		})
-		if err != nil {
+		// Observer before snapshot: a batch applied from here on is
+		// either in Start's snapshot or parked in the plane.
+		eng.SetApplyObserver(s.plane.Apply)
+		if err := s.plane.Start(); err != nil {
 			if s.avs != nil {
 				s.avs.Close()
 			}
