@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per evaluation artifact (Fig. 6 and
 // Table 1 of the paper) plus the ablation studies DESIGN.md schedules
-// (A1–A5) and end-to-end micro-benchmarks of the two update paths.
+// (A1–A7). Throughput and latency of the served system are measured by
+// bench/ (see bench/README.md), not here.
 //
 // The paper's metric is message traffic, not wall-clock time, so each
 // experiment benchmark reports correspondences-per-update (and related
@@ -13,20 +14,12 @@ package avdb
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"avdb/internal/cluster"
 	"avdb/internal/experiment"
-	"avdb/internal/site"
-	"avdb/internal/storage"
 	"avdb/internal/strategy"
 	"avdb/internal/trace"
-	"avdb/internal/transport"
-	"avdb/internal/transport/tcpnet"
-	"avdb/internal/wire"
 )
 
 // benchCfg is a Fig.6-shaped configuration sized so one iteration is a
@@ -238,67 +231,6 @@ func BenchmarkLatencyStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkDelayUpdateLocal measures the end-to-end latency of the
-// zero-communication path through the public API.
-func BenchmarkDelayUpdateLocal(b *testing.B) {
-	c, err := New(Config{Sites: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.AddProduct(Product{Key: "k", Amount: 1 << 50, Class: Regular}); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Update(ctx, 1, "k", -1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDelayUpdateWithTransfer measures an update that always needs
-// one AV transfer round trip.
-func BenchmarkDelayUpdateWithTransfer(b *testing.B) {
-	c, err := New(Config{Sites: 2, Decider: "exact"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	// All AV lives at site 0, so every site-1 decrement must fetch.
-	if err := c.AddProductAV(Product{Key: "k", Amount: 1 << 50, Class: Regular},
-		[]int64{1 << 50, 0}); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Update(ctx, 1, "k", -1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkImmediateUpdate measures the 2PC path through the public API.
-func BenchmarkImmediateUpdate(b *testing.B) {
-	c, err := New(Config{Sites: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.AddProduct(Product{Key: "k", Amount: 1 << 50, Class: NonRegular}); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Update(ctx, 1, "k", -1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceOverhead compares the Delay-Update fast path (local AV
 // spend, zero communication) with tracing absent, present-but-disabled,
 // and enabled. The "untraced" and "disabled" numbers should be within
@@ -329,189 +261,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		run(b, tr)
 	})
 	b.Run("enabled", func(b *testing.B) { run(b, trace.New(trace.DefaultCapacity)) })
-}
-
-// BenchmarkLocalDecrementParallel drives concurrent Delay Updates into
-// ONE site across many keys — the zero-communication fast path under
-// multi-client load. With the striped storage/lock/AV tables this
-// scales with GOMAXPROCS; compare against -cpu=1 for the speedup.
-func BenchmarkLocalDecrementParallel(b *testing.B) {
-	c, err := cluster.New(cluster.Config{Sites: 3, Items: 64, InitialAmount: 1 << 40})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	keys := c.RegularKeys
-	ctx := context.Background()
-	var gctr atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Start each goroutine on its own key and walk the key space so
-		// clients mostly touch independent stripes, like independent
-		// customers would.
-		i := int(gctr.Add(1)) * 7
-		for pb.Next() {
-			if _, err := c.Sites[1].Update(ctx, keys[i%len(keys)], -1); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkClusterThroughputMemnet spreads concurrent clients over all
-// sites of a memnet cluster, with each client periodically flushing its
-// site's replication backlog — update throughput plus the concurrent
-// flush fan-out, without socket cost.
-func BenchmarkClusterThroughputMemnet(b *testing.B) {
-	c, err := cluster.New(cluster.Config{Sites: 3, Items: 64, InitialAmount: 1 << 40})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	keys := c.RegularKeys
-	ctx := context.Background()
-	var gctr atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		g := int(gctr.Add(1))
-		s := c.Sites[g%len(c.Sites)]
-		i := g * 7
-		for pb.Next() {
-			if _, err := s.Update(ctx, keys[i%len(keys)], -1); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-			if i%512 == 0 {
-				if err := s.Flush(ctx); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}
-	})
-	b.StopTimer()
-	if err := c.FlushAll(ctx); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchTCPCluster assembles n complete sites wired over loopback TCP
-// (the cmd/avnode stack) with `items` regular keys and effectively
-// unlimited AV at every site.
-func benchTCPCluster(tb testing.TB, n, items int) []*site.Site {
-	tb.Helper()
-	var mu sync.Mutex
-	handlers := make([]transport.Handler, n)
-	nodes := make([]*tcpnet.Node, n)
-	for i := 0; i < n; i++ {
-		idx := i
-		node, err := tcpnet.Open(tcpnet.Config{ID: wire.SiteID(i), Listen: "127.0.0.1:0"},
-			func(ctx context.Context, from wire.SiteID, msg wire.Message) wire.Message {
-				mu.Lock()
-				h := handlers[idx]
-				mu.Unlock()
-				if h == nil {
-					return nil
-				}
-				return h(ctx, from, msg)
-			})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		nodes[i] = node
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				nodes[i].AddPeer(wire.SiteID(j), nodes[j].Addr())
-			}
-		}
-	}
-	sites := make([]*site.Site, n)
-	for i := 0; i < n; i++ {
-		idx := i
-		var peers []wire.SiteID
-		for p := 0; p < n; p++ {
-			if p != i {
-				peers = append(peers, wire.SiteID(p))
-			}
-		}
-		s, err := site.Open(site.Config{
-			ID: wire.SiteID(i), Base: 0, Peers: peers,
-			LockTimeout: 2 * time.Second, PrepareTimeout: 2 * time.Second,
-		}, &lateBoundNetwork{node: nodes[idx], mu: &mu, handler: &handlers[idx]})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for k := 0; k < items; k++ {
-			key := cluster.KeyName(k)
-			if err := s.Seed(storage.Record{Key: key, Amount: 1 << 40, Class: storage.Regular}); err != nil {
-				tb.Fatal(err)
-			}
-			if err := s.DefineAV(key, 1<<38); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		sites[i] = s
-	}
-	tb.Cleanup(func() {
-		for _, s := range sites {
-			s.Close()
-		}
-	})
-	return sites
-}
-
-// lateBoundNetwork lets a TCP node be opened (to learn its port) before
-// the site that will handle its messages exists.
-type lateBoundNetwork struct {
-	node    *tcpnet.Node
-	mu      *sync.Mutex
-	handler *transport.Handler
-}
-
-func (n *lateBoundNetwork) Open(id wire.SiteID, h transport.Handler) (transport.Node, error) {
-	n.mu.Lock()
-	*n.handler = h
-	n.mu.Unlock()
-	return n.node, nil
-}
-
-// BenchmarkClusterThroughputTCP is BenchmarkClusterThroughputMemnet
-// over real loopback sockets: concurrent flushes from every client
-// exercise the transport's combining write path.
-func BenchmarkClusterThroughputTCP(b *testing.B) {
-	sites := benchTCPCluster(b, 3, 64)
-	ctx := context.Background()
-	var gctr atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		g := int(gctr.Add(1))
-		s := sites[g%len(sites)]
-		i := g * 7
-		for pb.Next() {
-			if _, err := s.Update(ctx, cluster.KeyName(i%64), -1); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-			if i%512 == 0 {
-				if err := s.Flush(ctx); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}
-	})
-	b.StopTimer()
-	for _, s := range sites {
-		if err := s.Flush(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSyncConvergence measures lazy propagation of a batch of

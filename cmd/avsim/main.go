@@ -8,6 +8,7 @@
 //	avsim -experiment fig6
 //	avsim -experiment table1
 //	avsim -experiment ablation-decide|ablation-select|scaling|mix|fault|all
+//	avsim -experiment sweep-sites|sweep-items|sweep-initial|sweep-decrease|sweep-passes
 //	avsim -updates 10000 -items 100 -initial 1000 -seed 1 -csv out.csv
 //
 // The deterministic whole-cluster simulation (see internal/sim) is also
@@ -22,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"avdb/internal/experiment"
 	"avdb/internal/metrics"
@@ -31,7 +33,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("experiment", "fig6", "fig6 | table1 | ablation-decide | ablation-select | ablation-gossip | scaling | mix | fault | latency | all")
+		exp     = flag.String("experiment", "fig6", "fig6 | table1 | ablation-decide | ablation-select | ablation-gossip | scaling | mix | fault | latency | all | sweep-sites | sweep-items | sweep-initial | sweep-decrease | sweep-passes | trace | sim")
 		sites   = flag.Int("sites", 3, "number of sites (site 0 is the maker/base)")
 		items   = flag.Int("items", 100, "products in each local DB")
 		initial = flag.Int64("initial", 1000, "initial stock per product")
@@ -94,6 +96,9 @@ func main() {
 }
 
 func run(exp string, cfg experiment.Config, csvPath string) error {
+	if axis, ok := strings.CutPrefix(exp, "sweep-"); ok {
+		return runSweep(axis, cfg, csvPath)
+	}
 	switch exp {
 	case "fig6":
 		return runFig6(cfg, csvPath)
@@ -207,6 +212,67 @@ func runTable1(cfg experiment.Config, csvPath string) error {
 			experiment.Fairness(res))
 	}
 	return nil
+}
+
+// runSweep varies one parameter of cfg over a fixed set of values and
+// prints, per value, both systems' correspondences at the horizon: one
+// row per configuration, for plotting beyond the paper's single setting.
+func runSweep(axis string, cfg experiment.Config, csvPath string) error {
+	type point struct {
+		label string
+		cfg   experiment.Config
+	}
+	var points []point
+	switch axis {
+	case "sites":
+		for _, n := range []int{3, 5, 9, 17, 33} {
+			c := cfg
+			c.Sites = n
+			points = append(points, point{fmt.Sprint(n), c})
+		}
+	case "items":
+		for _, n := range []int{10, 50, 100, 500, 1000} {
+			c := cfg
+			c.Items = n
+			points = append(points, point{fmt.Sprint(n), c})
+		}
+	case "initial":
+		for _, n := range []int64{100, 300, 1000, 3000, 10000} {
+			c := cfg
+			c.InitialAmount = n
+			points = append(points, point{fmt.Sprint(n), c})
+		}
+	case "decrease":
+		for _, f := range []float64{0.02, 0.05, 0.10, 0.20, 0.40} {
+			c := cfg
+			c.RetailerDecreaseFrac = f
+			points = append(points, point{fmt.Sprintf("%.2f", f), c})
+		}
+	case "passes":
+		for _, p := range []int{1, 2, 3, 5} {
+			c := cfg
+			c.Passes = p
+			points = append(points, point{fmt.Sprint(p), c})
+		}
+	default:
+		return fmt.Errorf("unknown sweep axis %q", axis)
+	}
+
+	tab := &metrics.Table{Columns: []string{axis, "proposed_corr", "conventional_corr",
+		"reduction_pct", "local_frac", "failures", "transfer_rounds"}}
+	for _, pt := range points {
+		// Only the horizon is read, so sample the series exactly there.
+		pt.cfg.Checkpoint = pt.cfg.Updates
+		res, err := experiment.RunFig6(pt.cfg)
+		if err != nil {
+			return fmt.Errorf("%s=%s: %w", axis, pt.label, err)
+		}
+		p := res.Proposed
+		tab.AddRow(pt.label, fmt.Sprint(p.Total.Last()), fmt.Sprint(res.Conventional.Total.Last()),
+			fmt.Sprintf("%.1f", res.ReductionPct), fmt.Sprintf("%.3f", p.LocalFraction),
+			fmt.Sprint(p.Failures), fmt.Sprint(p.TransferRounds))
+	}
+	return emit(tab, csvPath)
 }
 
 func emit(tab *metrics.Table, csvPath string) error {

@@ -194,24 +194,17 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) Epochs() *epoch.Manager { return s.epochs }
 
 // syncTo is the durable-ack wait every journal-backed operation ends
-// with: ride the open epoch when epoch commit is on, otherwise join the
-// per-op group commit. Called after s.mu is released. Checkpoint does
-// NOT use it — a truncation boundary must not wait out an open epoch's
-// interval, and its direct SyncTo is correct either way.
-func (s *Store) syncTo(lsn uint64) error {
-	if s.epochs != nil {
-		_, err := s.epochs.Commit(lsn)
-		return err
-	}
-	return s.journal.SyncTo(lsn)
-}
+// with, called after s.mu is released. Checkpoint does NOT use it — a
+// truncation boundary must not wait out an open epoch's interval, and
+// its direct SyncTo is correct either way.
+func (s *Store) syncTo(lsn uint64) error { return s.syncToAsync(lsn)() }
 
-// syncToAsync is syncTo's pipelined form: it registers the wait (riding
-// the open epoch when epoch commit is on) and returns a function that
-// blocks until lsn is durable. The caller withholds the operation's
-// acknowledgement until that wait resolves, but may keep issuing ops —
-// filling the next epoch while the previous one's covering fsync
-// drains.
+// syncToAsync registers the wait — riding the open epoch when epoch
+// commit is on, otherwise joining the per-op group commit — and returns
+// a function that blocks until lsn is durable. The caller withholds the
+// operation's acknowledgement until that wait resolves, but may keep
+// issuing ops — filling the next epoch while the previous one's
+// covering fsync drains.
 func (s *Store) syncToAsync(lsn uint64) func() error {
 	if s.epochs != nil {
 		t, err := s.epochs.Enqueue(lsn)
@@ -360,18 +353,14 @@ func (s *Store) Credit(key string, n int64) error {
 // removed the volume (the accompanying storage-WAL decrement may or may
 // not have committed — if it did not, slack is lost, which is safe).
 // The fsync wait happens after s.mu is released, so concurrent durable
-// ops batch onto one group commit.
+// ops batch onto one group commit. Consume is ConsumeAsync followed by
+// its wait.
 func (s *Store) Consume(key string, n int64) error {
-	s.mu.Lock()
-	lsn, err := s.appendLocked(opSpend, key, n)
-	if err == nil {
-		err = s.tbl.Consume(key, n)
-	}
-	s.mu.Unlock()
+	wait, err := s.ConsumeAsync(key, n)
 	if err != nil {
 		return err
 	}
-	return s.syncTo(lsn)
+	return wait()
 }
 
 // ConsumeAsync is Consume's pipelined form: the journal append and

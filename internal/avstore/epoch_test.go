@@ -1,11 +1,13 @@
 package avstore
 
 import (
+	"errors"
 	"os"
 	"sync"
 	"testing"
 	"time"
 
+	"avdb/internal/av"
 	"avdb/internal/epoch"
 	"avdb/internal/metrics"
 	"avdb/internal/wal"
@@ -16,13 +18,20 @@ import (
 // record covered by the WAL's durable watermark the moment it returns —
 // a crash at any point after the ack (including between one epoch's
 // close and the next's fsync) can only lose records that were never
-// acknowledged.
+// acknowledged. Interval 0 holds per-op group commit to the same
+// contract: both waits are one code path (syncToAsync).
 func TestEpochModeAckedCommitsAreDurable(t *testing.T) {
+	for _, interval := range []time.Duration{200 * time.Microsecond, 0} {
+		t.Run(interval.String(), func(t *testing.T) { testAckedCommitsAreDurable(t, interval) })
+	}
+}
+
+func testAckedCommitsAreDurable(t *testing.T, interval time.Duration) {
 	dir := t.TempDir()
 	st := &epoch.Stats{}
 	ws := &wal.Stats{}
 	s, err := Open(dir, Options{
-		EpochInterval: 200 * time.Microsecond,
+		EpochInterval: interval,
 		EpochStats:    st,
 		Stats:         ws,
 	})
@@ -67,26 +76,34 @@ func TestEpochModeAckedCommitsAreDurable(t *testing.T) {
 		t.Fatalf("durable watermark %d after quiesce, want %d: acked commits not durable", got, want)
 	}
 	// workers*per consumes plus the initial Define all rode epochs.
-	if st.Epochs.Load() == 0 || st.Commits.Load() != workers*per+1 {
+	if interval > 0 && (st.Epochs.Load() == 0 || st.Commits.Load() != workers*per+1) {
 		t.Fatalf("epoch stats: %d epochs / %d commits, want >0 / %d",
 			st.Epochs.Load(), st.Commits.Load(), workers*per+1)
 	}
-	if f := ws.Fsyncs.Load(); f >= workers*per {
+	if f := ws.Fsyncs.Load(); interval > 0 && f >= workers*per {
 		t.Fatalf("%d fsyncs for %d commits: epochs did not amortize", f, workers*per)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart (epoch mode again) and verify no acknowledged commit was
+	// Restart in the same mode and verify no acknowledged commit was
 	// lost: all workers*per spends must be reflected.
-	s2, err := Open(dir, Options{EpochInterval: 200 * time.Microsecond})
+	s2, err := Open(dir, Options{EpochInterval: interval, EpochStats: st, Stats: ws})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
 	if got, want := s2.Avail("k"), int64(1_000_000-workers*per); got != want {
 		t.Fatalf("recovered avail %d, want %d", got, want)
+	}
+	// Consuming more than is held fails without waiting on the journal.
+	fsyncs, commits := ws.Fsyncs.Load(), st.Commits.Load()
+	if err := s2.Consume("k", 1); !errors.Is(err, av.ErrOverspend) {
+		t.Fatalf("consume with nothing held: err = %v, want ErrOverspend", err)
+	}
+	if f, c := ws.Fsyncs.Load(), st.Commits.Load(); f != fsyncs || c != commits {
+		t.Fatalf("failed consume waited: fsyncs %d→%d, epoch commits %d→%d", fsyncs, f, commits, c)
 	}
 }
 

@@ -194,7 +194,7 @@ func BenchmarkDurableDecrementSerial(b *testing.B) {
 // BenchmarkDurableDecrementParallel runs the same durable decrement
 // from GOMAXPROCS goroutines. Group commit batches concurrent waiters
 // behind one leader fsync, so fsyncs/op drops well below 1 at
-// parallelism ≥ 4 — the headline number reported in BENCH_4.json.
+// parallelism ≥ 4.
 func BenchmarkDurableDecrementParallel(b *testing.B) {
 	st := &wal.Stats{}
 	s, err := Open(b.TempDir(), Options{Stats: st})

@@ -280,10 +280,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// PartMap returns the cluster's partition map, nil when partitioning
-// is off.
-func (c *Cluster) PartMap() *partition.Map { return c.pm }
-
 // HostSitesFor lists the site indices hosting key: the partition's
 // replica set (owner first) when sharded, every site otherwise.
 func (c *Cluster) HostSitesFor(key string) []int {

@@ -81,12 +81,12 @@ func TestPartitionStatsCoverHostedPartitions(t *testing.T) {
 	c := shardedCluster(t, 6, 16, 2)
 	for _, s := range c.Sites {
 		infos := s.PartitionStats()
-		hosted := c.PartMap().Hosted(s.ID())
+		hosted := c.pm.Hosted(s.ID())
 		if len(infos) != len(hosted) {
 			t.Fatalf("site %d: %d stat entries, hosts %d partitions", s.ID(), len(infos), len(hosted))
 		}
 		for _, info := range infos {
-			if !c.PartMap().IsReplica(info.Partition, s.ID()) {
+			if !c.pm.IsReplica(info.Partition, s.ID()) {
 				t.Fatalf("site %d reports stats for foreign partition %d", s.ID(), info.Partition)
 			}
 		}
@@ -98,7 +98,7 @@ func TestPartitionStatsCoverHostedPartitions(t *testing.T) {
 // the update is NOT applied anywhere.
 func TestMisroutedUpdateRejectedNotApplied(t *testing.T) {
 	c := shardedCluster(t, 6, 16, 2)
-	pm := c.PartMap()
+	pm := c.pm
 
 	// Find a key and a site outside its replica set.
 	key, wrong := "", -1

@@ -388,23 +388,14 @@ func (e *Engine) SnapshotAmounts() (map[string]int64, uint64, error) {
 // escapes the site for a batch a crash could lose). With epoch commit
 // on, the wait rides the open epoch's boundary instead: same record,
 // same order, same durable-before-ack guarantee, one covering fsync per
-// epoch instead of one group commit per batch.
+// epoch instead of one group commit per batch. Apply is ApplyAsync
+// followed by its wait.
 func (e *Engine) Apply(ops ...Op) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	lsn, err := e.applyBatch(ops)
+	wait, err := e.ApplyAsync(ops...)
 	if err != nil {
 		return err
 	}
-	if e.log != nil && lsn > 0 {
-		if e.epochs != nil {
-			_, err := e.epochs.Commit(lsn)
-			return err
-		}
-		return e.log.SyncTo(lsn)
-	}
-	return nil
+	return wait()
 }
 
 // applied reports a no-op durability wait, shared by every ApplyAsync

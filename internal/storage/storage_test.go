@@ -8,8 +8,11 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"avdb/internal/epoch"
 	"avdb/internal/rng"
+	"avdb/internal/wal"
 )
 
 func memEngine(t *testing.T) *Engine {
@@ -565,5 +568,48 @@ func TestSnapshotAmountsConsistentPair(t *testing.T) {
 	want := map[string]int64{"a": 10, "b": 20}
 	if !reflect.DeepEqual(amounts, want) {
 		t.Fatalf("amounts = %v, want %v (meta rows must be excluded)", amounts, want)
+	}
+}
+
+// TestApplyDurableBeforeAck pins Apply's contract on a durable engine,
+// with the wait joining a group commit and riding an epoch: a batch is
+// on stable storage when Apply returns; an empty batch and one that
+// fails validation log nothing and wait on nothing.
+func TestApplyDurableBeforeAck(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		epoch time.Duration
+	}{{"group commit", 0}, {"epochs", 200 * time.Microsecond}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws, es := &wal.Stats{}, &epoch.Stats{}
+			e, err := Open(Options{Dir: t.TempDir(), Stats: ws, EpochInterval: tc.epoch, EpochStats: es})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for i := 0; i < 5; i++ {
+				if err := e.Apply(PutOp(Record{Key: "a", Amount: int64(i)})); err != nil {
+					t.Fatal(err)
+				}
+				if d, lsn := e.log.DurableLSN(), e.LastLSN(); d < lsn {
+					t.Fatalf("Apply returned with durable LSN %d < its record %d", d, lsn)
+				}
+			}
+			if (es.Commits.Load() == 5) != (tc.epoch > 0) {
+				t.Fatalf("%d commits rode an epoch", es.Commits.Load())
+			}
+
+			next, fsyncs, commits := e.log.NextLSN(), ws.Fsyncs.Load(), es.Commits.Load()
+			if err := e.Apply(); err != nil {
+				t.Fatalf("empty batch: %v", err)
+			}
+			if err := e.Apply(DeltaOp("a", 1), DeltaOp("missing", 1)); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("invalid batch: err = %v, want ErrNotFound", err)
+			}
+			if n, f, c := e.log.NextLSN(), ws.Fsyncs.Load(), es.Commits.Load(); n != next || f != fsyncs || c != commits {
+				t.Fatalf("no-op batches moved the log: next LSN %d→%d, fsyncs %d→%d, epoch commits %d→%d",
+					next, n, fsyncs, f, commits, c)
+			}
+		})
 	}
 }

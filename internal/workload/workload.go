@@ -2,8 +2,8 @@
 // through both systems. The primary generator is the paper's SCM
 // pattern (§4): at site 0 (the maker) stock increases "by at most 20% of
 // the initial amount of data randomly"; at the retailer sites it
-// decreases by at most 10%. Additional generators (skewed key choice,
-// read-mixed) support the extension studies.
+// decreases by at most 10%. An additional generator (skewed key choice)
+// supports the extension studies.
 //
 // Generators are deterministic from their seed and are pure producers:
 // the same generator instance drives the proposed and the conventional
@@ -16,14 +16,11 @@ import (
 	"avdb/internal/rng"
 )
 
-// Op is one generated operation. Delta is meaningless when Read is
-// set: a read observes the key's stock at the originating site instead
-// of changing it.
+// Op is one generated operation.
 type Op struct {
 	Site  int    // originating site
 	Key   string // product key
-	Delta int64  // signed stock change (writes only)
-	Read  bool   // stock lookup instead of an update
+	Delta int64  // signed stock change
 }
 
 // Generator produces a deterministic stream of operations.
@@ -173,62 +170,6 @@ func (s *Skewed) Next() Op {
 		op.Key = s.cold[s.r.Intn(len(s.cold))]
 	}
 	return op
-}
-
-// ReadMixConfig parameterizes a read-heavy mix layered over any write
-// generator (the avbench -reads study).
-type ReadMixConfig struct {
-	// Inner produces the write stream.
-	Inner Generator
-	// ReadFrac of the operations are reads (default 0.9).
-	ReadFrac float64
-	// Sites and Keys bound the reads' independent site/key draws.
-	Sites int
-	Keys  []string
-	// Seed makes the read stream reproducible independently of Inner's.
-	Seed uint64
-}
-
-// ReadMix interleaves reads into a write stream: each Next draw is a
-// read with probability ReadFrac, choosing its own site and key, and
-// otherwise defers to the inner write generator. The write substream
-// is therefore identical to running Inner alone — adding reads never
-// perturbs the write schedule.
-type ReadMix struct {
-	cfg ReadMixConfig
-	r   *rng.Rand
-}
-
-// NewReadMix builds the mixed generator.
-func NewReadMix(cfg ReadMixConfig) (*ReadMix, error) {
-	if cfg.Inner == nil {
-		return nil, fmt.Errorf("workload: read mix needs an inner write generator")
-	}
-	if cfg.Sites < 1 {
-		return nil, fmt.Errorf("workload: need >= 1 site")
-	}
-	if len(cfg.Keys) == 0 {
-		return nil, fmt.Errorf("workload: need >= 1 key")
-	}
-	if cfg.ReadFrac == 0 {
-		cfg.ReadFrac = 0.9
-	}
-	if cfg.ReadFrac < 0 || cfg.ReadFrac > 1 {
-		return nil, fmt.Errorf("workload: read fraction %v outside [0, 1]", cfg.ReadFrac)
-	}
-	return &ReadMix{cfg: cfg, r: rng.New(cfg.Seed ^ 0x4EAD)}, nil
-}
-
-// Next implements Generator.
-func (m *ReadMix) Next() Op {
-	if m.r.Bool(m.cfg.ReadFrac) {
-		return Op{
-			Site: m.r.Intn(m.cfg.Sites),
-			Key:  m.cfg.Keys[m.r.Intn(len(m.cfg.Keys))],
-			Read: true,
-		}
-	}
-	return m.cfg.Inner.Next()
 }
 
 // Keys builds the canonical catalog key list used by clusters and

@@ -164,58 +164,3 @@ func TestSkewedSingleKey(t *testing.T) {
 		}
 	}
 }
-
-func TestReadMixFractionAndWriteStream(t *testing.T) {
-	cfg := scmCfg()
-	mkInner := func() *SCM {
-		g, err := NewSCM(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	m, err := NewReadMix(ReadMixConfig{
-		Inner: mkInner(), ReadFrac: 0.75, Sites: cfg.Sites, Keys: cfg.Keys, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20000
-	reads := 0
-	var writes []Op
-	for i := 0; i < n; i++ {
-		op := m.Next()
-		if op.Read {
-			reads++
-			if op.Delta != 0 {
-				t.Fatalf("read carries delta %d", op.Delta)
-			}
-			if op.Site < 0 || op.Site >= cfg.Sites {
-				t.Fatalf("read site %d out of range", op.Site)
-			}
-		} else {
-			writes = append(writes, op)
-		}
-	}
-	if frac := float64(reads) / n; frac < 0.70 || frac > 0.80 {
-		t.Fatalf("read fraction = %v, want ~0.75", frac)
-	}
-	// The write substream must be exactly what the inner generator
-	// would have produced alone: reads never perturb the write schedule.
-	ref := mkInner()
-	for i, w := range writes {
-		if want := ref.Next(); w != want {
-			t.Fatalf("write %d = %+v, inner alone gives %+v", i, w, want)
-		}
-	}
-}
-
-func TestReadMixValidation(t *testing.T) {
-	g, _ := NewSCM(scmCfg())
-	if _, err := NewReadMix(ReadMixConfig{Sites: 2, Keys: Keys(1)}); err == nil {
-		t.Fatal("nil inner accepted")
-	}
-	if _, err := NewReadMix(ReadMixConfig{Inner: g, Sites: 2, Keys: Keys(1), ReadFrac: 1.5}); err == nil {
-		t.Fatal("read fraction 1.5 accepted")
-	}
-}
