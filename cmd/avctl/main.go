@@ -144,18 +144,6 @@ func epochSummary(w io.Writer, dump string) {
 			time.Duration(m["epoch_ack_wait_p99_ns"]),
 			time.Duration(m["epoch_ack_wait_max_ns"]))
 	}
-	if x := m["twopc_cross_epoch_commits"]; x > 0 {
-		fmt.Fprintf(w, "cross-epoch 2PC commits %d (ack durable-epoch ran ahead of every vote epoch)\n", x)
-	}
-	if x := m["twopc_pipelined_commits"]; x > 0 {
-		fmt.Fprintf(w, "pipelined 2PC commits %d (next round prepared while a prior fsync drained)\n", x)
-	}
-	// Adaptive interval controller state: only meaningful once the
-	// controller has moved the interval at least once.
-	if widens, collapses := m["epoch_widens_total"], m["epoch_collapses_total"]; widens > 0 || collapses > 0 {
-		fmt.Fprintf(w, "adaptive interval %v (widened %d, collapsed %d)\n",
-			time.Duration(m["epoch_interval_current_us"])*time.Microsecond, widens, collapses)
-	}
 }
 
 // watch streams one read-plane model (stock, global, or hot) from the

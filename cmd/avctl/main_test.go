@@ -19,7 +19,6 @@ func TestEpochSummaryDerivesFromDump(t *testing.T) {
 		"epoch_closed_total 40",
 		"epoch_commits_total 1200",
 		"epoch_early_closes_total 3",
-		"twopc_cross_epoch_commits 2",
 		"",
 		"# histogram epoch_ack_wait",
 		"epoch_ack_wait_count 1200",
@@ -34,43 +33,10 @@ func TestEpochSummaryDerivesFromDump(t *testing.T) {
 		"epoch current 42, durable 41 (lag 1)",
 		"closed 40 epochs covering 1200 commits: 30.0 commits per fsync, 3 early closes",
 		"ack wait p50 150µs, p99 400µs, max 900µs",
-		"cross-epoch 2PC commits 2",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("summary missing %q:\n%s", want, got)
 		}
-	}
-}
-
-func TestEpochSummaryRendersAdaptiveAndPipelined(t *testing.T) {
-	dump := strings.Join([]string{
-		"epoch_current 10",
-		"epoch_durable 10",
-		"epoch_closed_total 9",
-		"epoch_commits_total 90",
-		"epoch_interval_current_us 800",
-		"epoch_widens_total 4",
-		"epoch_collapses_total 2",
-		"twopc_pipelined_commits 17",
-	}, "\n")
-	var out strings.Builder
-	epochSummary(&out, dump)
-	got := out.String()
-	for _, want := range []string{
-		"pipelined 2PC commits 17",
-		"adaptive interval 800µs (widened 4, collapsed 2)",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("summary missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestEpochSummaryQuietWithoutAdaptiveController(t *testing.T) {
-	var out strings.Builder
-	epochSummary(&out, "epoch_closed_total 5\nepoch_commits_total 50\nepoch_interval_current_us 200\n")
-	if strings.Contains(out.String(), "adaptive interval") {
-		t.Fatalf("adaptive line rendered with zero widen/collapse counts:\n%s", out.String())
 	}
 }
 

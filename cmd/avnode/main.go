@@ -83,9 +83,6 @@ func main() {
 		epochOn      = flag.Bool("epoch", false, "acknowledge durable commits at epoch boundaries (one fsync per epoch) instead of per group-commit round")
 		epochUS      = flag.Int("epoch-interval-us", 200, "epoch length in microseconds (with -epoch)")
 		epochMax     = flag.Int("epoch-max-commits", 0, "close an epoch early once it holds this many commits (0 = default, negative = never)")
-		epochAdapt   = flag.Bool("epoch-adaptive", false, "adapt the epoch interval to load: widen when epochs fill early, collapse toward the floor when they close near-empty (with -epoch)")
-		epochMinUS   = flag.Int("epoch-min-interval-us", 0, "adaptive epoch interval floor in microseconds (0 = interval/4; with -epoch-adaptive)")
-		epochMaxUS   = flag.Int("epoch-max-interval-us", 0, "adaptive epoch interval ceiling in microseconds (0 = interval*8; with -epoch-adaptive)")
 		partitions   = flag.Int("partitions", 0, "shard the catalog over this many partitions (0 = legacy full replication; identical on every node)")
 		rf           = flag.Int("rf", 2, "replicas per partition (with -partitions; capped at the cluster size)")
 	)
@@ -169,10 +166,6 @@ func main() {
 		WALStats:          walStats,
 		EpochInterval:     epochInterval(*epochOn, *epochUS),
 		EpochMaxCommits:   *epochMax,
-		EpochAdaptive:     *epochAdapt,
-		EpochMinInterval:  time.Duration(*epochMinUS) * time.Microsecond,
-		EpochMaxInterval:  time.Duration(*epochMaxUS) * time.Microsecond,
-		EpochAlignFlush:   *epochOn,
 		EpochStats:        epochStats,
 		Partitions:        pm,
 	}, network)
@@ -209,21 +202,10 @@ func main() {
 		if em := s.Epochs(); em != nil {
 			srv.RegisterCounter("epoch_current", func() int64 { return int64(em.Current()) })
 			srv.RegisterCounter("epoch_durable", func() int64 { return int64(em.Durable()) })
-			// With -epoch-adaptive this moves between the min/max clamps;
-			// otherwise it sits at -epoch-interval-us.
-			srv.RegisterCounter("epoch_interval_current_us", func() int64 { return em.Interval().Microseconds() })
 		}
 		srv.RegisterCounter("epoch_closed_total", epochStats.Epochs.Load)
 		srv.RegisterCounter("epoch_commits_total", epochStats.Commits.Load)
 		srv.RegisterCounter("epoch_early_closes_total", epochStats.EarlyCloses.Load)
-		srv.RegisterCounter("epoch_widens_total", epochStats.Widens.Load)
-		srv.RegisterCounter("epoch_collapses_total", epochStats.Collapses.Load)
-		srv.RegisterCounter("twopc_cross_epoch_commits", s.TwoPC().Stats().CrossEpochCommits.Load)
-		srv.RegisterCounter("twopc_pipelined_commits", s.TwoPC().Stats().PipelinedCommits.Load)
-		// Attached before any coordinator traffic exists; the engine only
-		// ever reads this field.
-		s.TwoPC().Stats().OverlapDepth = metrics.NewWindowHistogram(histWindow)
-		srv.RegisterSizeHistogram("twopc_overlap_depth", s.TwoPC().Stats().OverlapDepth)
 		srv.RegisterSizeHistogram("epoch_commits_per_epoch", epochStats.CommitsPerEpoch)
 		srv.RegisterHistogram("epoch_close_latency", epochStats.CloseLatency)
 		srv.RegisterHistogram("epoch_ack_wait", epochStats.AckWait)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -62,5 +64,42 @@ func TestTable1IsDeterministic(t *testing.T) {
 	first := runCSV(t, "table1")
 	if second := runCSV(t, "table1"); first != second || !strings.HasPrefix(first, "site,") {
 		t.Fatalf("same seed, different (or empty) Table 1:\n%s\nvs\n%s", first, second)
+	}
+}
+
+// runMain runs avsim's main with args, exactly as the command line
+// would, and returns what it printed to stdout.
+func runMain(t *testing.T, args ...string) []byte {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	oldArgs, oldFlags, oldStdout := os.Args, flag.CommandLine, os.Stdout
+	defer func() { os.Args, flag.CommandLine, os.Stdout = oldArgs, oldFlags, oldStdout }()
+	os.Args = append([]string{"avsim"}, args...)
+	flag.CommandLine = flag.NewFlagSet("avsim", flag.ContinueOnError)
+	os.Stdout = out
+	main()
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestPaperOutputsMatchGolden is the reproduction check: Fig. 6 and
+// Table 1, as `avsim -experiment fig6|table1` prints them with default
+// flags, must match testdata/{fig6,table1}.golden byte for byte.
+func TestPaperOutputsMatchGolden(t *testing.T) {
+	for _, exp := range []string{"fig6", "table1"} {
+		want, err := os.ReadFile(filepath.Join("testdata", exp+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runMain(t, "-experiment", exp); !bytes.Equal(got, want) {
+			t.Errorf("avsim -experiment %s differs from testdata/%s.golden:\n got:\n%s\nwant:\n%s", exp, exp, got, want)
+		}
 	}
 }

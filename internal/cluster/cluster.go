@@ -78,10 +78,6 @@ type Config struct {
 	EpochInterval time.Duration
 	// EpochMaxCommits caps commits per epoch (see site.Config).
 	EpochMaxCommits int
-	// EpochAdaptive turns on the adaptive interval controller, clamped
-	// to [EpochMinInterval, EpochMaxInterval] (see site.Config).
-	EpochAdaptive                      bool
-	EpochMinInterval, EpochMaxInterval time.Duration
 	// Interceptor, when non-nil, is consulted for every message on the
 	// in-process network — the seam chaos.Injector plugs into.
 	Interceptor transport.Interceptor
@@ -345,10 +341,9 @@ func (c *Cluster) siteConfig(id int) site.Config {
 	c.mu.Lock()
 	epoch := c.epochs[id]
 	c.mu.Unlock()
-	// A reborn site must never re-mint an id a previous life used:
-	// granters tombstone resolved transfer ids, and participants may
-	// still hold the old incarnation's transactions.
-	sc.TxnIDEpoch = uint64(epoch)
+	// A reborn site must never re-mint a transfer id a previous life
+	// used: granters tombstone resolved transfer ids. (Its 2PC ids are
+	// salted by the incarnation count the site keeps in its own storage.)
 	if cfg.XferSalt != 0 {
 		sc.XferSalt = cfg.XferSalt ^ ((uint64(id) + 1) << 32) ^ (uint64(epoch) + 1)
 	}
@@ -358,9 +353,6 @@ func (c *Cluster) siteConfig(id int) site.Config {
 		sc.NoSync = true
 		sc.EpochInterval = cfg.EpochInterval
 		sc.EpochMaxCommits = cfg.EpochMaxCommits
-		sc.EpochAdaptive = cfg.EpochAdaptive
-		sc.EpochMinInterval = cfg.EpochMinInterval
-		sc.EpochMaxInterval = cfg.EpochMaxInterval
 	}
 	return sc
 }

@@ -21,12 +21,10 @@
 // epoch crash window can only lose commits that were never
 // acknowledged.
 //
-// Callers that can overlap work across the durability boundary use the
-// async half of the API: Enqueue registers the commit on the open epoch
-// and returns a Ticket immediately, so epoch N+1 can fill while epoch
-// N's covering fsync is still in flight; Ticket.Wait (or Done/Err)
-// collects the outcome later. Commit is exactly Enqueue followed by
-// Wait.
+// Enqueue registers a commit on the open epoch and returns a Ticket
+// without waiting (storage.ApplyAsync), so a Delay Update can append its
+// AV spend and then commit its stock batch, whose one wait covers both.
+// Commit is exactly Enqueue followed by Ticket.Wait.
 package epoch
 
 import (
@@ -59,14 +57,6 @@ type Stats struct {
 	// EarlyCloses counts size-triggered closes (epoch hit MaxCommits
 	// before its interval elapsed).
 	EarlyCloses atomic.Int64
-	// Widens counts adaptive-interval widenings (epoch filled to
-	// MaxCommits, so the controller doubled the interval toward
-	// MaxInterval to amortize more commits per fsync).
-	Widens atomic.Int64
-	// Collapses counts adaptive-interval collapses (epoch closed nearly
-	// empty, so the controller halved the interval toward MinInterval to
-	// shed ack latency while there is nothing to amortize).
-	Collapses atomic.Int64
 	// CommitsPerEpoch, when non-nil, observes each closed epoch's commit
 	// count (unitless).
 	CommitsPerEpoch *metrics.Histogram
@@ -94,22 +84,6 @@ type Options struct {
 	Sync func(lsn uint64) error
 	// Stats, when non-nil, receives the counters above.
 	Stats *Stats
-	// Adaptive turns on the interval controller: the interval widens
-	// (doubles, clamped to MaxInterval) when an epoch fills to
-	// MaxCommits before its timer fires, and collapses (halves, clamped
-	// to MinInterval) when an epoch closes with at most MaxCommits/8
-	// commits. The feedback signal is the same per-epoch commit count
-	// the CommitsPerEpoch histogram observes.
-	Adaptive bool
-	// MinInterval / MaxInterval clamp the adaptive controller (defaults
-	// Interval/4 and Interval*8). Ignored unless Adaptive is set.
-	MinInterval time.Duration
-	MaxInterval time.Duration
-	// OnDurable, when non-nil, is invoked (on the closing goroutine,
-	// outside the manager's lock) each time the durable epoch watermark
-	// advances. Replication uses it to fence delta windows on epoch
-	// boundaries.
-	OnDurable func(epoch uint64)
 }
 
 // state is one epoch's accumulation window.
@@ -137,8 +111,7 @@ type Manager struct {
 	num    uint64 // number of the most recently opened epoch
 	closed bool
 
-	durable  atomic.Uint64 // highest epoch number known fully durable
-	interval atomic.Int64  // current interval in ns (adaptive moves it)
+	durable atomic.Uint64 // highest epoch number known fully durable
 }
 
 // New builds a Manager. Sync is required.
@@ -152,30 +125,7 @@ func New(opts Options) *Manager {
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
-	if opts.Adaptive {
-		if opts.MinInterval <= 0 {
-			opts.MinInterval = opts.Interval / 4
-		}
-		if opts.MaxInterval <= 0 {
-			opts.MaxInterval = opts.Interval * 8
-		}
-		if opts.MinInterval > opts.Interval {
-			opts.MinInterval = opts.Interval
-		}
-		if opts.MaxInterval < opts.Interval {
-			opts.MaxInterval = opts.Interval
-		}
-	}
-	m := &Manager{opts: opts}
-	m.interval.Store(int64(opts.Interval))
-	return m
-}
-
-// Interval returns the interval the next epoch will be armed with. With
-// the adaptive controller off this is constant; with it on, this is the
-// controller's current setting (exported as epoch_interval_current_us).
-func (m *Manager) Interval() time.Duration {
-	return time.Duration(m.interval.Load())
+	return &Manager{opts: opts}
 }
 
 // Current returns the number of the epoch a commit enqueued now would
@@ -202,21 +152,10 @@ type Ticket struct {
 	start time.Time // enqueue time, for AckWait (zero when unobserved)
 }
 
-// Epoch returns the number of the epoch the commit rode.
-func (t Ticket) Epoch() uint64 { return t.e.num }
-
-// Done is closed once the ticket's epoch is durable (or its covering
-// sync failed — check Err after Done).
-func (t Ticket) Done() <-chan struct{} { return t.e.done }
-
-// Err returns the epoch's sync outcome. Valid only after Done is
-// closed; on error the record may or may not have reached disk and
-// callers treat the effect as lost slack, exactly as with a failed
-// direct sync.
-func (t Ticket) Err() error { return t.e.err }
-
 // Wait blocks until the ticket's epoch is durable and returns the epoch
-// number and the sync outcome, observing the caller's ack wait.
+// number and the sync outcome, observing the caller's ack wait. On error
+// the record may or may not have reached disk; callers treat the effect
+// as lost slack, exactly as with a failed direct sync.
 func (t Ticket) Wait() (uint64, error) {
 	<-t.e.done
 	if !t.start.IsZero() {
@@ -226,10 +165,8 @@ func (t Ticket) Wait() (uint64, error) {
 }
 
 // Enqueue registers a commit whose WAL record ends at lsn on the open
-// epoch and returns immediately with a Ticket for the acknowledgement.
-// This is the pipelined half of the API: the caller keeps filling epoch
-// N+1 while epoch N's covering fsync is in flight and collects the
-// outcome later via Ticket.Wait (or Done/Err).
+// epoch and returns immediately with a Ticket for the acknowledgement;
+// Ticket.Wait collects the outcome.
 func (m *Manager) Enqueue(lsn uint64) (Ticket, error) {
 	m.mu.Lock()
 	if m.closed {
@@ -294,7 +231,7 @@ func (m *Manager) openLocked() *state {
 		cancel: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	e.timer = clock.NewTimer(m.opts.Clock, time.Duration(m.interval.Load()))
+	e.timer = clock.NewTimer(m.opts.Clock, m.opts.Interval)
 	m.cur = e
 	go m.watch(e)
 	return e
@@ -326,17 +263,12 @@ func (m *Manager) watch(e *state) {
 // overlapping closes of adjacent epochs are safe.
 func (m *Manager) close(e *state) {
 	e.err = m.opts.Sync(e.maxLSN)
-	advanced := false
 	if e.err == nil {
 		// Publish in max order: a stale close finishing late must not
 		// regress the durable epoch.
 		for {
 			cur := m.durable.Load()
-			if e.num <= cur {
-				break
-			}
-			if m.durable.CompareAndSwap(cur, e.num) {
-				advanced = true
+			if e.num <= cur || m.durable.CompareAndSwap(cur, e.num) {
 				break
 			}
 		}
@@ -351,45 +283,7 @@ func (m *Manager) close(e *state) {
 			st.CloseLatency.Observe(m.opts.Clock.Now().Sub(e.opened))
 		}
 	}
-	if m.opts.Adaptive {
-		m.adapt(e)
-	}
-	// Release waiters before the fence callback: the callback may do
-	// real work (kick a replication flush) and must not delay acks.
 	close(e.done)
-	if advanced && m.opts.OnDurable != nil {
-		m.opts.OnDurable(e.num)
-	}
-}
-
-// adapt is the interval controller: one adjustment per closed epoch,
-// driven by how full the epoch was when it closed (the signal the
-// CommitsPerEpoch histogram records). A full epoch means the commit
-// rate outran the window — widen so the next fsync amortizes more. A
-// near-empty epoch means commits are paying interval-sized ack waits
-// for nothing — collapse toward MinInterval. Adjustments serialize
-// under m.mu so overlapping closes of adjacent epochs cannot compound
-// a single observation.
-func (m *Manager) adapt(e *state) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur := time.Duration(m.interval.Load())
-	switch {
-	case m.opts.MaxCommits > 0 && e.count >= int64(m.opts.MaxCommits):
-		if next := min(cur*2, m.opts.MaxInterval); next > cur {
-			m.interval.Store(int64(next))
-			if m.opts.Stats != nil {
-				m.opts.Stats.Widens.Add(1)
-			}
-		}
-	case e.count <= int64(m.opts.MaxCommits)/8:
-		if next := max(cur/2, m.opts.MinInterval); next < cur {
-			m.interval.Store(int64(next))
-			if m.opts.Stats != nil {
-				m.opts.Stats.Collapses.Add(1)
-			}
-		}
-	}
 }
 
 // Close flushes the open epoch (releasing its waiters durable) and

@@ -132,53 +132,6 @@ func TestPendingAndAck(t *testing.T) {
 	}
 }
 
-// TestEpochFenceCapsWindows pins the epoch-aligned flush contract:
-// with AlignToEpochs on, PendingSyncFor exposes only entries at or
-// below the last Fence — a flush kicked by an epoch close ships
-// exactly the deltas that epoch covered, and the advertised WindowTop
-// never claims entries past the fence.
-func TestEpochFenceCapsWindows(t *testing.T) {
-	r := New(1, newEng(t, 0))
-	r.AlignToEpochs()
-	// Distinct keys: same-key deltas coalesce within a window and would
-	// hide the per-sequence fence boundary this test pins.
-	r.Record("a", 1)
-	r.Record("b", 1)
-	// No fence advance yet: the log top at alignment was 0.
-	if msg := r.PendingSyncFor(2); msg != nil {
-		t.Fatalf("unfenced entries leaked into a window: %+v", msg)
-	}
-	r.Fence() // epoch closed covering seqs 1-2
-	r.Record("c", 1)
-	msg := r.PendingSyncFor(2)
-	if msg == nil {
-		t.Fatal("no window after the fence advanced")
-	}
-	if len(msg.Deltas) != 2 || msg.Deltas[1].Seq != 2 {
-		t.Fatalf("window = %+v, want exactly seqs 1-2", msg.Deltas)
-	}
-	// The next fence exposes the straggler.
-	r.Fence()
-	msg = r.PendingSyncFor(2)
-	if len(msg.Deltas) != 3 || msg.Deltas[2].Seq != 3 {
-		t.Fatalf("window after second fence = %+v, want seqs 1-3", msg.Deltas)
-	}
-}
-
-// TestFenceMonotone checks a fence never regresses and that an
-// unaligned replicator is unaffected by fencing.
-func TestFenceMonotone(t *testing.T) {
-	r := New(1, newEng(t, 0))
-	r.Record("k", 1) // no AlignToEpochs: windows are unfenced
-	if msg := r.PendingSyncFor(2); msg == nil || len(msg.Deltas) != 1 {
-		t.Fatalf("unaligned replicator fenced its window: %+v", msg)
-	}
-	r.AlignToEpochs() // aligns at the current top: entry 1 stays visible
-	if msg := r.PendingSyncFor(2); msg == nil || len(msg.Deltas) != 1 {
-		t.Fatalf("alignment at top hid an existing entry: %+v", msg)
-	}
-}
-
 func TestCompactRespectsSlowestPeer(t *testing.T) {
 	r := New(1, newEng(t, 0))
 	for i := 0; i < 10; i++ {

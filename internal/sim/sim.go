@@ -10,11 +10,13 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -56,11 +58,6 @@ type Config struct {
 	// ride epoch boundaries. Off (the default) is byte-identical to
 	// pre-epoch builds: same trace hashes for the same seed.
 	Epochs bool
-	// EpochsAdaptive additionally turns on the adaptive interval
-	// controller (clamped to [1ms, 8ms] on the virtual clock), so every
-	// oracle also runs while the epoch interval widens and collapses.
-	// Implies Epochs.
-	EpochsAdaptive bool
 	// Partitions, when > 0, shards the cluster's key space over that
 	// many virtual partitions with replication factor RF (see
 	// cluster.Config). The oracles then check per partition: each key
@@ -281,7 +278,7 @@ func Run(cfg Config) (Result, error) {
 		h.logs[i].SetNow(h.clk.Now)
 	}
 	var epochInterval time.Duration
-	if cfg.Epochs || cfg.EpochsAdaptive {
+	if cfg.Epochs {
 		// Coarse on the virtual clock: driver ops block on the epoch
 		// boundary, so only the timer can close it and the schedule stays
 		// deterministic.
@@ -297,9 +294,6 @@ func Run(cfg Config) (Result, error) {
 		Partitions:         cfg.Partitions,
 		RF:                 cfg.RF,
 		EpochInterval:      epochInterval,
-		EpochAdaptive:      cfg.EpochsAdaptive,
-		EpochMinInterval:   time.Millisecond,
-		EpochMaxInterval:   8 * time.Millisecond,
 		Clock:              h.clk,
 		Interceptor:        h.inj,
 		EventsFor:          func(i int) *eventlog.Log { return h.logs[i] },
@@ -523,7 +517,7 @@ func (h *harness) quiesce(ctx context.Context) error {
 // fixpoint is an activity level that holds still: every deliverable
 // message delivered, every handler either finished or timer-parked.
 func (h *harness) settle() {
-	if !h.cfg.Epochs && !h.cfg.EpochsAdaptive && h.cfg.Partitions == 0 {
+	if !h.cfg.Epochs && h.cfg.Partitions == 0 {
 		h.c.Net.Settle()
 		return
 	}
@@ -586,7 +580,11 @@ func (h *harness) step(fn func()) error {
 			continue
 		}
 		stable = 0
-		if _, ok := h.clk.AdvanceToNext(); !ok {
+		if othersRunnable() {
+			// Some goroutine can still move without a timer (fn between
+			// two messages, say, applying its local commit): let it run,
+			// and re-establish stability from scratch.
+		} else if _, ok := h.clk.AdvanceToNext(); !ok {
 			// No virtual timer pending: fn is in a real-time lock wait or
 			// still being scheduled. Give it real time.
 			if waitDone(done, 2*time.Millisecond) {
@@ -597,6 +595,46 @@ func (h *harness) step(fn func()) error {
 			return fmt.Errorf("sim: seed %d: scheduler wedged (operation neither finished nor registered a timer for 60s)", h.cfg.Seed)
 		}
 	}
+}
+
+// othersRunnable reports whether any goroutine of the simulated system
+// other than the caller is running, runnable or in a system call, so
+// could make progress without a virtual-clock advance. The signals step
+// watches (network activity, the pending-timer set) cannot tell such a
+// goroutine from one parked on a timer, and on a loaded machine it can
+// stay descheduled for longer than any stability window; advancing then
+// would stamp its later events at a later virtual time than an unloaded
+// run of the same seed, breaking bit-reproducibility.
+func othersRunnable() bool {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	// Records are blank-line separated; the first is the caller's own.
+	records := bytes.Split(buf, []byte("\n\n"))
+	for _, g := range records[1:] {
+		if !bytes.Contains(g, []byte("avdb/")) {
+			continue // the test framework's and the runtime's own
+		}
+		// "goroutine 42 [chan receive, 3 minutes]:"
+		header, _, _ := bytes.Cut(g, []byte("\n"))
+		_, state, ok := bytes.Cut(header, []byte(" ["))
+		if !ok {
+			continue
+		}
+		state, _, _ = bytes.Cut(state, []byte("]"))
+		state, _, _ = bytes.Cut(state, []byte(","))
+		switch string(state) {
+		case "running", "runnable", "syscall":
+			return true
+		}
+	}
+	return false
 }
 
 func waitDone(done <-chan struct{}, d time.Duration) bool {

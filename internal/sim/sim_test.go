@@ -126,44 +126,6 @@ func TestSimEpochsBitReproducible(t *testing.T) {
 	}
 }
 
-// TestSimEpochsAdaptiveHealthy runs the adaptive interval controller
-// under the full oracle suite: the controller moves only *when* acks
-// release, never what is journaled, so every invariant must still hold
-// while the interval widens and collapses.
-func TestSimEpochsAdaptiveHealthy(t *testing.T) {
-	res, err := Run(Config{Seed: 1, Ticks: 60, EpochsAdaptive: true, Script: []chaos.Step{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil {
-		t.Fatalf("adaptive epoch-mode fault-free run violated an invariant: %v", res.Violation)
-	}
-	if res.Commits == 0 {
-		t.Fatal("adaptive epoch-mode run committed nothing")
-	}
-}
-
-// TestSimEpochsAdaptiveBitReproducible pins the adaptive controller to
-// the virtual clock: interval adjustments derive only from per-epoch
-// commit counts, so the schedule — and the trace hash — must reproduce.
-func TestSimEpochsAdaptiveBitReproducible(t *testing.T) {
-	cfg := Config{Seed: 7, Ticks: 120, EpochsAdaptive: true}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TraceHash != b.TraceHash {
-		t.Errorf("adaptive epoch-mode trace hash diverged: %#x vs %#x", a.TraceHash, b.TraceHash)
-	}
-	if a.Violation != nil {
-		t.Errorf("unexpected violation: %v", a.Violation)
-	}
-}
-
 // TestSimEpochsSweepSmall sweeps a few seeds with epochs forced on.
 func TestSimEpochsSweepSmall(t *testing.T) {
 	n := 4
@@ -221,7 +183,6 @@ func TestSimSeedSweepNightly(t *testing.T) {
 	}{
 		{"group-commit", Config{}},
 		{"epochs", Config{Epochs: true}},
-		{"epochs-adaptive", Config{EpochsAdaptive: true}},
 		{"sharded", Config{Sites: 6, Items: 12, Partitions: 16, RF: 2}},
 	} {
 		failures, err := Sweep(mode.cfg, start, n, os.Stderr)

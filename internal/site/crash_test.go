@@ -184,3 +184,63 @@ func copyTree(t *testing.T, src, dst, cut string, data []byte) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestartedCoordinatorMintsFreshTxnIDs restarts a durable site that
+// coordinated Immediate Updates. Its peers' decided caches still hold
+// the transaction ids of its previous life, so a coordinator that counted
+// from the same start again would be voted down ("txn already decided")
+// and abort. The site counts its opens in its own storage and salts its
+// ids with that count, so the first Immediate Update after the restart
+// commits.
+func TestRestartedCoordinatorMintsFreshTxnIDs(t *testing.T) {
+	net := memnet.New(memnet.Options{})
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	cfg := func(id int) Config {
+		c := Config{ID: wire.SiteID(id), StorageDir: dirs[id], NoSync: true}
+		for p := 0; p < 3; p++ {
+			if p != id {
+				c.Peers = append(c.Peers, wire.SiteID(p))
+			}
+		}
+		return c
+	}
+	var sites [3]*Site
+	t.Cleanup(func() {
+		for _, s := range sites {
+			if s != nil {
+				s.Close()
+			}
+		}
+	})
+	for i := range sites {
+		s, err := Open(cfg(i), net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites[i] = s
+		if err := s.Seed(storage.Record{Key: "non", Amount: 100, Class: storage.NonRegular}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := sites[1].Update(bg(), "non", -1); err != nil {
+			t.Fatalf("Immediate Update %d: %v", i, err)
+		}
+	}
+	if err := sites[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(cfg(1), net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites[1] = s
+	if _, err := sites[1].Update(bg(), "non", -1); err != nil {
+		t.Fatalf("first Immediate Update after the restart: %v", err)
+	}
+	for i, s := range sites {
+		if v, _ := s.Read("non"); v != 96 {
+			t.Fatalf("site %d: non = %d, want 96", i, v)
+		}
+	}
+}

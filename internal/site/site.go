@@ -8,6 +8,7 @@ package site
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -66,21 +67,6 @@ type Config struct {
 	// EpochMaxCommits closes an epoch early at this many commits
 	// (0 means epoch.DefaultMaxCommits; negative disables).
 	EpochMaxCommits int
-	// EpochAdaptive turns on the epoch manager's adaptive interval
-	// controller: the interval widens under load and collapses when
-	// idle, clamped to [EpochMinInterval, EpochMaxInterval] (see
-	// epoch.Options). Requires EpochInterval > 0.
-	EpochAdaptive    bool
-	EpochMinInterval time.Duration
-	EpochMaxInterval time.Duration
-	// EpochAlignFlush aligns replication flushes to epoch boundaries:
-	// outbound delta windows are snapshotted when the durable epoch
-	// advances (the epoch's covering fsync already made every entry in
-	// the window durable) and the flush loop is kicked right after each
-	// close, so one fsync covers both the ack batch and the replication
-	// watermark advance. Requires EpochInterval > 0; off keeps flushing
-	// on its own timer, windows uncapped.
-	EpochAlignFlush bool
 	// EpochStats, when non-nil, receives the epoch manager's counters.
 	EpochStats *epoch.Stats
 	// Policy is the AV selecting/deciding policy (default SODA99).
@@ -139,10 +125,6 @@ type Config struct {
 	// instead of wall-clock seeded (see core.Config.XferSalt). It must
 	// differ across restarts of the same site.
 	XferSalt uint64
-	// TxnIDEpoch distinguishes this incarnation of the site's 2PC engine
-	// from previous ones, so a restarted coordinator never re-mints a
-	// transaction id it already used (see twopc.Options.IDEpoch).
-	TxnIDEpoch uint64
 	// TxnObserver, when non-nil, receives every locally applied 2PC
 	// outcome (see twopc.Options.Observer). The simulator's atomicity
 	// oracle hangs off this.
@@ -192,11 +174,6 @@ type Site struct {
 	routeMisroutes atomic.Uint64
 	routeRefreshes atomic.Uint64
 
-	// flushKick, non-nil when EpochAlignFlush is on, wakes the flush
-	// loop right after each durable-epoch advance (capacity 1; a
-	// pending kick absorbs further closes).
-	flushKick chan struct{}
-
 	stop      chan struct{}
 	closeOnce sync.Once
 	closeErr  error
@@ -215,40 +192,27 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 		cfg:  cfg,
 		stop: make(chan struct{}),
 	}
-	stOpts := storage.Options{
-		Dir:              cfg.StorageDir,
-		NoSync:           cfg.NoSync,
-		MaxSyncDelay:     cfg.WALMaxSyncDelay,
-		Stats:            cfg.WALStats,
-		EpochInterval:    cfg.EpochInterval,
-		EpochMaxCommits:  cfg.EpochMaxCommits,
-		EpochAdaptive:    cfg.EpochAdaptive,
-		EpochMinInterval: cfg.EpochMinInterval,
-		EpochMaxInterval: cfg.EpochMaxInterval,
-		Clock:            cfg.Clock,
-		EpochStats:       cfg.EpochStats,
-	}
-	if cfg.EpochAlignFlush && cfg.EpochInterval > 0 && cfg.StorageDir != "" {
-		// Epoch-aligned replication: each durable-epoch advance snapshots
-		// the outbound window fence and kicks the flush loop. The hook
-		// cannot fire before Open returns (the first epoch needs a
-		// commit), so reading s.repl here is safe.
-		s.flushKick = make(chan struct{}, 1)
-		stOpts.EpochOnDurable = func(uint64) {
-			if r := s.repl; r != nil {
-				r.Fence()
-			}
-			select {
-			case s.flushKick <- struct{}{}:
-			default: // a kick is already pending
-			}
-		}
-	}
-	eng, err := storage.Open(stOpts)
+	eng, err := storage.Open(storage.Options{
+		Dir:             cfg.StorageDir,
+		NoSync:          cfg.NoSync,
+		MaxSyncDelay:    cfg.WALMaxSyncDelay,
+		Stats:           cfg.WALStats,
+		EpochInterval:   cfg.EpochInterval,
+		EpochMaxCommits: cfg.EpochMaxCommits,
+		Clock:           cfg.Clock,
+		EpochStats:      cfg.EpochStats,
+	})
 	if err != nil {
 		return nil, err
 	}
 	s.eng = eng
+	var incarnation uint64
+	if cfg.StorageDir != "" {
+		if incarnation, err = nextIncarnation(eng); err != nil {
+			eng.Close()
+			return nil, err
+		}
+	}
 	if cfg.Partitions != nil {
 		s.pm.Store(cfg.Partitions)
 	}
@@ -276,8 +240,7 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 		Tracer:         cfg.Tracer,
 		Clock:          cfg.Clock,
 		Observer:       cfg.TxnObserver,
-		IDEpoch:        cfg.TxnIDEpoch,
-		Epochs:         eng.Epochs(),
+		IDEpoch:        incarnation,
 	}
 	if cfg.Partitions != nil {
 		// Sharded mode: each key's primary is its partition owner, not
@@ -300,9 +263,6 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 	}
 	if cfg.FlushPeerTimeout > 0 || cfg.FlushBackoff.BaseDelay > 0 {
 		s.repl.SetFlushPolicy(cfg.FlushPeerTimeout, cfg.FlushBackoff, cfg.Clock)
-	}
-	if s.flushKick != nil {
-		s.repl.AlignToEpochs()
 	}
 	if cfg.Partitions != nil {
 		// Partial replication: deltas flow only to sites hosting the
@@ -385,6 +345,24 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 	return s, nil
 }
 
+// incarnationKey counts a durable site's opens (see nextIncarnation).
+const incarnationKey = "twopc/incarnation"
+
+// nextIncarnation returns how many times this durable site's storage
+// was opened before and durably counts this open. It seeds the 2PC
+// engine's IDEpoch, so a restarted coordinator never re-mints a
+// transaction id of an earlier life, which a peer's decided cache would
+// vote NO on. The first open returns 0. IDEpoch keeps only the low 8
+// bits (e<<32 & (1<<40-1)), so ids wrap after 256 incarnations.
+func nextIncarnation(eng *storage.Engine) (uint64, error) {
+	v, _, err := eng.GetMeta(incarnationKey)
+	if err != nil {
+		return 0, err
+	}
+	n, _ := binary.Varint(v) // absent: 0
+	return uint64(n), eng.ApplyDirect(storage.MetaAddOp(incarnationKey, 1))
+}
+
 // Reopen restarts a durable site from its on-disk state (snapshot +
 // WAL) after a crash or clean shutdown. It is Open with the durability
 // requirement made explicit: the storage engine replays its WAL, the AV
@@ -462,11 +440,7 @@ func (s *Site) handle(ctx context.Context, from wire.SiteID, msg wire.Message) w
 	}
 }
 
-// flushLoop pushes the replication backlog periodically, and — when
-// epoch-aligned flushing is on — immediately after each durable-epoch
-// advance, so the freshly fenced window ships without waiting out the
-// rest of the flush interval. s.flushKick is nil when alignment is off
-// and the nil channel simply never fires.
+// flushLoop pushes the replication backlog every FlushInterval.
 func (s *Site) flushLoop() {
 	defer s.wg.Done()
 	for {
@@ -474,11 +448,10 @@ func (s *Site) flushLoop() {
 		case <-s.stop:
 			return
 		case <-s.cfg.Clock.After(s.cfg.FlushInterval):
-		case <-s.flushKick:
+			ctx, cancel := clock.WithTimeout(context.Background(), s.cfg.Clock, s.cfg.FlushInterval)
+			_ = s.repl.Flush(ctx, s.node, s.cfg.Peers)
+			cancel()
 		}
-		ctx, cancel := clock.WithTimeout(context.Background(), s.cfg.Clock, s.cfg.FlushInterval)
-		_ = s.repl.Flush(ctx, s.node, s.cfg.Peers)
-		cancel()
 	}
 }
 

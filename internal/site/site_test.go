@@ -714,8 +714,8 @@ func TestEpochModeSiteEndToEnd(t *testing.T) {
 		t.Fatalf("read plane stock = %d/%v, want 560", v, ok)
 	}
 
-	// Immediate Update: 2PC across epoch-mode sites. Votes/acks carry
-	// epoch numbers on the wire (optional trailing fields).
+	// Immediate Update: 2PC across epoch-mode sites; each side's commit
+	// waits out its own epoch before the decision or ack escapes.
 	if _, err := sites[1].Update(bg(), "non", -10); err != nil {
 		t.Fatal(err)
 	}

@@ -61,15 +61,6 @@ type Options struct {
 	// EpochMaxCommits closes an epoch early once it holds this many
 	// commits (0 means epoch.DefaultMaxCommits; negative disables).
 	EpochMaxCommits int
-	// EpochAdaptive turns on the epoch manager's adaptive interval
-	// controller; EpochMinInterval/EpochMaxInterval clamp it (see
-	// epoch.Options).
-	EpochAdaptive    bool
-	EpochMinInterval time.Duration
-	EpochMaxInterval time.Duration
-	// EpochOnDurable, when non-nil, fires each time the durable epoch
-	// watermark advances (see epoch.Options.OnDurable).
-	EpochOnDurable func(epoch uint64)
 	// Clock drives epoch deadlines (nil means the real clock).
 	Clock clock.Clock
 	// EpochStats, when non-nil, receives epoch counters (shareable with
@@ -156,15 +147,11 @@ func Open(opts Options) (*Engine, error) {
 	e.lastLSN.Store(log.NextLSN() - 1)
 	if opts.EpochInterval > 0 {
 		e.epochs = epoch.New(epoch.Options{
-			Interval:    opts.EpochInterval,
-			MaxCommits:  opts.EpochMaxCommits,
-			Clock:       opts.Clock,
-			Sync:        log.SyncTo,
-			Stats:       opts.EpochStats,
-			Adaptive:    opts.EpochAdaptive,
-			MinInterval: opts.EpochMinInterval,
-			MaxInterval: opts.EpochMaxInterval,
-			OnDurable:   opts.EpochOnDurable,
+			Interval:   opts.EpochInterval,
+			MaxCommits: opts.EpochMaxCommits,
+			Clock:      opts.Clock,
+			Sync:       log.SyncTo,
+			Stats:      opts.EpochStats,
 		})
 	}
 	return e, nil
@@ -406,10 +393,10 @@ func applied() error { return nil }
 // the durability wait: the batch is validated, logged, and visible in
 // the table, and the returned wait function blocks until its WAL record
 // is durable (riding the open epoch's boundary when epoch commit is
-// on). This is the pipelined commit path — a caller can keep applying
-// batches into epoch N+1 while epoch N's covering fsync drains, as long
-// as it withholds every acknowledgement until the matching wait
-// returns. For in-memory engines the wait is an immediate no-op.
+// on). A caller may apply further batches before waiting, as long as it
+// withholds every acknowledgement until the matching wait returns; a
+// later batch's wait covers every earlier LSN. For in-memory engines the
+// wait is an immediate no-op.
 func (e *Engine) ApplyAsync(ops ...Op) (wait func() error, err error) {
 	if len(ops) == 0 {
 		return applied, nil
@@ -432,6 +419,22 @@ func (e *Engine) ApplyAsync(ops ...Op) (wait func() error, err error) {
 		}, nil
 	}
 	return func() error { return e.log.SyncTo(lsn) }, nil
+}
+
+// ApplyDirect is Apply with the durability wait taken straight from the
+// WAL, never from an open epoch, as Checkpoint does. It is for
+// bookkeeping a site writes while it opens, before it could acknowledge
+// anything: waiting out an epoch there only delays startup, and on a
+// virtual clock it would wait for a timer nobody advances.
+func (e *Engine) ApplyDirect(ops ...Op) error {
+	if len(ops) == 0 {
+		return nil
+	}
+	lsn, err := e.applyBatch(ops)
+	if err != nil || e.log == nil || lsn == 0 {
+		return err
+	}
+	return e.log.SyncTo(lsn)
 }
 
 // applyBatch validates, logs, and applies one batch under its stripe

@@ -626,10 +626,21 @@ func TestApplyDurableBeforeAck(t *testing.T) {
 			if (es.Commits.Load() == 5) != (tc.epoch > 0) {
 				t.Fatalf("%d commits rode an epoch", es.Commits.Load())
 			}
+			// ApplyDirect syncs its record itself and never joins an epoch.
+			commits := es.Commits.Load()
+			if err := e.ApplyDirect(MetaAddOp("n", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if d, lsn := e.log.DurableLSN(), e.LastLSN(); d < lsn || es.Commits.Load() != commits {
+				t.Fatalf("ApplyDirect: durable LSN %d, record %d, epoch commits %d→%d", d, lsn, commits, es.Commits.Load())
+			}
 
 			next, fsyncs, commits := e.log.NextLSN(), ws.Fsyncs.Load(), es.Commits.Load()
 			if err := e.Apply(); err != nil {
 				t.Fatalf("empty batch: %v", err)
+			}
+			if err := e.ApplyDirect(); err != nil {
+				t.Fatalf("empty direct batch: %v", err)
 			}
 			if err := e.Apply(DeltaOp("a", 1), DeltaOp("missing", 1)); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("invalid batch: err = %v, want ErrNotFound", err)

@@ -3,7 +3,9 @@ package twopc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,124 +115,85 @@ func TestCoordinatorAtBase(t *testing.T) {
 	}
 }
 
-func TestUpdateAsyncCommitsEverywhere(t *testing.T) {
-	h := newHarness(t, 3, 100)
-	p, err := h.engines[1].UpdateAsync(context.Background(), h.peers[1], "k", -40)
+// TestDecisionFollowsDurableCommitUnderEpochs runs the coordinator on
+// an epoch-committed durable store with a wide interval and checks, at
+// the moment each COMMIT reaches the participant, that the
+// coordinator's own commit is already durable: its epoch has closed.
+// Update's local Commit waits out the epoch before the decision may
+// escape, so a crash can never lose a commit a participant applied.
+func TestDecisionFollowsDurableCommitUnderEpochs(t *testing.T) {
+	coord, err := storage.Open(storage.Options{Dir: t.TempDir(), EpochInterval: 5 * time.Millisecond, EpochMaxCommits: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if p.TxnID == 0 {
-		t.Fatal("pending round carries no txn id")
-	}
-	for i, n := range h.amounts(t) {
-		if n != 60 {
-			t.Fatalf("site %d amount = %d, want 60", i, n)
-		}
-	}
-	for i, e := range h.engines {
-		if e.PreparedCount() != 0 {
-			t.Fatalf("site %d leaked %d prepared txns", i, e.PreparedCount())
-		}
-	}
-}
-
-func TestUpdateAsyncAbortReportedSynchronously(t *testing.T) {
-	h := newHarness(t, 3, 10)
-	p, err := h.engines[1].UpdateAsync(context.Background(), h.peers[1], "k", -50)
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
-	}
-	if p != nil {
-		t.Fatal("aborted round left a pending handle in flight")
-	}
-	for i, n := range h.amounts(t) {
-		if n != 10 {
-			t.Fatalf("site %d mutated on abort: %d", i, n)
-		}
-	}
-	// The window slot was released: a valid follow-up pipelines fine.
-	p, err = h.engines[1].UpdateAsync(context.Background(), h.peers[1], "k", -5)
+	t.Cleanup(func() { coord.Close() })
+	part, err := storage.Open(storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUpdateAsyncPipelinesAcrossEpochs runs the coordinator on an
-// epoch-committed durable store and issues rounds back to back: while
-// round N's covering fsync is parked on the epoch boundary, rounds
-// N+1.. must prepare and apply — the overlap PipelinedCommits counts.
-func TestUpdateAsyncPipelinesAcrossEpochs(t *testing.T) {
-	net := memnet.New(memnet.Options{CallTimeout: 2 * time.Second})
-	var engines []*Engine
-	var stores []*storage.Engine
-	for i := 0; i < 2; i++ {
-		opts := storage.Options{}
-		if i == 0 {
-			// Coordinator commits through epochs; a wide interval parks
-			// every durability wait long enough for later rounds to admit.
-			opts = storage.Options{Dir: t.TempDir(), EpochInterval: 5 * time.Millisecond, EpochMaxCommits: -1}
-		}
-		eng, err := storage.Open(opts)
-		if err != nil {
+	t.Cleanup(func() { part.Close() })
+	for _, s := range []*storage.Engine{coord, part} {
+		if err := s.Put(storage.Record{Key: "k", Amount: 100, Class: storage.NonRegular}); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { eng.Close() })
-		eng.Put(storage.Record{Key: "k", Amount: 100, Class: storage.NonRegular})
-		tm := txn.NewManager(eng, lockmgr.Options{WaitTimeout: 300 * time.Millisecond})
+	}
+	// The coordinator store's only writes below are the commits, each
+	// applied while no epoch is open, so the epoch Current names at apply
+	// time is the one the commit rides.
+	em := coord.Epochs()
+	var commitEpoch atomic.Uint64
+	coord.SetApplyObserver(func(uint64, []storage.Op) { commitEpoch.Store(em.Current()) })
+
+	net := memnet.New(memnet.Options{CallTimeout: 2 * time.Second})
+	var mu sync.Mutex
+	var commits int
+	var early []string
+	var engines []*Engine
+	for i, s := range []*storage.Engine{coord, part} {
+		tm := txn.NewManager(s, lockmgr.Options{WaitTimeout: 300 * time.Millisecond})
 		e := New(Options{Site: wire.SiteID(i), Base: 0, PrepareTimeout: 500 * time.Millisecond}, tm)
-		node, err := net.Open(wire.SiteID(i), func(e *Engine) transport.Handler {
-			return func(ctx context.Context, from wire.SiteID, msg wire.Message) wire.Message {
-				switch m := msg.(type) {
-				case *wire.IUPrepare:
-					return e.HandlePrepare(ctx, from, m)
-				case *wire.IUDecision:
-					return e.HandleDecision(ctx, from, m)
+		node, err := net.Open(wire.SiteID(i), func(ctx context.Context, from wire.SiteID, msg wire.Message) wire.Message {
+			switch m := msg.(type) {
+			case *wire.IUPrepare:
+				return e.HandlePrepare(ctx, from, m)
+			case *wire.IUDecision:
+				if m.Commit {
+					mu.Lock()
+					commits++
+					if d, c := em.Durable(), commitEpoch.Load(); d < c {
+						early = append(early, fmt.Sprintf("txn %d: COMMIT arrived with the coordinator's epoch %d open (durable %d)", m.TxnID, c, d))
+					}
+					mu.Unlock()
 				}
-				return nil
+				return e.HandleDecision(ctx, from, m)
 			}
-		}(e))
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.SetNode(node)
 		engines = append(engines, e)
-		stores = append(stores, eng)
 	}
 
-	const rounds = 4
-	var pendings []*Pending
+	const rounds = 5
 	for i := 0; i < rounds; i++ {
-		p, err := engines[0].UpdateAsync(context.Background(), []wire.SiteID{1}, "k", -1)
-		if err != nil {
+		if err := engines[0].Update(context.Background(), []wire.SiteID{1}, "k", -1); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		pendings = append(pendings, p)
 	}
-	for i, p := range pendings {
-		if err := p.Wait(); err != nil {
-			t.Fatalf("round %d completion: %v", i, err)
-		}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, msg := range early {
+		t.Error(msg)
 	}
-	for i, s := range stores {
-		n, err := s.Amount("k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 100-rounds {
+	if commits != rounds {
+		t.Fatalf("participant saw %d COMMITs, want %d", commits, rounds)
+	}
+	for i, s := range []*storage.Engine{coord, part} {
+		if n, _ := s.Amount("k"); n != 100-rounds {
 			t.Fatalf("site %d amount = %d, want %d", i, n, 100-rounds)
 		}
-	}
-	if engines[0].Stats().PipelinedCommits.Load() == 0 {
-		t.Fatal("no round overlapped a prior fsync: the pipeline never formed")
-	}
-	if engines[0].PreparedCount() != 0 || engines[1].PreparedCount() != 0 {
-		t.Fatal("pipelined rounds leaked prepared txns")
 	}
 }
 

@@ -214,26 +214,6 @@ func (t *Txn) Commit() error {
 	return t.m.eng.Apply(t.writes...)
 }
 
-// CommitAsync applies the buffered writes and releases all locks like
-// Commit, but returns before the durability wait: the returned function
-// blocks until the commit's WAL record is durable. The transaction's
-// effects are visible as soon as CommitAsync returns (they were visible
-// the moment the batch applied, exactly as with Commit — the engine
-// never hid them behind the fsync); only the acknowledgement must be
-// withheld until the wait resolves. This is how the 2PC coordinator
-// pipelines commits across epoch boundaries.
-func (t *Txn) CommitAsync() (wait func() error, err error) {
-	if t.done {
-		return nil, ErrDone
-	}
-	t.done = true
-	defer t.m.locks.ReleaseAll(t.id)
-	if len(t.writes) == 0 {
-		return func() error { return nil }, nil
-	}
-	return t.m.eng.ApplyAsync(t.writes...)
-}
-
 // Abort discards the buffered writes and releases all locks. Abort on a
 // finished transaction is a no-op, so `defer tx.Abort()` is safe.
 func (t *Txn) Abort() {

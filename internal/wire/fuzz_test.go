@@ -16,10 +16,9 @@ func fuzzSeeds() []*Envelope {
 		&DeltaAck{Origin: 3, UpTo: 99},
 		&IUPrepare{TxnID: 12, Coord: 0, Key: "product-0002", Delta: -5},
 		&IUVote{TxnID: 12, OK: false, Reason: "lock timeout"},
-		&IUVote{TxnID: 12, OK: true, Epoch: 3},
+		&IUVote{TxnID: 12, OK: true},
 		&IUDecision{TxnID: 12, Commit: true},
 		&IUAck{TxnID: 12, OK: true},
-		&IUAck{TxnID: 12, OK: true, Epoch: 9},
 		&CentralUpdate{Key: "product-0003", Delta: 7},
 		&CentralReply{OK: false, NewValue: 0, Reason: "rejected"},
 		&Read{Key: "product-0004"},
@@ -65,6 +64,11 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
+	// A vote and an ack with a stray trailing byte, the shape an
+	// epoch-stamped frame had: both must decode to an error.
+	for _, m := range []Message{&IUVote{TxnID: 12, OK: true}, &IUAck{TxnID: 12, OK: true}} {
+		f.Add(append(EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: m}), 0x09))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeEnvelope(data)

@@ -356,16 +356,11 @@ func (m *IUPrepare) decode(r *reader) (err error) {
 	return err
 }
 
-// IUVote is a participant's phase-1 vote. Epoch, when non-zero, is the
-// participant's open commit epoch at prepare time (see internal/epoch):
-// it lets the coordinator observe how 2PC rounds pipeline across epoch
-// boundaries. A zero Epoch (encoded by omission, so non-epoch peers
-// interoperate unchanged) means the participant does not run epochs.
+// IUVote is a participant's phase-1 vote.
 type IUVote struct {
 	TxnID  uint64
 	OK     bool
 	Reason string // populated when OK is false
-	Epoch  uint64 // participant's open epoch at prepare (0 = epochs off)
 }
 
 // Kind implements Message.
@@ -374,11 +369,7 @@ func (*IUVote) Kind() Kind { return KindIUVote }
 func (m *IUVote) encode(b []byte) []byte {
 	b = appendUvarint(b, m.TxnID)
 	b = appendBool(b, m.OK)
-	b = appendString(b, m.Reason)
-	if m.Epoch != 0 {
-		b = appendUvarint(b, m.Epoch)
-	}
-	return b
+	return appendString(b, m.Reason)
 }
 
 func (m *IUVote) decode(r *reader) (err error) {
@@ -388,18 +379,8 @@ func (m *IUVote) decode(r *reader) (err error) {
 	if m.OK, err = r.boolean(); err != nil {
 		return err
 	}
-	if m.Reason, err = r.str(); err != nil {
-		return err
-	}
-	if r.remaining() > 0 {
-		if m.Epoch, err = r.uvarint(); err != nil {
-			return err
-		}
-		if m.Epoch == 0 {
-			return ErrNonCanonical
-		}
-	}
-	return nil
+	m.Reason, err = r.str()
+	return err
 }
 
 // IUDecision is phase 2: commit (true) or abort (false).
@@ -426,15 +407,10 @@ func (m *IUDecision) decode(r *reader) (err error) {
 
 // IUAck acknowledges a decision. The paper has the requesting accelerator
 // judge completion from the base site's message; the coordinator therefore
-// waits for at least the base site's ack. Epoch, when non-zero, is the
-// durable epoch that covered the participant's commit — the ack itself is
-// released only once that epoch's covering LSN is durable, so an epoch-
-// carrying OK ack is as strong as a per-transaction fsync ack. Zero
-// (encoded by omission) means the participant does not run epochs.
+// waits for at least the base site's ack.
 type IUAck struct {
 	TxnID uint64
 	OK    bool
-	Epoch uint64 // durable epoch covering the commit (0 = epochs off)
 }
 
 // Kind implements Message.
@@ -442,29 +418,15 @@ func (*IUAck) Kind() Kind { return KindIUAck }
 
 func (m *IUAck) encode(b []byte) []byte {
 	b = appendUvarint(b, m.TxnID)
-	b = appendBool(b, m.OK)
-	if m.Epoch != 0 {
-		b = appendUvarint(b, m.Epoch)
-	}
-	return b
+	return appendBool(b, m.OK)
 }
 
 func (m *IUAck) decode(r *reader) (err error) {
 	if m.TxnID, err = r.uvarint(); err != nil {
 		return err
 	}
-	if m.OK, err = r.boolean(); err != nil {
-		return err
-	}
-	if r.remaining() > 0 {
-		if m.Epoch, err = r.uvarint(); err != nil {
-			return err
-		}
-		if m.Epoch == 0 {
-			return ErrNonCanonical
-		}
-	}
-	return nil
+	m.OK, err = r.boolean()
+	return err
 }
 
 // CentralUpdate is the conventional baseline: every update is shipped to
@@ -698,7 +660,7 @@ const (
 // and the LSN it reached there. The origin mints its RYW token from
 // this pair — the token must gate the *applying* site's read plane, not
 // the origin's, whose local LSN never saw the commit. AppliedLSN zero
-// (encoded by omission, like IUVote.Epoch) means the serving replica
+// (encoded by omission, like AVRequest.Xfer) means the serving replica
 // predates token-carrying replies or had no plane position to report.
 type RouteReply struct {
 	Status      uint8

@@ -34,10 +34,10 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&DeltaAck{Origin: 2, UpTo: 12345},
 		&IUPrepare{TxnID: 99, Coord: 1, Key: "nonreg-4", Delta: -10},
 		&IUVote{TxnID: 99, OK: false, Reason: "lock timeout"},
-		&IUVote{TxnID: 99, OK: true, Epoch: 41},
+		&IUVote{TxnID: 99, OK: true},
 		&IUDecision{TxnID: 99, Commit: true},
 		&IUAck{TxnID: 99, OK: true},
-		&IUAck{TxnID: 99, OK: true, Epoch: 0xABCDEF},
+		&IUAck{TxnID: 1 << 40, OK: false},
 		&CentralUpdate{Key: "x", Delta: 123456789},
 		&CentralReply{OK: true, NewValue: -1, Reason: ""},
 		&CentralReply{OK: false, NewValue: 0, Reason: "would go negative"},
@@ -104,22 +104,25 @@ func TestDeltaSyncWindowTopOptionalField(t *testing.T) {
 	}
 }
 
-// TestEpochOptionalFields pins the same trailing-field contract for the
-// epoch numbers on IUVote and IUAck: epochs-off peers encode
-// byte-identically to the legacy format, and an explicit zero epoch is
-// rejected as non-canonical.
+// TestEpochOptionalFields pins that IUVote and IUAck carry no optional
+// epoch field: both encode exactly their fixed fields, and a frame
+// with a trailing epoch stamp — zero or not — is rejected.
 func TestEpochOptionalFields(t *testing.T) {
-	for _, msgs := range [][2]Message{
-		{&IUVote{TxnID: 7, OK: true}, &IUVote{TxnID: 7, OK: true, Epoch: 0}},
-		{&IUAck{TxnID: 7, OK: true}, &IUAck{TxnID: 7, OK: true, Epoch: 0}},
-	} {
-		legacy := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: msgs[0]})
-		withZero := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: msgs[1]})
-		if !reflect.DeepEqual(legacy, withZero) {
-			t.Fatalf("%T: zero epoch changed the encoding:\nlegacy %x\n  zero %x", msgs[0], legacy, withZero)
+	vote := &IUVote{TxnID: 7, OK: true}
+	ack := &IUAck{TxnID: 7, OK: true}
+	fixed := map[Message][]byte{
+		vote: appendString(appendBool(appendUvarint(nil, 7), true), ""),
+		ack:  appendBool(appendUvarint(nil, 7), true),
+	}
+	for m, body := range fixed {
+		if got := m.encode(nil); !reflect.DeepEqual(got, body) {
+			t.Fatalf("%T: encoding %x, want only the fixed fields %x", m, got, body)
 		}
-		if _, err := DecodeEnvelope(append(append([]byte{}, legacy...), 0x00)); err == nil {
-			t.Fatalf("%T: explicit zero epoch accepted", msgs[0])
+		frame := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: m})
+		for _, epoch := range []uint64{0, 9, 0xABCDEF} {
+			if _, err := DecodeEnvelope(appendUvarint(append([]byte{}, frame...), epoch)); err == nil {
+				t.Errorf("%T: trailing epoch %d accepted", m, epoch)
+			}
 		}
 	}
 }

@@ -113,65 +113,6 @@ func (g *SCM) Next() Op {
 	return Op{Site: site, Key: key, Delta: delta}
 }
 
-// SkewedConfig parameterizes a hot-key workload: a fraction of the
-// operations concentrates on a small fraction of the keys (an 80/20-style
-// contention study the paper's setup cannot express).
-type SkewedConfig struct {
-	SCMConfig
-	// HotKeyFrac of the keys receive HotOpFrac of the operations.
-	HotKeyFrac float64
-	HotOpFrac  float64
-}
-
-// Skewed wraps SCM with a biased key choice.
-type Skewed struct {
-	inner *SCM
-	cfg   SkewedConfig
-	r     *rng.Rand
-	hot   []string
-	cold  []string
-}
-
-// NewSkewed builds a skewed generator (defaults: 20% of keys take 80% of
-// the operations).
-func NewSkewed(cfg SkewedConfig) (*Skewed, error) {
-	inner, err := NewSCM(cfg.SCMConfig)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.HotKeyFrac == 0 {
-		cfg.HotKeyFrac = 0.2
-	}
-	if cfg.HotOpFrac == 0 {
-		cfg.HotOpFrac = 0.8
-	}
-	nHot := int(cfg.HotKeyFrac * float64(len(cfg.Keys)))
-	if nHot < 1 {
-		nHot = 1
-	}
-	if nHot > len(cfg.Keys) {
-		nHot = len(cfg.Keys)
-	}
-	return &Skewed{
-		inner: inner,
-		cfg:   cfg,
-		r:     rng.New(cfg.Seed ^ 0xdead),
-		hot:   cfg.Keys[:nHot],
-		cold:  cfg.Keys[nHot:],
-	}, nil
-}
-
-// Next implements Generator.
-func (s *Skewed) Next() Op {
-	op := s.inner.Next()
-	if s.r.Bool(s.cfg.HotOpFrac) || len(s.cold) == 0 {
-		op.Key = s.hot[s.r.Intn(len(s.hot))]
-	} else {
-		op.Key = s.cold[s.r.Intn(len(s.cold))]
-	}
-	return op
-}
-
 // Keys builds the canonical catalog key list used by clusters and
 // baselines (product-0000 ... product-NNNN).
 func Keys(items int) []string {

@@ -131,36 +131,3 @@ func TestSCMConfigValidation(t *testing.T) {
 		t.Fatal("0 initial accepted")
 	}
 }
-
-func TestSkewedConcentratesOps(t *testing.T) {
-	g, err := NewSkewed(SkewedConfig{SCMConfig: scmCfg()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := map[string]bool{"product-0000": true, "product-0001": true} // 20% of 10
-	hotOps := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if hot[g.Next().Key] {
-			hotOps++
-		}
-	}
-	frac := float64(hotOps) / n
-	if frac < 0.75 || frac > 0.85 {
-		t.Fatalf("hot fraction = %v, want ~0.8", frac)
-	}
-}
-
-func TestSkewedSingleKey(t *testing.T) {
-	cfg := scmCfg()
-	cfg.Keys = Keys(1)
-	g, err := NewSkewed(SkewedConfig{SCMConfig: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if op := g.Next(); op.Key != "product-0000" {
-			t.Fatalf("key = %s", op.Key)
-		}
-	}
-}
