@@ -92,14 +92,11 @@ type Config struct {
 	// Seed makes policy randomness reproducible.
 	Seed uint64
 	// Dir, when set, gives each site a durable storage directory
-	// (Dir/site-N) with WAL and snapshots; empty runs in memory.
+	// (Dir/site-N) with WAL and snapshots; empty runs in memory. The AV
+	// table is rows of the same storage engine, so allowable volume
+	// survives restarts with the stock it covers; on a reopened cluster,
+	// AddProduct skips rows and AV definitions that already exist.
 	Dir string
-	// PersistAV additionally keeps each site's AV table as rows of its
-	// storage engine, in the same WAL as the stock, so allowable volume
-	// survives restarts (requires Dir). On a reopened
-	// cluster, AddProduct skips rows and AV definitions that already
-	// exist.
-	PersistAV bool
 	// NoSync disables WAL fsync for durable clusters.
 	NoSync bool
 	// SyncInterval, when > 0, runs lazy propagation automatically in the
@@ -189,7 +186,7 @@ func New(cfg Config) (*Cluster, error) {
 			Base:          0,
 			Peers:         peers,
 			StorageDir:    dir,
-			PersistAV:     cfg.PersistAV,
+			PersistAV:     dir != "",
 			NoSync:        cfg.NoSync,
 			Policy:        strategy.Policy{Selector: sel, Decider: dec},
 			Passes:        cfg.Passes,
@@ -241,8 +238,8 @@ func (c *Cluster) AddProductAV(p Product, avPerSite []int64) error {
 	}
 	rec := storage.Record{Key: p.Key, Name: p.Name, Amount: p.Amount, Class: p.Class}
 	for i, s := range c.sites {
-		// On a reopened durable cluster the row (and, with PersistAV, its
-		// AV) may already exist; re-seeding would reset stock and mint AV.
+		// On a reopened durable cluster the row and its AV may already
+		// exist; re-seeding would reset stock and mint AV.
 		if _, err := s.Read(p.Key); err != nil {
 			if err := s.Seed(rec); err != nil {
 				return err

@@ -184,7 +184,7 @@ func TestDurableCluster(t *testing.T) {
 
 func TestDurableAVCluster(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Sites: 2, Dir: dir, PersistAV: true, NoSync: true}
+	cfg := Config{Sites: 2, Dir: dir, NoSync: true}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -217,9 +217,42 @@ func TestDurableAVCluster(t *testing.T) {
 	}
 }
 
-func TestPersistAVRequiresDir(t *testing.T) {
-	if _, err := New(Config{Sites: 1, PersistAV: true}); err == nil {
-		t.Fatal("PersistAV without Dir accepted")
+// A durable site that spent AV and restarts must come back with the
+// spent AV gone: re-registering the catalog may not define it afresh
+// over stock that is already spent.
+func TestRestartDoesNotReMintAV(t *testing.T) {
+	cfg := Config{Sites: 2, Dir: t.TempDir(), NoSync: true}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddProduct(Product{Key: "k", Amount: 100, Class: Regular}); err != nil { // AV 50/50
+		t.Fatal(err)
+	}
+	if _, err := c.Update(bg(), 0, "k", -30); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := c2.AddProduct(Product{Key: "k", Amount: 100, Class: Regular}); err != nil {
+		t.Fatal(err)
+	}
+	if av, _ := c2.AV(0, "k"); av != 20 {
+		t.Fatalf("site 0 AV = %d after restart, want 20 (50 - 30)", av)
+	}
+	var total int64
+	for _, av := range c2.AVDistribution("k") {
+		total += av
+	}
+	if total != 70 {
+		t.Fatalf("cluster AV = %d, want the 70 units of stock left", total)
 	}
 }
 

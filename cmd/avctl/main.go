@@ -186,7 +186,8 @@ func watch(admin string, args []string) int {
 }
 
 // partitions fetches the node's /partitions view and renders it as a
-// table: map header, routing counters, one line per hosted partition.
+// table: map header, routing counters, one line per hosted partition (a
+// node without -partitions shows its one full-replication partition).
 // Returns the process exit code.
 func partitions(admin string, timeout time.Duration) int {
 	client := &http.Client{Timeout: timeout}
@@ -196,14 +197,12 @@ func partitions(admin string, timeout time.Duration) int {
 		return 1
 	}
 	var reply struct {
-		MapVersion uint64 `json:"map_version"`
 		Partitions int    `json:"partitions"`
 		RF         int    `json:"rf"`
 		Sites      []int  `json:"sites"`
 		Forwarded  uint64 `json:"route_forwarded"`
 		Served     uint64 `json:"route_served"`
 		Misroutes  uint64 `json:"route_misroutes"`
-		Refreshes  uint64 `json:"route_map_refreshes"`
 		Hosted     []struct {
 			Partition int   `json:"partition"`
 			Owner     int   `json:"owner"`
@@ -219,10 +218,9 @@ func partitions(admin string, timeout time.Duration) int {
 		fmt.Fprintln(os.Stderr, "avctl: partitions: bad reply:", err)
 		return 1
 	}
-	fmt.Printf("map v%d: %d partitions, rf %d, sites %v\n",
-		reply.MapVersion, reply.Partitions, reply.RF, reply.Sites)
-	fmt.Printf("routing: forwarded %d, served %d, misroutes %d, map refreshes %d\n",
-		reply.Forwarded, reply.Served, reply.Misroutes, reply.Refreshes)
+	fmt.Printf("map: %d partitions, rf %d, sites %v\n", reply.Partitions, reply.RF, reply.Sites)
+	fmt.Printf("routing: forwarded %d, served %d, misroutes %d\n",
+		reply.Forwarded, reply.Served, reply.Misroutes)
 	fmt.Printf("%-10s %-6s %-12s %6s %8s %10s %8s %10s\n",
 		"partition", "owner", "replicas", "keys", "av_keys", "av_avail", "av_held", "stock")
 	for _, h := range reply.Hosted {

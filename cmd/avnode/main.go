@@ -29,7 +29,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -63,10 +62,9 @@ func main() {
 		peerSpec = flag.String("peers", "", "comma-separated id=host:port peer list")
 		client   = flag.String("client", ":7200", "client (text protocol) listen address")
 		dir      = flag.String("dir", "", "storage directory (empty = in-memory)")
-		persist  = flag.Bool("persist-av", false, "keep the AV table as rows of the -dir storage engine (same WAL as the stock) so it survives restarts")
 		items    = flag.Int("seed-items", 10, "products to seed")
 		initial  = flag.Int64("seed-initial", 1000, "initial stock per product")
-		avShare  = flag.Int64("seed-av", 0, "this site's initial AV per product (0 = initial/num-sites)")
+		avShare  = flag.Int64("seed-av", 0, "this site's initial AV per product (0 = initial / the product's replica count)")
 		nonReg   = flag.Float64("seed-nonregular", 0, "fraction of products without AV")
 		flushMS  = flag.Int("flush-ms", 500, "anti-entropy interval in milliseconds")
 		admin    = flag.String("admin", "", "admin HTTP listen address for /healthz, /metrics, /trace (empty = disabled)")
@@ -83,9 +81,10 @@ func main() {
 		epochOn      = flag.Bool("epoch", false, "acknowledge durable commits at epoch boundaries (one fsync per epoch) instead of per group-commit round")
 		epochUS      = flag.Int("epoch-interval-us", 200, "epoch length in microseconds (with -epoch)")
 		epochMax     = flag.Int("epoch-max-commits", 0, "close an epoch early once it holds this many commits (0 = default, negative = never)")
-		partitions   = flag.Int("partitions", 0, "shard the catalog over this many partitions (0 = legacy full replication; identical on every node)")
+		partitions   = flag.Int("partitions", 0, "shard the catalog over this many partitions (0 = full replication: one partition on every node, owned by -base; identical on every node)")
 		rf           = flag.Int("rf", 2, "replicas per partition (with -partitions; capped at the cluster size)")
 	)
+	flag.Bool("persist-av", false, "no-op, kept for old command lines: -dir always keeps the AV table in the storage engine")
 	flag.Parse()
 
 	peers, addrs, err := parsePeers(*peerSpec)
@@ -94,12 +93,12 @@ func main() {
 	}
 
 	// The partition map is derived, not exchanged: every node computes it
-	// from the same -partitions/-rf flags over the same membership, so the
-	// maps agree by construction (version 1 everywhere).
+	// from the same flags over the same membership, so the maps agree by
+	// construction. Without -partitions the site builds the full
+	// replication map from -base, -id and -peers.
 	var pm *partition.Map
 	if *partitions > 0 {
 		ids := append([]wire.SiteID{wire.SiteID(*id)}, peers...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		f := *rf
 		if f > len(ids) {
 			f = len(ids)
@@ -114,8 +113,8 @@ func main() {
 	registry := metrics.NewRegistry()
 	var tracer *trace.Tracer
 	var updateLatency *metrics.Histogram
-	// walStats counts the site WAL's fsyncs and group commits (with
-	// -persist-av the AV rows ride the same WAL); the histograms are
+	// walStats counts the site WAL's fsyncs and group commits (with -dir
+	// the AV rows ride the same WAL); the histograms are
 	// attached only when the admin server will actually serve them.
 	// Every histogram on /metrics keeps its most recent histWindow
 	// samples (its _count stays cumulative): a sample arrives per update,
@@ -151,7 +150,7 @@ func main() {
 		Base:              wire.SiteID(*base),
 		Peers:             peers,
 		StorageDir:        *dir,
-		PersistAV:         *persist,
+		PersistAV:         *dir != "",
 		Tracer:            tracer,
 		FlushInterval:     time.Duration(*flushMS) * time.Millisecond,
 		SweepInterval:     2 * time.Second,
@@ -225,18 +224,15 @@ func main() {
 			srv.RegisterHistogram("readplane_lag", p.LagHistogram())
 			srv.RegisterHistogram("readplane_ryw_wait", p.WaitHistogram())
 		}
-		// Routing counters and the /partitions inspection endpoint (all
-		// zero / 404 unless -partitions).
-		if s.PartitionMap() != nil {
-			srv.RegisterCounter("partition_route_forwarded", func() int64 { return int64(s.RouteStats().Forwarded) })
-			srv.RegisterCounter("partition_route_served", func() int64 { return int64(s.RouteStats().Served) })
-			srv.RegisterCounter("partition_misroutes", func() int64 { return int64(s.RouteStats().Misroutes) })
-			srv.RegisterCounter("partition_map_refreshes", func() int64 { return int64(s.RouteStats().MapRefreshes) })
-			srv.RegisterCounter("partition_hosted", func() int64 {
-				return int64(len(s.PartitionMap().Hosted(wire.SiteID(*id))))
-			})
-			srv.Handle("GET /partitions", partitionsHandler(s))
-		}
+		// Routing counters and the /partitions inspection endpoint (a
+		// full-replication node hosts its one partition and routes nothing).
+		srv.RegisterCounter("partition_route_forwarded", func() int64 { return int64(s.RouteStats().Forwarded) })
+		srv.RegisterCounter("partition_route_served", func() int64 { return int64(s.RouteStats().Served) })
+		srv.RegisterCounter("partition_misroutes", func() int64 { return int64(s.RouteStats().Misroutes) })
+		srv.RegisterCounter("partition_hosted", func() int64 {
+			return int64(len(s.PartitionMap().Hosted(wire.SiteID(*id))))
+		})
+		srv.Handle("GET /partitions", partitionsHandler(s))
 		if err := srv.Start(*admin); err != nil {
 			log.Fatalf("avnode: admin server: %v", err)
 		}
@@ -244,7 +240,7 @@ func main() {
 		log.Printf("avnode: admin server on %s", srv.Addr())
 	}
 
-	if err := seed(s, *items, *initial, *avShare, *nonReg, len(peers)+1, pm); err != nil {
+	if err := seed(s, *items, *initial, *avShare, *nonReg); err != nil {
 		log.Fatalf("avnode: seed: %v", err)
 	}
 
@@ -269,30 +265,22 @@ func main() {
 func partitionsHandler(s *site.Site) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		pm := s.PartitionMap()
-		if pm == nil {
-			http.Error(w, "partitioning disabled", http.StatusNotFound)
-			return
-		}
 		rs := s.RouteStats()
 		reply := struct {
-			MapVersion uint64               `json:"map_version"`
 			Partitions int                  `json:"partitions"`
 			RF         int                  `json:"rf"`
 			Sites      []wire.SiteID        `json:"sites"`
 			Forwarded  uint64               `json:"route_forwarded"`
 			Served     uint64               `json:"route_served"`
 			Misroutes  uint64               `json:"route_misroutes"`
-			Refreshes  uint64               `json:"route_map_refreshes"`
 			Hosted     []site.PartitionInfo `json:"hosted"`
 		}{
-			MapVersion: pm.Version(),
 			Partitions: pm.Parts(),
 			RF:         pm.RF(),
 			Sites:      pm.Sites(),
 			Forwarded:  rs.Forwarded,
 			Served:     rs.Served,
 			Misroutes:  rs.Misroutes,
-			Refreshes:  rs.MapRefreshes,
 			Hosted:     s.PartitionStats(),
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -335,22 +323,19 @@ func parsePeers(spec string) ([]wire.SiteID, map[wire.SiteID]string, error) {
 
 // seed loads the shared catalog; identical flags on every node yield
 // identical catalogs (the paper's initial delivery from the base DB).
-// With a partition map, each node seeds only the keys it hosts and the
-// AV default splits initial stock across the replica set instead of
-// the whole cluster.
-func seed(s *site.Site, items int, initial, avShare int64, nonRegular float64, sites int, pm *partition.Map) error {
+// Each node seeds only the keys it hosts (all of them under full
+// replication), and the AV default splits initial stock across the
+// key's replica set.
+func seed(s *site.Site, items int, initial, avShare int64, nonRegular float64) error {
 	nonRegCount := int(nonRegular*float64(items) + 0.5)
-	if avShare == 0 && sites > 0 {
-		if pm != nil {
-			avShare = initial / int64(pm.RF())
-		} else {
-			avShare = initial / int64(sites)
-		}
+	pm := s.PartitionMap()
+	if avShare == 0 {
+		avShare = initial / int64(pm.RF())
 	}
 	self := s.ID()
-	// On a durable restart a row (and with -persist-av its AV) may already
-	// exist; re-seeding would reset stock and mint AV, so seed only what is
-	// genuinely missing: the rows in one batch, then the AV in another.
+	// On a durable restart a row and its AV may already exist; re-seeding
+	// would reset stock and mint AV, so seed only what is genuinely
+	// missing: the rows in one batch, then the AV in another.
 	var recs []storage.Record
 	var defs []av.Def
 	for i := 0; i < items; i++ {
@@ -363,7 +348,7 @@ func seed(s *site.Site, items int, initial, avShare int64, nonRegular float64, s
 		if i < nonRegCount {
 			rec.Class = storage.NonRegular
 		}
-		if pm != nil && !pm.HostsKey(self, rec.Key) {
+		if !pm.HostsKey(self, rec.Key) {
 			continue
 		}
 		if _, err := s.Read(rec.Key); err != nil {

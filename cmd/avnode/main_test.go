@@ -52,7 +52,7 @@ func TestSeedClassificationAndAV(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := seed(s, 10, 900, 0, 0.3, 3, nil); err != nil {
+	if err := seed(s, 10, 900, 0, 0.3); err != nil {
 		t.Fatal(err)
 	}
 	if s.Engine().Len() != 10 {
@@ -73,12 +73,12 @@ func TestSeedClassificationAndAV(t *testing.T) {
 
 func TestSeedIdempotentOnRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := site.Config{ID: 0, StorageDir: dir, PersistAV: true, NoSync: true}
+	cfg := site.Config{ID: 0, Peers: []wire.SiteID{1}, StorageDir: dir, PersistAV: true, NoSync: true}
 	s, err := site.Open(cfg, memnet.New(memnet.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seed(s, 2, 100, 0, 0, 2, nil); err != nil {
+	if err := seed(s, 2, 100, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Update(ctxBg(), "product-0000", -30); err != nil {
@@ -91,7 +91,7 @@ func TestSeedIdempotentOnRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if err := seed(s2, 2, 100, 0, 0, 2, nil); err != nil {
+	if err := seed(s2, 2, 100, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Restart + reseed must not reset stock or mint AV.
@@ -117,7 +117,7 @@ func TestSeedPartitionedHostsOnly(t *testing.T) {
 	}
 	defer s.Close()
 	const items = 40
-	if err := seed(s, items, 900, 0, 0, 3, pm); err != nil {
+	if err := seed(s, items, 900, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	hosted := 0
@@ -149,37 +149,55 @@ func TestPartitionsHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := site.Open(site.Config{ID: 0, Peers: []wire.SiteID{1}, Partitions: pm},
-		memnet.New(memnet.Options{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := seed(s, 8, 100, 0, 0, 2, pm); err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	partitionsHandler(s).ServeHTTP(rec, httptest.NewRequest("GET", "/partitions", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var reply struct {
-		MapVersion uint64 `json:"map_version"`
-		Partitions int    `json:"partitions"`
-		RF         int    `json:"rf"`
-		Hosted     []struct {
-			Partition int `json:"partition"`
-			Keys      int `json:"keys"`
-		} `json:"hosted"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
-	}
-	if reply.MapVersion != 1 || reply.Partitions != 4 || reply.RF != 1 {
-		t.Fatalf("reply header %+v", reply)
-	}
-	if len(reply.Hosted) != len(pm.Hosted(0)) {
-		t.Fatalf("hosted %d partitions, map says %d", len(reply.Hosted), len(pm.Hosted(0)))
+	for _, tc := range []struct {
+		name   string
+		pm     *partition.Map
+		parts  int
+		rf     int
+		hosted int
+	}{
+		// Sharded: the hosted share of 4 partitions at RF 1.
+		{"sharded", pm, 4, 1, len(pm.Hosted(0))},
+		// No -partitions: the one-partition map over both nodes.
+		{"full", nil, 1, 2, 1},
+	} {
+		s, err := site.Open(site.Config{ID: 0, Peers: []wire.SiteID{1}, Partitions: tc.pm},
+			memnet.New(memnet.Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := seed(s, 8, 100, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		partitionsHandler(s).ServeHTTP(rec, httptest.NewRequest("GET", "/partitions", nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d", tc.name, rec.Code)
+		}
+		var reply struct {
+			Partitions int `json:"partitions"`
+			RF         int `json:"rf"`
+			Hosted     []struct {
+				Keys int `json:"keys"`
+			} `json:"hosted"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("%s: bad JSON: %v\n%s", tc.name, err, rec.Body.String())
+		}
+		if reply.Partitions != tc.parts || reply.RF != tc.rf {
+			t.Fatalf("%s: reply header %+v", tc.name, reply)
+		}
+		if len(reply.Hosted) != tc.hosted {
+			t.Fatalf("%s: hosted %d partitions, want %d", tc.name, len(reply.Hosted), tc.hosted)
+		}
+		keys := 0
+		for _, h := range reply.Hosted {
+			keys += h.Keys
+		}
+		if keys != s.Engine().Len() {
+			t.Fatalf("%s: hosted partitions hold %d keys, the store %d", tc.name, keys, s.Engine().Len())
+		}
 	}
 }
 
@@ -191,7 +209,7 @@ func TestServeClientLineTooLong(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := seed(s, 1, 100, 40, 0, 1, nil); err != nil {
+	if err := seed(s, 1, 100, 40, 0); err != nil {
 		t.Fatal(err)
 	}
 	client, server := net.Pipe()

@@ -20,7 +20,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	cfg := avdb.Config{Sites: 2, Dir: dir, PersistAV: true, NoSync: true}
+	cfg := avdb.Config{Sites: 2, Dir: dir, NoSync: true}
 
 	// --- first life ---
 	c, err := avdb.New(cfg)

@@ -115,7 +115,8 @@ type Config struct {
 	// partitions with replication factor RF: each key lives only on its
 	// partition's replica set (seeded there, AV defined there,
 	// anti-entropied there), and every site routes updates for foreign
-	// keys to the owning replicas. Zero keeps legacy full replication.
+	// keys to the owning replicas. Zero is full replication: one
+	// partition on every site, owned by site 0.
 	Partitions int
 	// RF is the replication factor in sharded mode (default 2, capped
 	// at Sites). Ignored when Partitions is zero.
@@ -138,7 +139,7 @@ type Cluster struct {
 	RegularKeys    []string
 	NonRegularKeys []string
 
-	// pm is the shared partition map, nil for legacy full replication.
+	// pm is the shared partition map (partition.Full when unsharded).
 	pm *partition.Map
 
 	mu     sync.Mutex
@@ -160,7 +161,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
+	ids := make([]wire.SiteID, cfg.Sites)
+	for i := range ids {
+		ids[i] = wire.SiteID(i)
+	}
 	var pm *partition.Map
+	var err error
 	if cfg.Partitions > 0 {
 		if cfg.RF <= 0 {
 			cfg.RF = 2
@@ -168,15 +174,12 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.RF > cfg.Sites {
 			cfg.RF = cfg.Sites
 		}
-		ids := make([]wire.SiteID, cfg.Sites)
-		for i := range ids {
-			ids[i] = wire.SiteID(i)
-		}
-		var err error
 		pm, err = partition.New(ids, cfg.Partitions, cfg.RF)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
+	} else {
+		pm, err = partition.Full(0, ids)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	c := &Cluster{
 		pm:       pm,
@@ -219,15 +222,11 @@ func New(cfg Config) (*Cluster, error) {
 			c.Close()
 			return nil, err
 		}
-		recs := records
-		if pm != nil {
-			// Partial replication: a site's store holds only the keys of
-			// the partitions it hosts.
-			recs = recs[:0:0]
-			for _, r := range records {
-				if pm.HostsKey(wire.SiteID(id), r.Key) {
-					recs = append(recs, r)
-				}
+		// A site's store holds only the keys of the partitions it hosts.
+		var recs []storage.Record
+		for _, r := range records {
+			if pm.HostsKey(wire.SiteID(id), r.Key) {
+				recs = append(recs, r)
 			}
 		}
 		if err := s.Seed(recs...); err != nil {
@@ -242,12 +241,12 @@ func New(cfg Config) (*Cluster, error) {
 	// across the sites hosting the key (all of them under full
 	// replication, the RF replicas under partitioning); equality of
 	// sum(AV) and global stock is the system's conservation invariant
-	// thereafter — partition-local when sharded.
+	// thereafter, per partition.
 	for _, key := range c.RegularKeys {
 		hosts := c.HostSitesFor(key)
 		if cfg.AVAllAtBase {
-			// Sharded clusters concentrate at the partition owner (the
-			// first replica), legacy ones at the base.
+			// Concentrate at the partition owner (the first replica): the
+			// base under full replication.
 			if err := c.Sites[hosts[0]].DefineAV(key, cfg.InitialAmount); err != nil {
 				c.Close()
 				return nil, err
@@ -276,16 +275,10 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// HostSitesFor lists the site indices hosting key: the partition's
-// replica set (owner first) when sharded, every site otherwise.
+// HostSitesFor lists the site indices hosting key: its partition's
+// replica set, owner first (every site, base first, under full
+// replication).
 func (c *Cluster) HostSitesFor(key string) []int {
-	if c.pm == nil {
-		all := make([]int, c.Cfg.Sites)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
 	reps := c.pm.ReplicasOf(key)
 	out := make([]int, len(reps))
 	for i, r := range reps {
@@ -508,14 +501,11 @@ func (c *Cluster) CheckInvariants() error {
 	return c.CheckStoreLocality()
 }
 
-// CheckStoreLocality asserts, in a sharded cluster, that every site's
-// store contains exactly the keys of the partitions it hosts — partial
-// replication never leaked a foreign key in, and no hosted key went
-// missing. No-op under full replication.
+// CheckStoreLocality asserts that every site's store contains exactly
+// the keys of the partitions it hosts — partial replication never leaked
+// a foreign key in, and no hosted key went missing (under full
+// replication: every site holds the whole catalog).
 func (c *Cluster) CheckStoreLocality() error {
-	if c.pm == nil {
-		return nil
-	}
 	for i, s := range c.Sites {
 		if c.SiteDown(i) {
 			continue

@@ -94,8 +94,7 @@ func TestPartitionStatsCoverHostedPartitions(t *testing.T) {
 }
 
 // A RouteUpdate that lands on a site not hosting the key's partition
-// is rejected with RouteNotReplica and the current map attached — and
-// the update is NOT applied anywhere.
+// is rejected with RouteNotReplica, counted, and NOT applied anywhere.
 func TestMisroutedUpdateRejectedNotApplied(t *testing.T) {
 	c := shardedCluster(t, 6, 16, 2)
 	pm := c.pm
@@ -144,9 +143,6 @@ func TestMisroutedUpdateRejectedNotApplied(t *testing.T) {
 	if rep.Status != wire.RouteNotReplica {
 		t.Fatalf("status = %d, want RouteNotReplica", rep.Status)
 	}
-	if rep.MapVersion != pm.Version() || int(rep.Parts) != pm.Parts() {
-		t.Fatalf("rejection must carry the receiver's map, got version=%d parts=%d", rep.MapVersion, rep.Parts)
-	}
 	if rs := c.Sites[wrong].RouteStats(); rs.Misroutes != 1 {
 		t.Fatalf("misroutes = %d, want 1", rs.Misroutes)
 	}
@@ -164,8 +160,10 @@ func TestMisroutedUpdateRejectedNotApplied(t *testing.T) {
 	}
 }
 
-// A RouteUpdate to a site with partitioning disabled fails cleanly.
-func TestRouteUpdateWithPartitioningDisabled(t *testing.T) {
+// Under full replication every site hosts every key, so a RouteUpdate
+// to any site is served there exactly once, with the applying site's
+// read-your-writes position in the reply.
+func TestRouteUpdateServedUnderFullReplication(t *testing.T) {
 	c, err := New(Config{Sites: 2, Items: 4, InitialAmount: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -183,11 +181,17 @@ func TestRouteUpdateWithPartitioningDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, ok := reply.(*wire.RouteReply)
-	if !ok || rep.Status != wire.RouteErr {
-		t.Fatalf("reply = %#v, want RouteErr", reply)
+	if !ok || rep.Status != wire.RouteOK {
+		t.Fatalf("reply = %#v, want RouteOK", reply)
 	}
-	if v, _ := c.Read(0, KeyName(0)); v != 10 {
-		t.Fatalf("value = %d, want 10 untouched", v)
+	if rep.AppliedSite != 0 || rep.AppliedLSN == 0 {
+		t.Fatalf("reply names site %d LSN %d, want site 0 and a nonzero LSN", rep.AppliedSite, rep.AppliedLSN)
+	}
+	if v, _ := c.Read(0, KeyName(0)); v != 9 {
+		t.Fatalf("value = %d, want 9", v)
+	}
+	if rs := c.Sites[0].RouteStats(); rs.Served != 1 || rs.Misroutes != 0 {
+		t.Fatalf("route stats = %+v, want one served", rs)
 	}
 }
 

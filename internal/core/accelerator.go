@@ -30,6 +30,7 @@ import (
 	"avdb/internal/av"
 	"avdb/internal/clock"
 	"avdb/internal/failure"
+	"avdb/internal/partition"
 	"avdb/internal/replica"
 	"avdb/internal/rng"
 	"avdb/internal/strategy"
@@ -52,25 +53,18 @@ var (
 type Config struct {
 	// Site is this accelerator's site.
 	Site wire.SiteID
-	// Base hosts the primary copy for Immediate Updates.
-	Base wire.SiteID
-	// Peers lists every other site.
-	Peers []wire.SiteID
-	// PeersFor, when non-nil, narrows the peer set per key: on a
-	// partitioned cluster only the other replicas of the key's partition
+	// Partitions is the site's partition map (required; full replication
+	// is partition.Full). Only the other replicas of a key's partition
 	// hold its AV, receive its gossip, or participate in its Immediate
-	// Updates, so every per-key interaction consults this instead of
-	// Peers. Nil keeps the full-replication behaviour (all peers, for
-	// every key) byte-identical to pre-partition builds.
-	PeersFor func(key string) []wire.SiteID
+	// Updates, whose base is the partition owner.
+	Partitions *partition.Map
 	// OnCommit, when non-nil, observes every successfully committed
 	// Delay Update at the site that applied it: (key, delta) exactly
-	// once per commit, before Update returns. On partitioned clusters
-	// the simulator's conservation oracle accounts from these
-	// observations, because the site that *issued* a routed update
-	// cannot always know whether the owner applied it (a lost reply
-	// looks like a rejection). Immediate Updates are observed through
-	// twopc.Options.Observer instead.
+	// once per commit, before Update returns. The simulator's
+	// conservation oracle accounts from these observations, because the
+	// site that *issued* a routed update cannot always know whether the
+	// owner applied it (a lost reply looks like a rejection). Immediate
+	// Updates are observed through twopc.Options.Observer instead.
 	OnCommit func(key string, delta int64)
 	// Policy supplies the selecting and deciding functions
 	// (default strategy.SODA99()).
@@ -258,7 +252,7 @@ func (a *Accelerator) Update(ctx context.Context, key string, delta int64) (Resu
 		res, err = a.delayUpdate(ctx, key, delta)
 	} else {
 		a.stats.Immediate.Add(1)
-		err = a.iu.Update(ctx, a.peersFor(key), key, delta)
+		err = a.iu.Update(ctx, a.cfg.Partitions.ReplicasOf(key), key, delta)
 		res = Result{Path: PathImmediate}
 	}
 	if err == nil {
@@ -268,14 +262,10 @@ func (a *Accelerator) Update(ctx context.Context, key string, delta int64) (Resu
 	return res, err
 }
 
-// peersFor returns the peer set for one key's protocol interactions:
-// the key's partition replicas when a router narrows them, every peer
-// otherwise.
+// peersFor returns the other replicas of key's partition, the peer set
+// of its AV gathering and gossip.
 func (a *Accelerator) peersFor(key string) []wire.SiteID {
-	if a.cfg.PeersFor != nil {
-		return a.cfg.PeersFor(key)
-	}
-	return a.cfg.Peers
+	return a.cfg.Partitions.PeersFor(a.cfg.Site, key)
 }
 
 // delayUpdate is the Delay Update path (Figs. 3 and 4).

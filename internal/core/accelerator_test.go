@@ -10,6 +10,7 @@ import (
 	"avdb/internal/av"
 	"avdb/internal/failure"
 	"avdb/internal/lockmgr"
+	"avdb/internal/partition"
 	"avdb/internal/replica"
 	"avdb/internal/storage"
 	"avdb/internal/strategy"
@@ -38,6 +39,14 @@ func buildSitesNet(t *testing.T, n int, initial int64, avPer int64, policy strat
 	t.Helper()
 	net := memnet.New(opts)
 	sites := make([]*testSite, n)
+	ids := make([]wire.SiteID, n)
+	for i := range ids {
+		ids[i] = wire.SiteID(i)
+	}
+	pm, err := partition.Full(0, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < n; i++ {
 		eng, err := storage.Open(storage.Options{})
 		if err != nil {
@@ -48,15 +57,9 @@ func buildSitesNet(t *testing.T, n int, initial int64, avPer int64, policy strat
 		avt := av.NewTable()
 		avt.Define("k", avPer)
 		tm := txn.NewManager(eng, lockmgr.Options{WaitTimeout: 300 * time.Millisecond})
-		iu := twopc.New(twopc.Options{Site: wire.SiteID(i), Base: 0, PrepareTimeout: 300 * time.Millisecond}, tm)
+		iu := twopc.New(twopc.Options{Site: wire.SiteID(i), PrepareTimeout: 300 * time.Millisecond}, tm)
 		repl := replica.New(wire.SiteID(i), eng)
-		var peers []wire.SiteID
-		for p := 0; p < n; p++ {
-			if p != i {
-				peers = append(peers, wire.SiteID(p))
-			}
-		}
-		acc := New(Config{Site: wire.SiteID(i), Base: 0, Peers: peers, Policy: policy, Seed: 5}, avt, tm, iu, repl)
+		acc := New(Config{Site: wire.SiteID(i), Partitions: pm, Policy: policy, Seed: 5}, avt, tm, iu, repl)
 		ts := &testSite{acc: acc, avt: avt, eng: eng, repl: repl, iu: iu}
 		node, err := net.Open(wire.SiteID(i), func(ts *testSite) transport.Handler {
 			return func(ctx context.Context, from wire.SiteID, msg wire.Message) wire.Message {

@@ -1,19 +1,19 @@
 // Package partition shards the key space across sites. Keys hash onto
 // a fixed set of virtual partitions; each partition is assigned an
 // owner and a replica set by rendezvous (highest-random-weight) hashing
-// over the member sites. Rendezvous hashing gives the property the
-// router depends on for smooth rebalancing: adding or removing one site
+// over the member sites. Rendezvous hashing bounds what a different
+// membership would move: adding or removing one site
 // changes a partition's replica set if and only if that site ranks into
 // (or out of) the partition's top-RF — every other assignment is
 // untouched, so key movement is bounded by the joining/leaving site's
 // own share.
 //
-// A Map is immutable and versioned. Every site of a sharded cluster
-// holds one; routed messages carry the sender's version, and a receiver
-// with a different map attaches its own to the reply so stale senders
-// converge (see wire.RouteReply and PROTOCOL.md). A nil *Map everywhere
-// means partitioning is off: the legacy full-replication deployment,
-// whose behaviour is byte-identical to pre-partition builds.
+// A Map is immutable and static: every site derives the same one from
+// the same configuration, so a deployment never holds two versions.
+// Full replication — the paper's system, where every site holds the
+// whole catalog — is the one-partition map with RF = N (see Full), so
+// sharded and unsharded clusters run the same routing, replication
+// filter and oracles.
 package partition
 
 import (
@@ -23,34 +23,21 @@ import (
 	"avdb/internal/wire"
 )
 
-// Map is one immutable, versioned assignment of the key space:
-// hash(key) mod Parts chooses the partition, rendezvous hashing over
-// Sites chooses each partition's replica set (the top-RF sites by
-// weight; the top-ranked one is the owner, holding the partition's
-// primary copy for Immediate Updates).
+// Map is one immutable assignment of the key space: hash(key) mod Parts
+// chooses the partition, and each partition has an ordered replica set
+// (the owner first, holding the partition's primary copy for Immediate
+// Updates).
 type Map struct {
-	version uint64
-	parts   int
-	rf      int
-	sites   []wire.SiteID   // sorted, deduplicated
-	table   [][]wire.SiteID // partition -> replicas, owner first
-	hosted  map[wire.SiteID][]int
+	parts  int
+	rf     int
+	sites  []wire.SiteID   // sorted, deduplicated
+	table  [][]wire.SiteID // partition -> replicas, owner first
+	hosted map[wire.SiteID][]int
 }
 
-// New builds a version-1 map: parts virtual partitions over sites,
-// each replicated on rf of them.
-func New(sites []wire.SiteID, parts, rf int) (*Map, error) {
-	return NewAt(1, sites, parts, rf)
-}
-
-// NewAt builds a map carrying an explicit version (>= 1). Sites
-// receiving a redirect rebuild the sender's map with this constructor;
-// the assignment is a pure function of (sites, parts, rf), so equal
-// inputs yield equal routing everywhere.
-func NewAt(version uint64, sites []wire.SiteID, parts, rf int) (*Map, error) {
-	if version == 0 {
-		return nil, fmt.Errorf("partition: version must be >= 1")
-	}
+// newMap validates parts and the member set and allocates a map whose
+// RF and table the caller fills in.
+func newMap(sites []wire.SiteID, parts int) (*Map, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("partition: need >= 1 partition, got %d", parts)
 	}
@@ -65,17 +52,59 @@ func NewAt(version uint64, sites []wire.SiteID, parts, rf int) (*Map, error) {
 	if len(uniq) == 0 {
 		return nil, fmt.Errorf("partition: need >= 1 site")
 	}
+	return &Map{
+		parts:  parts,
+		sites:  uniq,
+		table:  make([][]wire.SiteID, parts),
+		hosted: make(map[wire.SiteID][]int, len(uniq)),
+	}, nil
+}
+
+// assign installs partition p's replica set, owner first.
+func (m *Map) assign(p int, replicas []wire.SiteID) {
+	m.table[p] = replicas
+	for _, s := range replicas {
+		m.hosted[s] = append(m.hosted[s], p)
+	}
+}
+
+// Full is full replication as a map: one partition, replicated on every
+// site, owned by base (the site holding the primary copy), the other
+// sites following in ascending order. base must be one of sites.
+func Full(base wire.SiteID, sites []wire.SiteID) (*Map, error) {
+	m, err := newMap(sites, 1)
+	if err != nil {
+		return nil, err
+	}
+	replicas := []wire.SiteID{base}
+	for _, s := range m.sites {
+		if s != base {
+			replicas = append(replicas, s)
+		}
+	}
+	if len(replicas) != len(m.sites) {
+		return nil, fmt.Errorf("partition: base %d is not one of the sites %v", base, m.sites)
+	}
+	m.rf = len(replicas)
+	m.assign(0, replicas)
+	return m, nil
+}
+
+// New builds a sharded map: parts virtual partitions over sites, each
+// replicated on rf of them chosen by rendezvous hashing (the top-RF
+// sites by weight; the top-ranked one is the owner). The assignment is
+// a pure function of (sites, parts, rf), so every site derives the same
+// routing from the same configuration.
+func New(sites []wire.SiteID, parts, rf int) (*Map, error) {
+	m, err := newMap(sites, parts)
+	if err != nil {
+		return nil, err
+	}
+	uniq := m.sites
 	if rf < 1 || rf > len(uniq) {
 		return nil, fmt.Errorf("partition: replication factor %d outside [1, %d sites]", rf, len(uniq))
 	}
-	m := &Map{
-		version: version,
-		parts:   parts,
-		rf:      rf,
-		sites:   uniq,
-		table:   make([][]wire.SiteID, parts),
-		hosted:  make(map[wire.SiteID][]int, len(uniq)),
-	}
+	m.rf = rf
 	type ranked struct {
 		site   wire.SiteID
 		weight uint64
@@ -94,11 +123,10 @@ func NewAt(version uint64, sites []wire.SiteID, parts, rf int) (*Map, error) {
 			return ranks[i].site < ranks[j].site
 		})
 		replicas := make([]wire.SiteID, rf)
-		for i := 0; i < rf; i++ {
+		for i := range replicas {
 			replicas[i] = ranks[i].site
-			m.hosted[ranks[i].site] = append(m.hosted[ranks[i].site], p)
 		}
-		m.table[p] = replicas
+		m.assign(p, replicas)
 	}
 	return m, nil
 }
@@ -122,8 +150,9 @@ func fnv1a(key string) uint64 {
 	return h
 }
 
-// Version returns the map's version.
-func (m *Map) Version() uint64 { return m.version }
+// Version is always 1: a map is static configuration, never succeeded
+// by another. Routed updates still carry it (wire.RouteUpdate).
+func (m *Map) Version() uint64 { return 1 }
 
 // Parts returns the number of virtual partitions.
 func (m *Map) Parts() int { return m.parts }
@@ -183,13 +212,4 @@ func (m *Map) PeersFor(self wire.SiteID, key string) []wire.SiteID {
 		}
 	}
 	return out
-}
-
-// WithSites derives the next version of the map over a new member set
-// (a site joined or left), keeping Parts and RF. Rendezvous hashing
-// guarantees the minimal-disruption property the router's remap tests
-// pin down: a partition's replica set changes iff the set difference
-// touches its top-RF ranking.
-func (m *Map) WithSites(sites []wire.SiteID) (*Map, error) {
-	return NewAt(m.version+1, sites, m.parts, m.rf)
 }

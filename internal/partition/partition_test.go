@@ -71,12 +71,9 @@ func TestRemapStabilityOnJoinAndLeave(t *testing.T) {
 	}
 
 	// Join: site 5 enters.
-	joined, err := base.WithSites(sitesUpTo(6))
+	joined, err := New(sitesUpTo(6), parts, rf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if joined.Version() != base.Version()+1 {
-		t.Fatalf("join version = %d, want %d", joined.Version(), base.Version()+1)
 	}
 	moved := 0
 	for p := 0; p < parts; p++ {
@@ -102,7 +99,7 @@ func TestRemapStabilityOnJoinAndLeave(t *testing.T) {
 			rest = append(rest, s)
 		}
 	}
-	left, err := base.WithSites(rest)
+	left, err := New(rest, parts, rf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +117,15 @@ func TestRemapStabilityOnJoinAndLeave(t *testing.T) {
 	}
 }
 
-// The assignment is a pure function of (version, sites, parts, rf):
-// a receiver rebuilding a redirect's map routes identically.
+// The assignment is a pure function of (sites, parts, rf): every node
+// deriving its map from the same flags routes identically, however it
+// lists the members.
 func TestRebuildIsDeterministic(t *testing.T) {
-	a, err := NewAt(7, []wire.SiteID{4, 0, 2, 4, 1, 3}, 16, 2) // unsorted + dup
+	a, err := New([]wire.SiteID{4, 0, 2, 4, 1, 3}, 16, 2) // unsorted + dup
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewAt(7, sitesUpTo(5), 16, 2)
+	b, err := New(sitesUpTo(5), 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +215,43 @@ func TestValidation(t *testing.T) {
 	if _, err := New(sitesUpTo(3), 4, 0); err == nil {
 		t.Fatal("rf 0 accepted")
 	}
-	if _, err := NewAt(0, sitesUpTo(3), 4, 1); err == nil {
-		t.Fatal("version 0 accepted")
+	if _, err := Full(7, sitesUpTo(3)); err == nil {
+		t.Fatal("full map with a base outside the sites accepted")
+	}
+	if _, err := Full(0, nil); err == nil {
+		t.Fatal("empty full map accepted")
+	}
+}
+
+// Full replication is one partition on every site: the base owns it,
+// the others follow in ascending order, so each site's peer list is the
+// ascending list of every other site.
+func TestFullIsOnePartitionOnEverySite(t *testing.T) {
+	m, err := Full(2, []wire.SiteID{3, 0, 2, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Parts() != 1 || m.RF() != 4 || m.Version() != 1 {
+		t.Fatalf("parts=%d rf=%d version=%d, want 1, 4, 1", m.Parts(), m.RF(), m.Version())
+	}
+	if want := []wire.SiteID{2, 0, 1, 3}; !reflect.DeepEqual(m.Replicas(0), want) {
+		t.Fatalf("replicas = %v, want %v", m.Replicas(0), want)
+	}
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprintf("product-%04d", i)
+		if m.OwnerOf(key) != 2 {
+			t.Fatalf("key %s: owner %d, want the base", key, m.OwnerOf(key))
+		}
+		for _, s := range sitesUpTo(4) {
+			if !m.HostsKey(s, key) {
+				t.Fatalf("key %s: site %d does not host it", key, s)
+			}
+		}
+	}
+	if got, want := m.PeersFor(1, "k"), []wire.SiteID{2, 0, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("peers of 1 = %v, want %v", got, want)
+	}
+	if got := m.Hosted(3); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("site 3 hosts %v, want [0]", got)
 	}
 }

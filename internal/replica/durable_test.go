@@ -81,7 +81,7 @@ func TestDurableWatermarkPreventsDoubleApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := &wire.DeltaSync{Origin: 1, Deltas: []wire.Delta{
+	batch := &wire.DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []wire.Delta{
 		{Seq: 1, Key: "k", Amount: -10},
 		{Seq: 2, Key: "k", Amount: -10},
 	}}

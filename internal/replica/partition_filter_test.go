@@ -24,10 +24,8 @@ func newEng2(t *testing.T, a, b int64) *storage.Engine {
 // acks the whole window and nothing is retransmitted.
 func TestPartitionFilterOutbound(t *testing.T) {
 	src := New(1, newEng2(t, 0, 0))
-	src.SetPartitionFilter(
-		func(peer wire.SiteID, key string) bool { return key == "a" }, // peer 2 hosts only "a"
-		nil,
-	)
+	// Peer 2 hosts only "a".
+	src.SetPartitionFilter(func(site wire.SiteID, key string) bool { return key == "a" })
 	src.Record("a", -1) // seq 1
 	src.Record("b", -2) // seq 2: filtered for peer 2
 	src.Record("a", -3) // seq 3
@@ -69,10 +67,7 @@ func TestPartitionFilterOutbound(t *testing.T) {
 // that peer would never drain.
 func TestPartitionFilterEmptyWindowAdvances(t *testing.T) {
 	src := New(1, newEng2(t, 0, 0))
-	src.SetPartitionFilter(
-		func(peer wire.SiteID, key string) bool { return false }, // peer hosts nothing of ours
-		nil,
-	)
+	src.SetPartitionFilter(func(site wire.SiteID, key string) bool { return site == 1 }) // peer hosts nothing of ours
 	src.Record("b", -2)
 	src.Record("b", -4)
 
@@ -103,7 +98,7 @@ func TestPartitionFilterEmptyWindowAdvances(t *testing.T) {
 // if a sender with a divergent map ships them.
 func TestPartitionFilterInboundDefense(t *testing.T) {
 	dst := New(2, newEng2(t, 100, 100))
-	dst.SetPartitionFilter(nil, func(key string) bool { return key == "a" })
+	dst.SetPartitionFilter(func(site wire.SiteID, key string) bool { return key == "a" })
 
 	// Coalesced window mixing hosted and non-hosted keys.
 	ack, err := dst.HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []wire.Delta{
@@ -116,8 +111,8 @@ func TestPartitionFilterInboundDefense(t *testing.T) {
 	if ack.UpTo != 2 {
 		t.Fatalf("ack = %d, want 2", ack.UpTo)
 	}
-	// Verbatim batch too.
-	ack, err = dst.HandleSync(&wire.DeltaSync{Origin: 1, Deltas: []wire.Delta{
+	// The next window, non-hosted entry first.
+	ack, err = dst.HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 3, Deltas: []wire.Delta{
 		{Seq: 3, Key: "b", Amount: -11},
 		{Seq: 4, Key: "a", Amount: -13},
 	}})
@@ -135,14 +130,17 @@ func TestPartitionFilterInboundDefense(t *testing.T) {
 	}
 }
 
-// Without a filter the sync message is byte-identical to the legacy
-// encoding: WindowTop stays zero and is omitted from the wire.
+// Without a filter, or with one that keeps every entry (full
+// replication), WindowTop stays zero and is omitted from the wire.
 func TestNoFilterKeepsLegacyEncoding(t *testing.T) {
 	src := New(1, newEng2(t, 0, 0))
 	src.Record("a", -1)
 	src.Record("b", -2)
-	msg := src.PendingSyncFor(2)
-	if msg.WindowTop != 0 {
+	if msg := src.PendingSyncFor(2); msg.WindowTop != 0 {
 		t.Fatalf("WindowTop = %d, want 0 without a filter", msg.WindowTop)
+	}
+	src.SetPartitionFilter(func(wire.SiteID, string) bool { return true })
+	if msg := src.PendingSyncFor(2); msg.WindowTop != 0 {
+		t.Fatalf("WindowTop = %d, want 0 when nothing is filtered", msg.WindowTop)
 	}
 }

@@ -71,10 +71,9 @@ type Replicator struct {
 	applied  map[wire.SiteID]uint64 // remote origin -> highest seq applied here
 	acked    map[wire.SiteID]uint64 // peer -> highest of OUR seqs it acked
 
-	// Partial replication (see SetPartitionFilter); nil = replicate
-	// everything to everyone, the legacy full-replication behaviour.
-	peerHosts  func(peer wire.SiteID, key string) bool
-	localHosts func(key string) bool
+	// hosts filters replication by partition (see SetPartitionFilter);
+	// nil replicates everything to everyone.
+	hosts func(site wire.SiteID, key string) bool
 
 	// Per-peer flush control (see SetFlushPolicy). Guarded by fmu, not
 	// mu: Flush consults it while the log lock is free.
@@ -222,18 +221,17 @@ func (r *Replicator) CommitWithRecord(tx *txn.Txn, key string, delta int64) (uin
 	return seq, nil
 }
 
-// SetPartitionFilter makes replication partial: outbound windows carry
-// only the entries whose key peerHosts says the destination hosts, and
-// inbound windows apply only the entries localHosts accepts (a second
-// line of defense against a sender with a different partition map).
-// Watermarks still advance over whole windows — a filtered-out entry is
-// acknowledged, never retransmitted — via DeltaSync.WindowTop. Call
-// before any traffic flows; nil functions restore full replication.
-func (r *Replicator) SetPartitionFilter(peerHosts func(peer wire.SiteID, key string) bool, localHosts func(key string) bool) {
+// SetPartitionFilter makes replication follow the partition map:
+// outbound windows carry only the entries whose key hosts says the
+// destination hosts, and inbound windows apply only the entries it says
+// this site hosts (a second line of defense against a sender with a
+// different map). Watermarks still advance over whole windows — a
+// filtered-out entry is acknowledged, never retransmitted — via
+// DeltaSync.WindowTop. Call before any traffic flows.
+func (r *Replicator) SetPartitionFilter(hosts func(site wire.SiteID, key string) bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.peerHosts = peerHosts
-	r.localHosts = localHosts
+	r.hosts = hosts
 }
 
 // SetFlushPolicy bounds each peer's exchange during Flush with its own
@@ -339,7 +337,7 @@ func (r *Replicator) PendingSyncFor(peer wire.SiteID) *wire.DeltaSync {
 	byKey := make(map[string]int)
 	filtered := false
 	for _, d := range r.log[idx:] {
-		if r.peerHosts != nil && !r.peerHosts(peer, d.Key) {
+		if r.hosts != nil && !r.hosts(peer, d.Key) {
 			// Partial replication: the peer does not host this key's
 			// partition. The entry is omitted but its sequence is still
 			// covered by the window (WindowTop below), so the peer acks
@@ -368,56 +366,37 @@ func (r *Replicator) AppliedFrom(origin wire.SiteID) uint64 {
 	return r.applied[origin]
 }
 
-// HandleSync applies a peer's delta batch and returns the cumulative
-// acknowledgement.
-//
-// A verbatim batch (FirstSeq zero) applies its contiguous new prefix:
-// already-applied entries are skipped (idempotence) and a gap stops
-// application (the sender will retransmit from our ack). A coalesced
-// batch (FirstSeq nonzero) no longer carries individual sequences, so
-// it applies all-or-nothing: only when FirstSeq extends our watermark
-// exactly. Either way the returned ack tells the sender precisely where
-// to resume, so a lost ack or misaligned window costs one realignment
+// HandleSync applies a peer's delta window and returns the cumulative
+// acknowledgement. A window sums same-key deltas (PendingSyncFor), so
+// its entries do not map 1:1 onto sequences and it applies
+// all-or-nothing: only when FirstSeq extends our watermark exactly.
+// Applied or not, the returned ack tells the sender precisely where to
+// resume, so a lost ack or misaligned window costs one realignment
 // round, never a lost or doubled delta.
 func (r *Replicator) HandleSync(msg *wire.DeltaSync) (*wire.DeltaAck, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	high := r.applied[msg.Origin]
 	var ops []storage.Op
-	if msg.FirstSeq != 0 {
-		to := msg.WindowTop // sender-filtered windows may end past the last entry
+	to := msg.WindowTop // sender-filtered windows may end past the last entry
+	for _, d := range msg.Deltas {
+		if d.Seq > to {
+			to = d.Seq
+		}
+	}
+	// to <= high: pure duplicate (skip, ack our watermark).
+	// FirstSeq > high+1: gap — wait for retransmission from the ack.
+	// FirstSeq <= high < to: partially replayed window; coalesced entries
+	// cannot be split, so reject it whole and let the ack realign the
+	// sender's next flush.
+	if to > high && msg.FirstSeq == high+1 {
 		for _, d := range msg.Deltas {
-			if d.Seq > to {
-				to = d.Seq
+			if r.hosts != nil && !r.hosts(r.origin, d.Key) {
+				continue // not our partition; ack it, never apply it
 			}
+			ops = append(ops, storage.DeltaOp(d.Key, d.Amount))
 		}
-		if to > high && msg.FirstSeq == high+1 {
-			for _, d := range msg.Deltas {
-				if r.localHosts != nil && !r.localHosts(d.Key) {
-					continue // not our partition; ack it, never apply it
-				}
-				ops = append(ops, storage.DeltaOp(d.Key, d.Amount))
-			}
-			high = to
-		}
-		// to <= high: pure duplicate (skip, ack our watermark).
-		// FirstSeq > high+1: gap — wait for retransmission from the ack.
-		// FirstSeq <= high < to: partially replayed window; coalesced
-		// entries cannot be split, so reject it whole and let the ack
-		// realign the sender's next flush.
-	} else {
-		for _, d := range msg.Deltas {
-			if d.Seq <= high {
-				continue // duplicate
-			}
-			if d.Seq != high+1 {
-				break // gap: wait for retransmission
-			}
-			if r.localHosts == nil || r.localHosts(d.Key) {
-				ops = append(ops, storage.DeltaOp(d.Key, d.Amount))
-			}
-			high = d.Seq
-		}
+		high = to
 	}
 	if len(ops) > 0 || (r.durable && high > r.applied[msg.Origin]) {
 		if r.durable {

@@ -42,7 +42,7 @@ func TestRecordAssignsSeqs(t *testing.T) {
 func TestHandleSyncAppliesContiguous(t *testing.T) {
 	eng := newEng(t, 100)
 	r := New(2, eng)
-	ack, err := r.HandleSync(&wire.DeltaSync{Origin: 1, Deltas: []wire.Delta{
+	ack, err := r.HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []wire.Delta{
 		{Seq: 1, Key: "k", Amount: -10},
 		{Seq: 2, Key: "k", Amount: 5},
 	}})
@@ -60,7 +60,7 @@ func TestHandleSyncAppliesContiguous(t *testing.T) {
 func TestHandleSyncDedupes(t *testing.T) {
 	eng := newEng(t, 100)
 	r := New(2, eng)
-	batch := &wire.DeltaSync{Origin: 1, Deltas: []wire.Delta{{Seq: 1, Key: "k", Amount: -10}}}
+	batch := &wire.DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []wire.Delta{{Seq: 1, Key: "k", Amount: -10}}}
 	r.HandleSync(batch)
 	ack, err := r.HandleSync(batch) // replay must be a no-op
 	if err != nil {
@@ -77,8 +77,12 @@ func TestHandleSyncDedupes(t *testing.T) {
 func TestHandleSyncStopsAtGap(t *testing.T) {
 	eng := newEng(t, 100)
 	r := New(2, eng)
-	ack, err := r.HandleSync(&wire.DeltaSync{Origin: 1, Deltas: []wire.Delta{
+	if _, err := r.HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []wire.Delta{
 		{Seq: 1, Key: "k", Amount: -1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := r.HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 3, Deltas: []wire.Delta{
 		{Seq: 3, Key: "k", Amount: -100}, // gap: seq 2 missing
 	}})
 	if err != nil {
@@ -88,12 +92,18 @@ func TestHandleSyncStopsAtGap(t *testing.T) {
 		t.Fatalf("ack = %+v, want UpTo 1", ack)
 	}
 	if n, _ := eng.Amount("k"); n != 99 {
-		t.Fatalf("gap entry applied: %d", n)
+		t.Fatalf("gap window applied: %d", n)
 	}
-	// Retransmission with the gap filled applies the rest.
-	ack, _ = r.HandleSync(&wire.DeltaSync{Origin: 1, Deltas: []wire.Delta{
-		{Seq: 2, Key: "k", Amount: -2},
-		{Seq: 3, Key: "k", Amount: -100},
+	// A window that also replays seq 1 cannot be split: rejected whole.
+	ack, _ = r.HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []wire.Delta{
+		{Seq: 3, Key: "k", Amount: -103},
+	}})
+	if ack.UpTo != 1 {
+		t.Fatalf("partial replay ack = %+v, want UpTo 1", ack)
+	}
+	// Retransmission from the ack, seqs 2..3 coalesced, applies the rest.
+	ack, _ = r.HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 2, Deltas: []wire.Delta{
+		{Seq: 3, Key: "k", Amount: -102},
 	}})
 	if ack.UpTo != 3 {
 		t.Fatalf("ack = %+v", ack)
@@ -105,7 +115,7 @@ func TestHandleSyncStopsAtGap(t *testing.T) {
 
 func TestHandleSyncUnknownKeyErrors(t *testing.T) {
 	r := New(2, newEng(t, 0))
-	_, err := r.HandleSync(&wire.DeltaSync{Origin: 1, Deltas: []wire.Delta{
+	_, err := r.HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []wire.Delta{
 		{Seq: 1, Key: "ghost", Amount: 1},
 	}})
 	if err == nil {
@@ -260,7 +270,7 @@ func TestQuickConvergence(t *testing.T) {
 					pend := repls[src].PendingFor(wire.SiteID(dst))
 					if len(pend) > 0 {
 						cut := r.Intn(len(pend)) + 1
-						ack, err := repls[dst].HandleSync(&wire.DeltaSync{Origin: wire.SiteID(src), Deltas: pend[:cut]})
+						ack, err := repls[dst].HandleSync(&wire.DeltaSync{Origin: wire.SiteID(src), FirstSeq: pend[0].Seq, Deltas: pend[:cut]})
 						if err != nil {
 							return false
 						}
@@ -278,11 +288,11 @@ func TestQuickConvergence(t *testing.T) {
 					if src == dst {
 						continue
 					}
-					pend := repls[src].PendingFor(wire.SiteID(dst))
-					if len(pend) == 0 {
+					win := repls[src].PendingSyncFor(wire.SiteID(dst))
+					if win == nil {
 						continue
 					}
-					ack, err := repls[dst].HandleSync(&wire.DeltaSync{Origin: wire.SiteID(src), Deltas: pend})
+					ack, err := repls[dst].HandleSync(win)
 					if err != nil {
 						return false
 					}
@@ -312,7 +322,10 @@ func TestPullFetchesPeerDeltas(t *testing.T) {
 	nodeA, _ := net.Open(1, func(ctx context.Context, from wire.SiteID, msg wire.Message) wire.Message {
 		switch m := msg.(type) {
 		case *wire.SyncPull:
-			return &wire.DeltaSync{Origin: 1, Deltas: replA.PendingFor(from)}
+			if win := replA.PendingSyncFor(from); win != nil {
+				return win
+			}
+			return &wire.DeltaSync{Origin: 1}
 		case *wire.DeltaAck:
 			replA.HandleAck(from, m.UpTo)
 		}

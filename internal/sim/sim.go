@@ -60,14 +60,10 @@ type Config struct {
 	Epochs bool
 	// Partitions, when > 0, shards the cluster's key space over that
 	// many virtual partitions with replication factor RF (see
-	// cluster.Config). The oracles then check per partition: each key
-	// converges and conserves AV across its replica set, and a store
-	// locality oracle asserts no site holds a foreign key. Expected
-	// stock is accounted at the APPLYING site via the update observer —
-	// in a routed world the origin's error is not ground truth (a lost
-	// RouteReply means "rejected" at the origin and "committed" at the
-	// owner). Zero keeps legacy full replication, byte-identical traces
-	// included.
+	// cluster.Config); zero is full replication, the one-partition map.
+	// The oracles check per partition either way: each key converges and
+	// conserves AV across its replica set, and a store locality oracle
+	// asserts no site holds a foreign key.
 	Partitions int
 	RF         int
 
@@ -220,10 +216,10 @@ type harness struct {
 	// operations; appliedNR is, per non-regular key and site, the sum of
 	// 2PC commit deltas that site actually applied (from Outcome
 	// observations), which is exactly the value the site must hold.
-	// In partitioned mode expected is fed by the cluster's update
-	// observer (commits land at the applying site, possibly not the
-	// origin), so it has its own lock; legacy mode mutates it only from
-	// the driver goroutine between settled steps.
+	// expected is fed by the cluster's update observer at the APPLYING
+	// site — in a routed world the origin's error is not ground truth (a
+	// lost RouteReply means "rejected" at the origin and "committed" at
+	// the owner) — so it has its own lock.
 	emu       sync.Mutex
 	expected  map[string]int64
 	appliedNR map[string]map[wire.SiteID]int64
@@ -303,6 +299,7 @@ func Run(cfg Config) (Result, error) {
 			h.outcomes = append(h.outcomes, o)
 			h.omu.Unlock()
 		},
+		UpdateObserver:     h.addExpected,
 		EscrowTransfers:    true,
 		ReadPlane:          true,
 		CallTimeout:        250 * time.Millisecond,
@@ -312,10 +309,6 @@ func Run(cfg Config) (Result, error) {
 		LockTimeout:        100 * time.Millisecond,
 		FlushPeerTimeout:   200 * time.Millisecond,
 		SuspectAfter:       1000 * time.Hour,
-	}
-	if cfg.Partitions > 0 {
-		// Ground-truth accounting at the applying site (see Config).
-		ccfg.UpdateObserver = h.addExpected
 	}
 	c, err := h.buildCluster(ccfg)
 	if err != nil {
@@ -411,13 +404,6 @@ func (h *harness) run(steps []chaos.Step) (Result, error) {
 			switch out {
 			case opCommit:
 				res.Commits++
-				// Partitioned runs account at the applying site via the
-				// update observer (the commit may have landed remotely, and
-				// a routed outcome can even be "rejected" at the origin when
-				// only the reply was lost); counting here too would double.
-				if cfg.Partitions == 0 {
-					h.addExpected(key, delta)
-				}
 			case opAbort:
 				res.Aborts++
 			case opUnknown:
@@ -859,12 +845,10 @@ func (h *harness) checkOracles() *Violation {
 		}
 	}
 
-	// Partitioned runs additionally prove partial replication held: no
-	// site's store ever received a key outside its hosted partitions.
-	if h.cfg.Partitions > 0 {
-		if err := c.CheckStoreLocality(); err != nil {
-			return &Violation{Oracle: "locality", Detail: err.Error()}
-		}
+	// Partial replication held: no site's store ever received a key
+	// outside its hosted partitions, and none lost a hosted one.
+	if err := c.CheckStoreLocality(); err != nil {
+		return &Violation{Oracle: "locality", Detail: err.Error()}
 	}
 
 	return h.checkReadPlane()

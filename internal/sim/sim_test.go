@@ -52,6 +52,33 @@ func TestSimBitReproducible(t *testing.T) {
 	}
 }
 
+// TestSimTraceHashesPinned pins the trace hash of three schedules —
+// full replication, epoch commit, and the sharded acceptance
+// configuration — so a change that moves the observable schedule fails
+// here, and re-baselining is an explicit edit of these values.
+func TestSimTraceHashesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"seed 17", Config{Seed: 17}, 0xf1155d122abd3992},
+		{"seed 17 epochs", Config{Seed: 17, Epochs: true}, 0x519e361ef2f28ae1},
+		{"sharded seed 7", shardedCfg(7, 120), 0xeb64615f6ea56537},
+	} {
+		res, err := Run(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Violation != nil {
+			t.Errorf("%s: unexpected violation: %v", tc.name, res.Violation)
+		}
+		if res.TraceHash != tc.want {
+			t.Errorf("%s: trace hash %#x, pinned %#x", tc.name, res.TraceHash, tc.want)
+		}
+	}
+}
+
 // TestSimMintBugCaught injects a deliberate AV-minting bug and requires
 // the conservation oracle to catch it and the minimizer to shrink the
 // fault script, producing a reproducible failure report.

@@ -1,12 +1,11 @@
-// Update routing for the partitioned key space. A site that does not
-// host a key's partition forwards the update to a replica (owner
-// first) as a wire.RouteUpdate; the replica serves it through its own
-// accelerator and answers with a RouteReply carrying the outcome. Map
-// versions travel with every routed message: a receiver that sees a
-// different version attaches its own map to the reply, and the side
-// holding the older map adopts the newer one and retries — so a
-// membership change propagates lazily along the request paths that
-// care, without a synchronized reconfiguration barrier.
+// Update routing over the partition map. A site that does not host a
+// key's partition forwards the update to a replica (owner first) as a
+// wire.RouteUpdate; the replica serves it through its own accelerator
+// and answers with a RouteReply carrying the outcome. The map is static
+// and identical everywhere, so under full replication (one partition on
+// every site) nothing is ever forwarded, and a route.update that
+// reaches a site not hosting its key is a misconfiguration: counted,
+// refused and never applied.
 package site
 
 import (
@@ -22,9 +21,9 @@ import (
 	"avdb/internal/wire"
 )
 
-// ErrNotReplica is returned to a caller that routed an update here
-// under a partition map disagreeing with ours: the update was NOT
-// applied. The reply carries our map so the caller can re-route.
+// ErrNotReplica reports that the replica an update was routed to does
+// not host the key's partition (the two sites disagree about the map):
+// the update was NOT applied.
 var ErrNotReplica = errors.New("site: not a replica for this key's partition")
 
 // RouteStats counts routing activity at one site (all monotonic).
@@ -36,9 +35,6 @@ type RouteStats struct {
 	// Misroutes arrived for partitions we do not host and were
 	// rejected, not applied.
 	Misroutes uint64
-	// MapRefreshes counts adoptions of a newer partition map learned
-	// from a routed exchange.
-	MapRefreshes uint64
 }
 
 // PartitionInfo summarizes one hosted partition at this site.
@@ -53,28 +49,23 @@ type PartitionInfo struct {
 	Stock     int64         `json:"stock"`    // sum of stored amounts
 }
 
-// PartitionMap returns the site's current partition map, nil when
-// partitioning is disabled.
-func (s *Site) PartitionMap() *partition.Map { return s.pm.Load() }
+// PartitionMap returns the site's partition map (full replication is
+// the one-partition map).
+func (s *Site) PartitionMap() *partition.Map { return s.pm }
 
 // RouteStats returns a snapshot of the site's routing counters.
 func (s *Site) RouteStats() RouteStats {
 	return RouteStats{
-		Forwarded:    s.routeForwarded.Load(),
-		Served:       s.routeServed.Load(),
-		Misroutes:    s.routeMisroutes.Load(),
-		MapRefreshes: s.routeRefreshes.Load(),
+		Forwarded: s.routeForwarded.Load(),
+		Served:    s.routeServed.Load(),
+		Misroutes: s.routeMisroutes.Load(),
 	}
 }
 
 // PartitionStats reports, per hosted partition, how many records and
-// how much allowable volume this site holds. Nil when partitioning is
-// disabled.
+// how much allowable volume this site holds.
 func (s *Site) PartitionStats() []PartitionInfo {
-	pm := s.pm.Load()
-	if pm == nil {
-		return nil
-	}
+	pm := s.pm
 	byPart := make(map[int]*PartitionInfo)
 	for _, p := range pm.Hosted(s.cfg.ID) {
 		byPart[p] = &PartitionInfo{
@@ -103,44 +94,6 @@ func (s *Site) PartitionStats() []PartitionInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Partition < out[j].Partition })
 	return out
-}
-
-// adoptMap installs m if it is newer than the current map; returns
-// true when the map changed. Version-guarded CAS so concurrent routed
-// replies carrying different vintages converge on the newest.
-func (s *Site) adoptMap(m *partition.Map) bool {
-	for {
-		cur := s.pm.Load()
-		if cur == nil || m == nil || m.Version() <= cur.Version() {
-			return false
-		}
-		if s.pm.CompareAndSwap(cur, m) {
-			s.routeRefreshes.Add(1)
-			s.event("route.map_refresh", "", "version=%d", m.Version())
-			return true
-		}
-	}
-}
-
-// mapFromReply reconstructs the partition map attached to a reply,
-// nil when none was attached or it is malformed.
-func mapFromReply(rep *wire.RouteReply) *partition.Map {
-	if rep.MapVersion == 0 {
-		return nil
-	}
-	m, err := partition.NewAt(rep.MapVersion, rep.MapSites, int(rep.Parts), int(rep.RF))
-	if err != nil {
-		return nil
-	}
-	return m
-}
-
-// attachMap piggybacks our current map onto a routed reply.
-func attachMap(rep *wire.RouteReply, pm *partition.Map) {
-	rep.MapVersion = pm.Version()
-	rep.Parts = uint32(pm.Parts())
-	rep.RF = uint32(pm.RF())
-	rep.MapSites = pm.Sites()
 }
 
 // routeErrClass maps an update error to its wire class so the origin
@@ -178,109 +131,69 @@ func routeErrFromClass(class uint8, target wire.SiteID, reason string) error {
 
 // forwardUpdate routes an update we do not host to the key's replica
 // set: the owner first, the other replicas as transport-failure
-// fallbacks. A reply carrying a newer map is adopted and the update
-// retried once under the new map (possibly locally, if the new map
-// hosts the key here).
+// fallbacks.
 func (s *Site) forwardUpdate(ctx context.Context, key string, delta int64) (core.Result, error) {
-	const maxRetries = 1
-	for attempt := 0; ; attempt++ {
-		pm := s.pm.Load()
-		if pm.HostsKey(s.cfg.ID, key) {
-			// A refreshed map moved the key to us mid-flight.
-			return s.updateLocal(ctx, key, delta)
+	var lastErr error
+	for _, target := range s.pm.ReplicasOf(key) {
+		reply, err := s.node.Call(ctx, target, &wire.RouteUpdate{
+			MapVersion: s.pm.Version(), Key: key, Delta: delta,
+		})
+		if err != nil {
+			lastErr = err
+			continue // dead or partitioned replica: try the next one
 		}
-		targets := pm.ReplicasOf(key)
-		var lastErr error
-		for _, target := range targets {
-			reply, err := s.node.Call(ctx, target, &wire.RouteUpdate{
-				MapVersion: pm.Version(), Key: key, Delta: delta,
-			})
-			if err != nil {
-				lastErr = err
-				continue // dead or partitioned replica: try the next one
-			}
-			rep, ok := reply.(*wire.RouteReply)
-			if !ok {
-				return core.Result{}, fmt.Errorf("site: unexpected route reply %T from site %d", reply, target)
-			}
-			refreshed := s.adoptMap(mapFromReply(rep))
-			switch rep.Status {
-			case wire.RouteOK:
-				s.routeForwarded.Add(1)
-				s.event("route.forwarded", key, "to=%d path=%d", target, rep.Path)
-				return core.Result{
-					Path:        core.Path(rep.Path),
-					Rounds:      int(rep.Rounds),
-					Transferred: rep.Transferred,
-					// The commit landed on the serving replica's plane, so
-					// the read-your-writes position is *its* {site, lsn}:
-					// a token minted from this pair gates that site's read
-					// plane. An old peer that predates token-carrying
-					// replies leaves AppliedLSN zero and the result mints
-					// no token, which is the pre-fix behaviour.
-					LSN:  rep.AppliedLSN,
-					Site: rep.AppliedSite,
-				}, nil
-			case wire.RouteNotReplica:
-				if refreshed && attempt < maxRetries {
-					// Our map was stale; re-route under the adopted one.
-					goto retry
-				}
-				return core.Result{}, fmt.Errorf("%w: site %d rejected key %q", ErrNotReplica, target, key)
-			default:
-				return core.Result{}, routeErrFromClass(rep.ErrClass, target, rep.Reason)
-			}
+		rep, ok := reply.(*wire.RouteReply)
+		if !ok {
+			return core.Result{}, fmt.Errorf("site: unexpected route reply %T from site %d", reply, target)
 		}
-		if lastErr != nil {
-			return core.Result{}, fmt.Errorf("site: no replica for %q reachable: %w", key, lastErr)
+		switch rep.Status {
+		case wire.RouteOK:
+			s.routeForwarded.Add(1)
+			s.event("route.forwarded", key, "to=%d path=%d", target, rep.Path)
+			return core.Result{
+				Path:        core.Path(rep.Path),
+				Rounds:      int(rep.Rounds),
+				Transferred: rep.Transferred,
+				// The commit landed on the serving replica's plane, so
+				// the read-your-writes position is *its* {site, lsn}: a
+				// token minted from this pair gates that site's read
+				// plane.
+				LSN:  rep.AppliedLSN,
+				Site: rep.AppliedSite,
+			}, nil
+		case wire.RouteNotReplica:
+			return core.Result{}, fmt.Errorf("%w: site %d rejected key %q", ErrNotReplica, target, key)
+		default:
+			return core.Result{}, routeErrFromClass(rep.ErrClass, target, rep.Reason)
 		}
-		return core.Result{}, fmt.Errorf("site: no replicas for %q", key)
-	retry:
 	}
+	return core.Result{}, fmt.Errorf("site: no replica for %q reachable: %w", key, lastErr)
 }
 
 // handleRouteUpdate serves a routed update from another site. A
-// misrouted update — we do not host the key under our map — is
-// rejected without touching any state, and the reply carries our map
-// so the sender can correct itself.
+// misrouted update — we do not host the key — is rejected without
+// touching any state.
 func (s *Site) handleRouteUpdate(ctx context.Context, from wire.SiteID, m *wire.RouteUpdate) *wire.RouteReply {
-	pm := s.pm.Load()
-	if pm == nil {
-		return &wire.RouteReply{Status: wire.RouteErr, ErrClass: wire.RouteErrOther,
-			Reason: "partitioning disabled at receiver"}
-	}
-	rep := &wire.RouteReply{}
-	if m.MapVersion != pm.Version() {
-		// Version skew: always teach the sender our map. If theirs is
-		// newer they ignore it; if ours is newer they adopt it.
-		attachMap(rep, pm)
-	}
-	if !pm.HostsKey(s.cfg.ID, m.Key) {
+	if !s.pm.HostsKey(s.cfg.ID, m.Key) {
 		s.routeMisroutes.Add(1)
-		s.event("route.misroute", m.Key, "from=%d their_version=%d", from, m.MapVersion)
-		rep.Status = wire.RouteNotReplica
-		rep.Reason = fmt.Sprintf("site %d does not host partition %d", s.cfg.ID, pm.PartitionOf(m.Key))
-		if rep.MapVersion == 0 {
-			attachMap(rep, pm) // same version but different conclusion: send the map anyway
-		}
-		return rep
+		s.event("route.misroute", m.Key, "from=%d", from)
+		return &wire.RouteReply{Status: wire.RouteNotReplica,
+			Reason: fmt.Sprintf("site %d does not host partition %d", s.cfg.ID, s.pm.PartitionOf(m.Key))}
 	}
 	res, err := s.updateLocal(ctx, m.Key, m.Delta)
 	if err != nil {
-		rep.Status = wire.RouteErr
-		rep.ErrClass = routeErrClass(err)
-		rep.Reason = err.Error()
-		return rep
+		return &wire.RouteReply{Status: wire.RouteErr, ErrClass: routeErrClass(err), Reason: err.Error()}
 	}
 	s.routeServed.Add(1)
-	rep.Status = wire.RouteOK
-	rep.Path = uint8(res.Path)
-	rep.Rounds = uint32(res.Rounds)
-	rep.Transferred = res.Transferred
 	// Carry our read-your-writes position back so the origin can mint a
 	// token that gates *this* site's read plane (the commit never
 	// touched the origin's).
-	rep.AppliedSite = res.Site
-	rep.AppliedLSN = res.LSN
-	return rep
+	return &wire.RouteReply{
+		Status:      wire.RouteOK,
+		Path:        uint8(res.Path),
+		Rounds:      uint32(res.Rounds),
+		Transferred: res.Transferred,
+		AppliedSite: res.Site,
+		AppliedLSN:  res.LSN,
+	}
 }

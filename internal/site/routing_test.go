@@ -1,6 +1,7 @@
 package site
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -10,31 +11,32 @@ import (
 	"avdb/internal/wire"
 )
 
-// A site holding a stale partition map forwards to a site that no
-// longer hosts the key; the rejection carries the newer map, the
-// sender adopts it and the retried update lands on the right replica.
-func TestStaleMapRedirectAndRetry(t *testing.T) {
-	mapOld, err := partition.New([]wire.SiteID{0, 1}, 8, 1)
+// Maps are static, so an origin whose map disagrees with the cluster's
+// (a misconfigured node) has its forwarded update refused: the receiver
+// counts the misroute and applies nothing, and the origin reports
+// ErrNotReplica instead of adopting a map or retrying elsewhere.
+func TestDisagreeingMapRefusedNotApplied(t *testing.T) {
+	mapOrigin, err := partition.New([]wire.SiteID{0, 1}, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapNew, err := mapOld.WithSites([]wire.SiteID{0, 1, 2})
+	mapCluster, err := partition.New([]wire.SiteID{0, 1, 2}, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A key that moved: owned by site 1 under the old map, by the
-	// newcomer site 2 under the new one.
+	// A key the origin believes site 1 owns, while the cluster puts it
+	// on site 2.
 	key := ""
 	for i := 0; i < 200; i++ {
 		k := fmt.Sprintf("product-%04d", i)
-		if mapOld.OwnerOf(k) == 1 && mapNew.OwnerOf(k) == 2 {
+		if mapOrigin.OwnerOf(k) == 1 && mapCluster.OwnerOf(k) == 2 {
 			key = k
 			break
 		}
 	}
 	if key == "" {
-		t.Fatal("no moved key found")
+		t.Fatal("no disputed key found")
 	}
 
 	net := memnet.New(memnet.Options{})
@@ -45,17 +47,16 @@ func TestStaleMapRedirectAndRetry(t *testing.T) {
 				peers = append(peers, p)
 			}
 		}
-		s, err := Open(Config{ID: id, Base: 0, Peers: peers, Partitions: pm}, net)
+		s, err := Open(Config{ID: id, Peers: peers, Partitions: pm}, net)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { s.Close() })
 		return s
 	}
-	origin := open(0, mapOld) // stale
-	open(1, mapNew)           // old owner, current map
-	owner := open(2, mapNew)  // new owner
-
+	origin := open(0, mapOrigin)
+	wrong := open(1, mapCluster)
+	owner := open(2, mapCluster)
 	if err := owner.Seed(storage.Record{Key: key, Amount: 50, Class: storage.Regular}); err != nil {
 		t.Fatal(err)
 	}
@@ -63,87 +64,55 @@ func TestStaleMapRedirectAndRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := origin.Update(bg(), key, -3)
-	if err != nil {
-		t.Fatalf("routed update after redirect: %v", err)
+	if _, err := origin.Update(bg(), key, -3); !errors.Is(err, ErrNotReplica) {
+		t.Fatalf("err = %v, want ErrNotReplica", err)
 	}
-	if res.LSN == 0 {
-		t.Fatalf("forwarded result carries no applied LSN (RYW token gap)")
+	if rs := origin.RouteStats(); rs.Forwarded != 0 {
+		t.Fatalf("origin counted a refused update as forwarded: %+v", rs)
 	}
-	if res.Site != 2 {
-		t.Fatalf("forwarded result names site %d, want the serving replica 2", res.Site)
+	if rs := wrong.RouteStats(); rs.Misroutes != 1 || rs.Served != 0 {
+		t.Fatalf("receiver stats = %+v, want one misroute, nothing served", rs)
 	}
-	if got := origin.PartitionMap().Version(); got != mapNew.Version() {
-		t.Fatalf("origin map version = %d, want %d (adopted)", got, mapNew.Version())
+	if _, err := wrong.Read(key); err == nil {
+		t.Fatal("receiver stored the misrouted key")
 	}
-	rs := origin.RouteStats()
-	if rs.MapRefreshes != 1 {
-		t.Fatalf("map refreshes = %d, want 1", rs.MapRefreshes)
+	if rs := owner.RouteStats(); rs.Served != 0 {
+		t.Fatalf("the refused update was retried at the owner: %+v", rs)
 	}
-	if rs.Forwarded != 1 {
-		t.Fatalf("forwarded = %d, want 1", rs.Forwarded)
-	}
-	if v, err := owner.Read(key); err != nil || v != 47 {
-		t.Fatalf("owner value = %d, %v, want 47", v, err)
-	}
-	// The old owner must have rejected, not applied: it never stored
-	// the key, so a read there fails.
-	if rsOld := origin.RouteStats(); rsOld.Misroutes != 0 {
-		t.Fatalf("origin counted misroutes: %+v", rsOld)
+	if v, err := owner.Read(key); err != nil || v != 50 {
+		t.Fatalf("owner value = %d, %v, want 50 untouched", v, err)
 	}
 }
 
-// An origin whose stale map still agrees with the receiver about the
-// key keeps working: version skew alone never fails an update, it just
-// refreshes the map opportunistically.
-func TestVersionSkewOnAgreeingRouteStillServes(t *testing.T) {
-	mapOld, err := partition.New([]wire.SiteID{0, 1}, 8, 1)
+// Without a map, a site runs full replication: the one-partition map
+// over itself and its peers, owned by the base, so it hosts every key
+// and forwards nothing.
+func TestNilMapIsFullReplication(t *testing.T) {
+	s, err := Open(Config{ID: 2, Base: 1, Peers: []wire.SiteID{3, 0, 1}}, memnet.New(memnet.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapNew, err := mapOld.WithSites([]wire.SiteID{0, 1, 2})
-	if err != nil {
+	defer s.Close()
+	pm := s.PartitionMap()
+	if pm.Parts() != 1 || pm.RF() != 4 {
+		t.Fatalf("parts=%d rf=%d, want 1 and 4", pm.Parts(), pm.RF())
+	}
+	if got := fmt.Sprint(pm.Replicas(0)); got != "[1 0 2 3]" {
+		t.Fatalf("replicas = %s, want base first, then ascending", got)
+	}
+	if err := s.Seed(storage.Record{Key: "k", Amount: 10, Class: storage.Regular}); err != nil {
 		t.Fatal(err)
 	}
-	// A key that did NOT move: owned by site 1 under both maps.
-	key := ""
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("product-%04d", i)
-		if mapOld.OwnerOf(k) == 1 && mapNew.OwnerOf(k) == 1 {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no stable key found")
-	}
-
-	net := memnet.New(memnet.Options{})
-	origin, err := Open(Config{ID: 0, Peers: []wire.SiteID{1, 2}, Partitions: mapOld}, net)
-	if err != nil {
+	if err := s.DefineAV("k", 10); err != nil {
 		t.Fatal(err)
 	}
-	defer origin.Close()
-	ownerSite, err := Open(Config{ID: 1, Peers: []wire.SiteID{0, 2}, Partitions: mapNew}, net)
-	if err != nil {
+	if _, err := s.Update(bg(), "k", -4); err != nil {
 		t.Fatal(err)
 	}
-	defer ownerSite.Close()
-	if err := ownerSite.Seed(storage.Record{Key: key, Amount: 50, Class: storage.Regular}); err != nil {
-		t.Fatal(err)
+	if rs := s.RouteStats(); rs.Forwarded != 0 {
+		t.Fatalf("full replication forwarded an update: %+v", rs)
 	}
-	if err := ownerSite.DefineAV(key, 50); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := origin.Update(bg(), key, -2); err != nil {
-		t.Fatalf("update across version skew: %v", err)
-	}
-	if v, _ := ownerSite.Read(key); v != 48 {
-		t.Fatalf("owner value = %d, want 48", v)
-	}
-	// The reply piggybacked the newer map; the origin adopted it.
-	if got := origin.PartitionMap().Version(); got != mapNew.Version() {
-		t.Fatalf("origin map version = %d, want %d", got, mapNew.Version())
+	if _, err := Open(Config{ID: 0, Base: 5, Peers: []wire.SiteID{1}}, memnet.New(memnet.Options{})); err == nil {
+		t.Fatal("a base outside the sites accepted")
 	}
 }

@@ -138,11 +138,11 @@ type Config struct {
 	ReadPlane bool
 	// ReadPlaneTopK bounds the hot view (default 10).
 	ReadPlaneTopK int
-	// Partitions, when non-nil, shards the key space: this site hosts
-	// (stores, anti-entropies, gossips, accounts AV for) only the
-	// partitions the map assigns it, and forwards updates for foreign
-	// keys to the owning replica set (see routing.go). Nil keeps full
-	// replication — every legacy code path byte-identical.
+	// Partitions shards the key space: this site hosts (stores,
+	// anti-entropies, gossips, accounts AV for) only the partitions the
+	// map assigns it, and forwards updates for foreign keys to the owning
+	// replica set (see routing.go). Nil means full replication, the
+	// one-partition map partition.Full(Base, ID+Peers).
 	Partitions *partition.Map
 	// UpdateObserver, when non-nil, fires exactly once per Delay Update
 	// committed at THIS site — including updates that arrived routed
@@ -164,15 +164,11 @@ type Site struct {
 	node  transport.Node
 	det   *failure.Detector
 	plane *readplane.Plane // nil unless cfg.ReadPlane
+	pm    *partition.Map   // never nil; static for the site's life
 
-	// Partition routing state (nil/zero when partitioning is off). The
-	// map pointer is atomic because routed replies can refresh it while
-	// updates are in flight.
-	pm             atomic.Pointer[partition.Map]
 	routeForwarded atomic.Uint64
 	routeServed    atomic.Uint64
 	routeMisroutes atomic.Uint64
-	routeRefreshes atomic.Uint64
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -188,8 +184,17 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
+	pm := cfg.Partitions
+	if cfg.Partitions == nil {
+		// Full replication: one partition on every site, owned by the base.
+		var err error
+		if pm, err = partition.Full(cfg.Base, append([]wire.SiteID{cfg.ID}, cfg.Peers...)); err != nil {
+			return nil, fmt.Errorf("site: %w", err)
+		}
+	}
 	s := &Site{
 		cfg:  cfg,
+		pm:   pm,
 		stop: make(chan struct{}),
 	}
 	eng, err := storage.Open(storage.Options{
@@ -213,9 +218,6 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 			return nil, err
 		}
 	}
-	if cfg.Partitions != nil {
-		s.pm.Store(cfg.Partitions)
-	}
 	if cfg.PersistAV {
 		if cfg.StorageDir == "" {
 			eng.Close()
@@ -233,23 +235,14 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 		s.avt = av.NewTable()
 	}
 	s.tm = txn.NewManager(eng, lockmgr.Options{WaitTimeout: cfg.LockTimeout})
-	iuOpts := twopc.Options{
+	s.iu = twopc.New(twopc.Options{
 		Site:           cfg.ID,
-		Base:           cfg.Base,
 		PrepareTimeout: cfg.PrepareTimeout,
 		Tracer:         cfg.Tracer,
 		Clock:          cfg.Clock,
 		Observer:       cfg.TxnObserver,
 		IDEpoch:        incarnation,
-	}
-	if cfg.Partitions != nil {
-		// Sharded mode: each key's primary is its partition owner, not
-		// the single cluster-wide base.
-		iuOpts.BaseFor = func(key string) wire.SiteID {
-			return s.pm.Load().OwnerOf(key)
-		}
-	}
-	s.iu = twopc.New(iuOpts, s.tm)
+	}, s.tm)
 	if cfg.StorageDir != "" {
 		// A durable engine needs durable replication state, or a restart
 		// could double-apply retransmissions and lose unpropagated deltas.
@@ -264,20 +257,13 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 	if cfg.FlushPeerTimeout > 0 || cfg.FlushBackoff.BaseDelay > 0 {
 		s.repl.SetFlushPolicy(cfg.FlushPeerTimeout, cfg.FlushBackoff, cfg.Clock)
 	}
-	if cfg.Partitions != nil {
-		// Partial replication: deltas flow only to sites hosting the
-		// key's partition, and inbound deltas for foreign partitions
-		// are acknowledged but never applied.
-		s.repl.SetPartitionFilter(
-			func(peer wire.SiteID, key string) bool { return s.pm.Load().HostsKey(peer, key) },
-			func(key string) bool { return s.pm.Load().HostsKey(cfg.ID, key) },
-		)
-	}
+	// Deltas flow only to sites hosting the key's partition, and inbound
+	// deltas for foreign partitions are acknowledged but never applied.
+	s.repl.SetPartitionFilter(pm.HostsKey)
 	s.det = failure.NewDetector(cfg.SuspectAfter, cfg.Clock)
-	coreCfg := core.Config{
+	s.accel = core.New(core.Config{
 		Site:           cfg.ID,
-		Base:           cfg.Base,
-		Peers:          cfg.Peers,
+		Partitions:     pm,
 		Policy:         cfg.Policy,
 		Passes:         cfg.Passes,
 		RequestTimeout: cfg.RequestTimeout,
@@ -290,14 +276,7 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 		Clock:          cfg.Clock,
 		XferSalt:       cfg.XferSalt,
 		OnCommit:       cfg.UpdateObserver,
-	}
-	if cfg.Partitions != nil {
-		// AV gathering and gossip stay inside the key's replica set.
-		coreCfg.PeersFor = func(key string) []wire.SiteID {
-			return s.pm.Load().PeersFor(cfg.ID, key)
-		}
-	}
-	s.accel = core.New(coreCfg, s.avt, s.tm, s.iu, s.repl)
+	}, s.avt, s.tm, s.iu, s.repl)
 
 	if cfg.ReadPlane {
 		s.plane = readplane.New(readplane.Config{
@@ -539,11 +518,11 @@ func (s *Site) DefineAVs(defs ...av.Def) error {
 
 // Update applies delta to key through the accelerator. When tracing is
 // on, the whole update becomes one trace rooted here; remote spans the
-// protocol causes (AV grants, 2PC votes) link back to it. Under a
-// partition map, updates for keys this site does not host are
-// forwarded to the owning replica set (see routing.go).
+// protocol causes (AV grants, 2PC votes) link back to it. Updates for
+// keys this site does not host are forwarded to the owning replica set
+// (see routing.go).
 func (s *Site) Update(ctx context.Context, key string, delta int64) (core.Result, error) {
-	if pm := s.pm.Load(); pm != nil && !pm.HostsKey(s.cfg.ID, key) {
+	if !s.pm.HostsKey(s.cfg.ID, key) {
 		return s.forwardUpdate(ctx, key, delta)
 	}
 	return s.updateLocal(ctx, key, delta)
@@ -654,8 +633,7 @@ func (s *Site) ReadPlane() *readplane.Plane { return s.plane }
 // The token names the site whose plane applied the commit — this site
 // for local results, the serving replica for forwarded ones — because
 // WaitFor rejects tokens minted against any other site's plane. The
-// zero token (failed update, or a forwarded result from a peer that
-// predates token-carrying replies) satisfies trivially.
+// zero token (failed update) satisfies trivially.
 func (s *Site) Token(res core.Result) readplane.Token {
 	if res.LSN == 0 {
 		return readplane.Token{}

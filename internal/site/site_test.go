@@ -237,7 +237,7 @@ func TestSyncFailureReturnsCurrentAck(t *testing.T) {
 	// request.
 	net := memnet.New(memnet.Options{})
 	sites := openSites(t, net, 2, Config{})
-	reply := sites[0].handle(context.Background(), 1, &wire.DeltaSync{Origin: 1, Deltas: []wire.Delta{
+	reply := sites[0].handle(context.Background(), 1, &wire.DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []wire.Delta{
 		{Seq: 1, Key: "not-seeded", Amount: -1},
 	}})
 	ack, ok := reply.(*wire.DeltaAck)

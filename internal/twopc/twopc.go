@@ -5,11 +5,13 @@
 //
 // The requesting site's accelerator acts as the coordinator: it locks
 // and tentatively applies the update locally, sends IUPrepare to every
-// other site simultaneously, collects ready votes, then distributes the
-// commit/abort decision. Per the paper, "the requesting accelerator
-// judges the completion of the update with the message from the
-// accelerator at the base" — so completion requires the base site's
-// acknowledgement of the commit decision.
+// other replica of the key simultaneously, collects ready votes, then
+// distributes the commit/abort decision. Per the paper, "the requesting
+// accelerator judges the completion of the update with the message from
+// the accelerator at the base" — so completion requires the base's
+// acknowledgement of the commit decision, the base being the first
+// replica (the key's partition owner; under full replication, the one
+// base site).
 //
 // Participants hold prepared transactions (with their locks, via strict
 // 2PL) in a table with a deadline; an expired prepared transaction is
@@ -63,12 +65,6 @@ func NonNegative(rec storage.Record, newAmount int64) error {
 type Options struct {
 	// Site is this engine's site ID.
 	Site wire.SiteID
-	// Base is the site hosting the primary copy (site 0 in the paper).
-	Base wire.SiteID
-	// BaseFor, when non-nil, supplies the primary-copy site per key: on
-	// a partitioned cluster each key's base is its partition's owner,
-	// not one global site. Nil keeps the single Base for every key.
-	BaseFor func(key string) wire.SiteID
 	// Validate approves tentative updates (default NonNegative).
 	Validate Validator
 	// PrepareTimeout bounds each remote prepare/decision call
@@ -223,15 +219,22 @@ func (e *Engine) observe(txnID uint64, key string, commit, swept bool) {
 	}
 }
 
-// Update coordinates one Immediate Update of key by delta across peers
-// (every other site). On success the update is applied at every site.
-func (e *Engine) Update(ctx context.Context, peers []wire.SiteID, key string, delta int64) (err error) {
+// Update coordinates one Immediate Update of key by delta across the
+// key's replicas, base first (this site among them). On success the
+// update is applied at every replica.
+func (e *Engine) Update(ctx context.Context, replicas []wire.SiteID, key string, delta int64) (err error) {
 	ctx, sp := e.opts.Tracer.Start(ctx, e.opts.Site, "iu.update")
 	if sp != nil {
 		sp.SetAttr("key", key)
 		defer func() { sp.Finish(err) }()
 	}
 	txnID := e.newTxnID()
+	peers := make([]wire.SiteID, 0, len(replicas))
+	for _, p := range replicas {
+		if p != e.opts.Site {
+			peers = append(peers, p)
+		}
+	}
 
 	// Local tentative apply under lock — the coordinator is also the
 	// first participant.
@@ -264,7 +267,7 @@ func (e *Engine) Update(ctx context.Context, peers []wire.SiteID, key string, de
 		return fmt.Errorf("%w: local commit: %v", ErrAborted, err)
 	}
 	e.observe(txnID, key, true, false)
-	return e.commitBroadcast(ctx, peers, txnID, key)
+	return e.commitBroadcast(ctx, replicas[0], peers, txnID)
 }
 
 // prepareAll runs phase 1: prepare at every peer simultaneously (paper:
@@ -319,12 +322,8 @@ func (e *Engine) prepareAll(ctx context.Context, peers []wire.SiteID, txnID uint
 
 // commitBroadcast distributes a COMMIT decision for a locally durable
 // transaction and applies the paper's completion rule: the round is
-// complete only once the base site acknowledged.
-func (e *Engine) commitBroadcast(ctx context.Context, peers []wire.SiteID, txnID uint64, key string) error {
-	base := e.opts.Base
-	if e.opts.BaseFor != nil {
-		base = e.opts.BaseFor(key)
-	}
+// complete only once the base acknowledged.
+func (e *Engine) commitBroadcast(ctx context.Context, base wire.SiteID, peers []wire.SiteID, txnID uint64) error {
 	baseAcked := base == e.opts.Site // self-ack when we host the base
 	e.broadcastDecision(ctx, peers, txnID, true, func(p wire.SiteID, ok bool) {
 		if p == base && ok {

@@ -23,7 +23,8 @@ type harness struct {
 	net     *memnet.Net
 	engines []*Engine
 	stores  []*storage.Engine
-	peers   [][]wire.SiteID
+	// replicas lists every site, base 0 first: each Update's replica set.
+	replicas []wire.SiteID
 }
 
 func newHarness(t *testing.T, n int, initial int64) *harness {
@@ -42,7 +43,7 @@ func newHarnessNet(t *testing.T, n int, initial int64, opts memnet.Options) *har
 		t.Cleanup(func() { eng.Close() })
 		eng.Put(storage.Record{Key: "k", Amount: initial, Class: storage.NonRegular})
 		tm := txn.NewManager(eng, lockmgr.Options{WaitTimeout: 300 * time.Millisecond})
-		e := New(Options{Site: wire.SiteID(i), Base: 0, PrepareTimeout: 500 * time.Millisecond}, tm)
+		e := New(Options{Site: wire.SiteID(i), PrepareTimeout: 500 * time.Millisecond}, tm)
 		node, err := h.net.Open(wire.SiteID(i), func(e *Engine) transport.Handler {
 			return func(ctx context.Context, from wire.SiteID, msg wire.Message) wire.Message {
 				switch m := msg.(type) {
@@ -62,13 +63,7 @@ func newHarnessNet(t *testing.T, n int, initial int64, opts memnet.Options) *har
 		h.stores = append(h.stores, eng)
 	}
 	for i := 0; i < n; i++ {
-		var ps []wire.SiteID
-		for j := 0; j < n; j++ {
-			if j != i {
-				ps = append(ps, wire.SiteID(j))
-			}
-		}
-		h.peers = append(h.peers, ps)
+		h.replicas = append(h.replicas, wire.SiteID(i))
 	}
 	return h
 }
@@ -88,7 +83,7 @@ func (h *harness) amounts(t *testing.T) []int64 {
 
 func TestCommitAppliesEverywhere(t *testing.T) {
 	h := newHarness(t, 3, 100)
-	if err := h.engines[1].Update(context.Background(), h.peers[1], "k", -40); err != nil {
+	if err := h.engines[1].Update(context.Background(), h.replicas, "k", -40); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range h.amounts(t) {
@@ -105,7 +100,7 @@ func TestCommitAppliesEverywhere(t *testing.T) {
 
 func TestCoordinatorAtBase(t *testing.T) {
 	h := newHarness(t, 3, 100)
-	if err := h.engines[0].Update(context.Background(), h.peers[0], "k", 25); err != nil {
+	if err := h.engines[0].Update(context.Background(), h.replicas, "k", 25); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range h.amounts(t) {
@@ -151,7 +146,7 @@ func TestDecisionFollowsDurableCommitUnderEpochs(t *testing.T) {
 	var engines []*Engine
 	for i, s := range []*storage.Engine{coord, part} {
 		tm := txn.NewManager(s, lockmgr.Options{WaitTimeout: 300 * time.Millisecond})
-		e := New(Options{Site: wire.SiteID(i), Base: 0, PrepareTimeout: 500 * time.Millisecond}, tm)
+		e := New(Options{Site: wire.SiteID(i), PrepareTimeout: 500 * time.Millisecond}, tm)
 		node, err := net.Open(wire.SiteID(i), func(ctx context.Context, from wire.SiteID, msg wire.Message) wire.Message {
 			switch m := msg.(type) {
 			case *wire.IUPrepare:
@@ -178,7 +173,7 @@ func TestDecisionFollowsDurableCommitUnderEpochs(t *testing.T) {
 
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
-		if err := engines[0].Update(context.Background(), []wire.SiteID{1}, "k", -1); err != nil {
+		if err := engines[0].Update(context.Background(), []wire.SiteID{0, 1}, "k", -1); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 	}
@@ -199,7 +194,7 @@ func TestDecisionFollowsDurableCommitUnderEpochs(t *testing.T) {
 
 func TestValidationAbortsEverywhere(t *testing.T) {
 	h := newHarness(t, 3, 10)
-	err := h.engines[1].Update(context.Background(), h.peers[1], "k", -50)
+	err := h.engines[1].Update(context.Background(), h.replicas, "k", -50)
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
@@ -209,14 +204,14 @@ func TestValidationAbortsEverywhere(t *testing.T) {
 		}
 	}
 	// No locks leaked: a follow-up valid update succeeds.
-	if err := h.engines[1].Update(context.Background(), h.peers[1], "k", -5); err != nil {
+	if err := h.engines[1].Update(context.Background(), h.replicas, "k", -5); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnknownKeyAborts(t *testing.T) {
 	h := newHarness(t, 2, 10)
-	if err := h.engines[0].Update(context.Background(), h.peers[0], "ghost", 1); !errors.Is(err, ErrAborted) {
+	if err := h.engines[0].Update(context.Background(), h.replicas, "ghost", 1); !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -224,7 +219,7 @@ func TestUnknownKeyAborts(t *testing.T) {
 func TestParticipantUnreachableAborts(t *testing.T) {
 	h := newHarness(t, 3, 100)
 	h.net.Crash(2)
-	err := h.engines[1].Update(context.Background(), h.peers[1], "k", -10)
+	err := h.engines[1].Update(context.Background(), h.replicas, "k", -10)
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
@@ -236,7 +231,7 @@ func TestParticipantUnreachableAborts(t *testing.T) {
 	}
 	// After the site returns, updates flow again.
 	h.net.Restart(2)
-	if err := h.engines[1].Update(context.Background(), h.peers[1], "k", -10); err != nil {
+	if err := h.engines[1].Update(context.Background(), h.replicas, "k", -10); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range h.amounts(t) {
@@ -262,7 +257,7 @@ func TestConcurrentUpdatesSerialize(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for attempt := 0; attempt < 300; attempt++ {
-				err := h.engines[site].Update(context.Background(), h.peers[site], "k", perUpdate)
+				err := h.engines[site].Update(context.Background(), h.replicas, "k", perUpdate)
 				if err == nil {
 					return
 				}
@@ -307,7 +302,7 @@ func TestSweepAbortsOrphanedPrepares(t *testing.T) {
 	if n, _ := h.stores[1].Amount("k"); n != 100 {
 		t.Fatalf("swept txn mutated data: %d", n)
 	}
-	if err := h.engines[0].Update(context.Background(), h.peers[0], "k", -1); err != nil {
+	if err := h.engines[0].Update(context.Background(), h.replicas, "k", -1); err != nil {
 		t.Fatalf("after sweep: %v", err)
 	}
 }
@@ -341,7 +336,7 @@ func TestBaseAckRequiredForCompletion(t *testing.T) {
 		t.Cleanup(func() { eng.Close() })
 		eng.Put(storage.Record{Key: "k", Amount: 100})
 		tm := txn.NewManager(eng, lockmgr.Options{WaitTimeout: 300 * time.Millisecond})
-		e := New(Options{Site: wire.SiteID(i), Base: 0, PrepareTimeout: 300 * time.Millisecond}, tm)
+		e := New(Options{Site: wire.SiteID(i), PrepareTimeout: 300 * time.Millisecond}, tm)
 		node, err := net.Open(wire.SiteID(i), func(e *Engine) transport.Handler {
 			return func(ctx context.Context, from wire.SiteID, msg wire.Message) wire.Message {
 				switch m := msg.(type) {
@@ -360,7 +355,7 @@ func TestBaseAckRequiredForCompletion(t *testing.T) {
 		engines = append(engines, e)
 		stores = append(stores, eng)
 	}
-	err := engines[1].Update(context.Background(), []wire.SiteID{0, 2}, "k", -10)
+	err := engines[1].Update(context.Background(), []wire.SiteID{0, 1, 2}, "k", -10)
 	if !errors.Is(err, ErrCompletionUnknown) {
 		t.Fatalf("err = %v, want ErrCompletionUnknown", err)
 	}
@@ -384,7 +379,7 @@ func BenchmarkImmediateUpdate3Sites(b *testing.B) {
 		defer eng.Close()
 		eng.Put(storage.Record{Key: "k", Amount: 1 << 40})
 		tm := txn.NewManager(eng, lockmgr.Options{})
-		e := New(Options{Site: wire.SiteID(i), Base: 0}, tm)
+		e := New(Options{Site: wire.SiteID(i)}, tm)
 		node, _ := net.Open(wire.SiteID(i), func(e *Engine) transport.Handler {
 			return func(ctx context.Context, from wire.SiteID, msg wire.Message) wire.Message {
 				switch m := msg.(type) {
@@ -402,7 +397,7 @@ func BenchmarkImmediateUpdate3Sites(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := engines[1].Update(ctx, []wire.SiteID{0, 2}, "k", -1); err != nil {
+		if err := engines[1].Update(ctx, []wire.SiteID{0, 1, 2}, "k", -1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -442,7 +437,7 @@ func TestParticipantVotesAbortOnValidation(t *testing.T) {
 	// releasing all prepared state.
 	h := newHarness(t, 3, 100)
 	h.stores[2].Put(storage.Record{Key: "k", Amount: 3, Class: storage.NonRegular})
-	err := h.engines[0].Update(context.Background(), h.peers[0], "k", -10)
+	err := h.engines[0].Update(context.Background(), h.replicas, "k", -10)
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v, want abort", err)
 	}
@@ -471,7 +466,7 @@ func TestCoordinatorDeathAfterPrepareFreesParticipant(t *testing.T) {
 		t.Fatalf("prepare refused: %s", vote.Reason)
 	}
 	// The prepared txn holds the lock: a local immediate update times out.
-	if err := h.engines[1].Update(context.Background(), h.peers[1], "k", -1); !errors.Is(err, ErrAborted) {
+	if err := h.engines[1].Update(context.Background(), h.replicas, "k", -1); !errors.Is(err, ErrAborted) {
 		t.Fatalf("expected lock-blocked abort, got %v", err)
 	}
 	if n := e.Sweep(time.Now().Add(time.Minute)); n != 1 {
@@ -485,7 +480,7 @@ func TestCoordinatorDeathAfterPrepareFreesParticipant(t *testing.T) {
 	if ack.OK {
 		t.Fatal("acked commit of a swept (presumed-aborted) txn")
 	}
-	if err := h.engines[1].Update(context.Background(), h.peers[1], "k", -1); err != nil {
+	if err := h.engines[1].Update(context.Background(), h.replicas, "k", -1); err != nil {
 		t.Fatalf("update after sweep: %v", err)
 	}
 	if got := h.amounts(t); got[0] != 99 || got[1] != 99 {
@@ -499,7 +494,7 @@ func TestDecisionRetriedThroughDrops(t *testing.T) {
 	// handler (each retry is a fresh call) still applies exactly once.
 	drop := &decisionDropper{remaining: 1}
 	h := newHarnessNet(t, 2, 100, memnet.Options{CallTimeout: 2 * time.Second, Interceptor: drop})
-	if err := h.engines[0].Update(context.Background(), h.peers[0], "k", -25); err != nil {
+	if err := h.engines[0].Update(context.Background(), h.replicas, "k", -25); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.amounts(t); got[0] != 75 || got[1] != 75 {
@@ -548,7 +543,7 @@ func TestAbortOvertakesPrepare(t *testing.T) {
 		t.Fatal("aborted txn left prepared state")
 	}
 	// The lock must be free: a fresh update goes straight through.
-	if err := h.engines[0].Update(context.Background(), h.peers[0], "k", -1); err != nil {
+	if err := h.engines[0].Update(context.Background(), h.replicas, "k", -1); err != nil {
 		t.Fatalf("key still locked after overtaken prepare: %v", err)
 	}
 	if n, _ := h.stores[1].Amount("k"); n != 99 {

@@ -11,7 +11,8 @@ func fuzzSeeds() []*Envelope {
 	msgs := []Message{
 		&AVRequest{Key: "product-0001", Amount: 25},
 		&AVReply{Key: "product-0001", Granted: 10, View: []AVInfo{{Site: 2, Key: "product-0001", Avail: 40}}},
-		&DeltaSync{Origin: 1, Deltas: []Delta{{Seq: 1, Key: "a", Amount: -3}, {Seq: 2, Key: "b", Amount: 4}}},
+		&DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []Delta{{Seq: 1, Key: "a", Amount: -3}, {Seq: 2, Key: "b", Amount: 4}}},
+		&DeltaSync{Origin: 1},
 		&DeltaSync{Origin: 1, FirstSeq: 7, Deltas: []Delta{{Seq: 9, Key: "a", Amount: -3}}},
 		&DeltaAck{Origin: 3, UpTo: 99},
 		&IUPrepare{TxnID: 12, Coord: 0, Key: "product-0002", Delta: -5},
@@ -31,15 +32,10 @@ func fuzzSeeds() []*Envelope {
 		&AVSettleAck{Xfer: 0x700000001, Amount: 10},
 		&DeltaSync{Origin: 1, FirstSeq: 7, Deltas: []Delta{{Seq: 9, Key: "a", Amount: -3}}, WindowTop: 11},
 		&RouteUpdate{MapVersion: 1, Key: "product-0005", Delta: -4},
-		&RouteReply{Status: RouteOK, Path: 0, Rounds: 1, Transferred: 5},
-		&RouteReply{Status: RouteNotReplica, Reason: "not hosted",
-			MapVersion: 2, Parts: 16, RF: 2, MapSites: []SiteID{0, 1, 2}},
-		// Extended frames: the trailing RYW token fields, with and
-		// without a piggybacked map refresh.
+		&RouteReply{Status: RouteNotReplica, Reason: "not hosted"},
+		&RouteReply{Status: RouteErr, ErrClass: RouteErrInsufficientAV, Reason: "need 9 held 4"},
 		&RouteReply{Status: RouteOK, Rounds: 2, Transferred: 9, AppliedSite: 4, AppliedLSN: 77},
-		&RouteReply{Status: RouteOK, Rounds: 1, Transferred: 3,
-			MapVersion: 3, Parts: 16, RF: 2, MapSites: []SiteID{1, 2, 5},
-			AppliedSite: 5, AppliedLSN: 0x1_0000_0001},
+		&RouteReply{Status: RouteOK, Rounds: 1, Transferred: 3, AppliedSite: 5, AppliedLSN: 0x1_0000_0001},
 	}
 	envs := make([]*Envelope, 0, len(msgs)+1)
 	for i, m := range msgs {
@@ -64,11 +60,16 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
-	// A vote and an ack with a stray trailing byte, the shape an
-	// epoch-stamped frame had: both must decode to an error.
-	for _, m := range []Message{&IUVote{TxnID: 12, OK: true}, &IUAck{TxnID: 12, OK: true}} {
+	// A vote, an ack and a route reply with a stray trailing byte (the
+	// shape an epoch-stamped vote or ack and a map-carrying reply had),
+	// and a route reply cut before its applied LSN: all must decode to an
+	// error.
+	for _, m := range []Message{&IUVote{TxnID: 12, OK: true}, &IUAck{TxnID: 12, OK: true},
+		&RouteReply{Status: RouteOK, AppliedSite: 4, AppliedLSN: 77}} {
 		f.Add(append(EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: m}), 0x09))
 	}
+	routed := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: &RouteReply{Status: RouteOK, AppliedSite: 4, AppliedLSN: 77}})
+	f.Add(routed[:len(routed)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeEnvelope(data)

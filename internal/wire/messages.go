@@ -51,7 +51,7 @@ const (
 	KindAVSettleAck
 
 	// Partitioned routing: an update forwarded to a replica of the key's
-	// partition, and its outcome (possibly a map redirect).
+	// partition, and its outcome.
 	KindRouteUpdate
 	KindRouteReply
 )
@@ -214,15 +214,13 @@ type Delta struct {
 // DeltaSync carries a batch of deltas from Origin's log for lazy replica
 // convergence.
 //
-// FirstSeq selects how receivers apply the batch. Zero (the original
-// format's implicit value) means the entries are verbatim log records:
-// the receiver applies the contiguous new prefix, deduplicating by Seq.
-// Nonzero marks a coalesced window: the sender merged same-key deltas
-// covering origin sequences [FirstSeq, max entry Seq], so individual
-// sequences are no longer recoverable and the receiver must apply the
-// whole batch if and only if FirstSeq is exactly one past its applied
-// watermark, acknowledging its current watermark otherwise so the
-// sender realigns on the next flush.
+// Every batch is a coalesced window: the sender merged same-key deltas
+// covering origin sequences [FirstSeq, max entry Seq] (FirstSeq >= 1),
+// so individual sequences are no longer recoverable and the receiver
+// applies the whole batch if and only if FirstSeq is exactly one past
+// its applied watermark, acknowledging its current watermark otherwise
+// so the sender realigns on the next flush. A batch with no entries and
+// no WindowTop (a caught-up pull reply) covers nothing.
 //
 // WindowTop, when nonzero, is the last origin sequence the coalesced
 // window covers. A partially replicating sender (partitioned clusters)
@@ -601,8 +599,7 @@ func (m *AVSettleAck) decode(r *reader) (err error) {
 
 // RouteUpdate forwards an update to a site hosting the key's partition
 // (normally the owner). MapVersion is the sender's partition-map
-// version, so the receiver can detect that the sender routed by a
-// different map and attach its own to the reply.
+// version; maps are static, so it is always 1 and receivers ignore it.
 type RouteUpdate struct {
 	MapVersion uint64
 	Key        string
@@ -648,20 +645,14 @@ const (
 )
 
 // RouteReply reports a RouteUpdate's outcome. On RouteOK, Path, Rounds
-// and Transferred mirror the serving replica's core.Result. On
-// RouteErr, ErrClass and Reason carry the failure. Whenever the
-// receiver's partition map differs from the sender's, MapVersion is
-// nonzero and MapVersion/Parts/RF/MapSites carry the receiver's map so
-// a stale sender can rebuild it and re-route (RouteNotReplica always
-// attaches it: the redirect of PROTOCOL.md's stale-map rule).
-//
-// On RouteOK, AppliedSite/AppliedLSN carry the serving replica's
-// read-your-writes position: the site whose plane applied the commit
-// and the LSN it reached there. The origin mints its RYW token from
-// this pair — the token must gate the *applying* site's read plane, not
-// the origin's, whose local LSN never saw the commit. AppliedLSN zero
-// (encoded by omission, like AVRequest.Xfer) means the serving replica
-// predates token-carrying replies or had no plane position to report.
+// and Transferred mirror the serving replica's core.Result, and
+// AppliedSite/AppliedLSN carry its read-your-writes position: the site
+// whose plane applied the commit and the LSN it reached there. The
+// origin mints its RYW token from this pair — the token must gate the
+// *applying* site's read plane, not the origin's, whose local LSN never
+// saw the commit. On RouteErr, ErrClass and Reason carry the failure;
+// RouteNotReplica means the receiver does not host the key and applied
+// nothing.
 type RouteReply struct {
 	Status      uint8
 	ErrClass    uint8
@@ -669,14 +660,6 @@ type RouteReply struct {
 	Path        uint8
 	Rounds      uint32
 	Transferred int64
-
-	// Redirect map (absent when MapVersion is 0).
-	MapVersion uint64
-	Parts      uint32
-	RF         uint32
-	MapSites   []SiteID
-
-	// RYW token position (absent when AppliedLSN is 0).
 	AppliedSite SiteID
 	AppliedLSN  uint64
 }
@@ -690,20 +673,8 @@ func (m *RouteReply) encode(b []byte) []byte {
 	b = append(b, m.Path)
 	b = appendUvarint(b, uint64(m.Rounds))
 	b = appendVarint(b, m.Transferred)
-	b = appendUvarint(b, m.MapVersion)
-	if m.MapVersion != 0 {
-		b = appendUvarint(b, uint64(m.Parts))
-		b = appendUvarint(b, uint64(m.RF))
-		b = appendUvarint(b, uint64(len(m.MapSites)))
-		for _, s := range m.MapSites {
-			b = appendUvarint(b, uint64(s))
-		}
-	}
-	if m.AppliedLSN != 0 {
-		b = appendUvarint(b, uint64(m.AppliedSite))
-		b = appendUvarint(b, m.AppliedLSN)
-	}
-	return b
+	b = appendUvarint(b, uint64(m.AppliedSite))
+	return appendUvarint(b, m.AppliedLSN)
 }
 
 func (m *RouteReply) decode(r *reader) (err error) {
@@ -727,52 +698,13 @@ func (m *RouteReply) decode(r *reader) (err error) {
 	if m.Transferred, err = r.varint(); err != nil {
 		return err
 	}
-	if m.MapVersion, err = r.uvarint(); err != nil {
+	site, err := r.uvarint()
+	if err != nil {
 		return err
 	}
-	if m.MapVersion != 0 {
-		parts, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		m.Parts = uint32(parts)
-		rf, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		m.RF = uint32(rf)
-		n, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if n > uint64(r.remaining()) {
-			return ErrTooLong
-		}
-		m.MapSites = make([]SiteID, n)
-		for i := range m.MapSites {
-			s, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			m.MapSites[i] = SiteID(s)
-		}
-	}
-	// Optional trailing token position: present in both map branches, so
-	// the extension composes with redirects.
-	if r.remaining() > 0 {
-		site, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		m.AppliedSite = SiteID(site)
-		if m.AppliedLSN, err = r.uvarint(); err != nil {
-			return err
-		}
-		if m.AppliedLSN == 0 {
-			return ErrNonCanonical
-		}
-	}
-	return nil
+	m.AppliedSite = SiteID(site)
+	m.AppliedLSN, err = r.uvarint()
+	return err
 }
 
 // newMessage returns a zero value of the concrete type for kind.

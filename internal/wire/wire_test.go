@@ -29,7 +29,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&AVRequest{Key: "p17", Amount: -42},
 		&AVReply{Key: "p17", Granted: 500, View: []AVInfo{{Site: 0, Key: "p17", Avail: 1000}, {Site: 2, Key: "p3", Avail: -7}}},
 		&AVReply{Key: "", Granted: 0, View: nil},
-		&DeltaSync{Origin: 1, Deltas: []Delta{{Seq: 1, Key: "a", Amount: -3}, {Seq: 2, Key: "b", Amount: 9}}},
+		&DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []Delta{{Seq: 1, Key: "a", Amount: -3}, {Seq: 2, Key: "b", Amount: 9}}},
 		&DeltaSync{Origin: 0, Deltas: nil},
 		&DeltaAck{Origin: 2, UpTo: 12345},
 		&IUPrepare{TxnID: 99, Coord: 1, Key: "nonreg-4", Delta: -10},
@@ -57,8 +57,8 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&RouteUpdate{MapVersion: 7, Key: "", Delta: 0},
 		&RouteReply{Status: RouteOK, Path: 1, Rounds: 2, Transferred: 30},
 		&RouteReply{Status: RouteErr, ErrClass: RouteErrInsufficientAV, Reason: "need 9 held 4"},
-		&RouteReply{Status: RouteNotReplica, Reason: "partition 3 not hosted",
-			MapVersion: 2, Parts: 16, RF: 2, MapSites: []SiteID{0, 1, 2, 3, 4, 5}},
+		&RouteReply{Status: RouteNotReplica, Reason: "partition 3 not hosted"},
+		&RouteReply{Status: RouteOK, Rounds: 1, Transferred: 3, AppliedSite: 5, AppliedLSN: 0x1_0000_0001},
 	}
 	for _, m := range msgs {
 		got := roundTrip(t, m)
@@ -123,6 +123,34 @@ func TestEpochOptionalFields(t *testing.T) {
 			if _, err := DecodeEnvelope(appendUvarint(append([]byte{}, frame...), epoch)); err == nil {
 				t.Errorf("%T: trailing epoch %d accepted", m, epoch)
 			}
+		}
+	}
+}
+
+// TestRouteReplyFixedFields pins that route.reply has no optional
+// part: the applied site and LSN are always encoded, zero included, and
+// a reply cut short anywhere or carrying a trailing byte is rejected.
+func TestRouteReplyFixedFields(t *testing.T) {
+	rep := &RouteReply{Status: RouteErr, ErrClass: RouteErrAborted, Reason: "no"}
+	want := appendString([]byte{RouteErr, RouteErrAborted}, "no")
+	want = append(want, 0)        // path
+	want = appendUvarint(want, 0) // rounds
+	want = appendVarint(want, 0)  // transferred
+	want = appendUvarint(want, 0) // applied site
+	want = appendUvarint(want, 0) // applied LSN
+	if got := rep.encode(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("encoding %x, want %x", got, want)
+	}
+	full := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, IsReply: true,
+		Msg: &RouteReply{Status: RouteOK, Rounds: 2, Transferred: 9, AppliedSite: 4, AppliedLSN: 77}})
+	for n := 0; n < len(full); n++ {
+		if _, err := DecodeEnvelope(full[:n]); err == nil {
+			t.Fatalf("reply truncated to %d of %d bytes accepted", n, len(full))
+		}
+	}
+	for _, b := range []byte{0x00, 0x01} {
+		if _, err := DecodeEnvelope(append(append([]byte{}, full...), b)); err == nil {
+			t.Fatalf("reply with trailing byte %#x accepted", b)
 		}
 	}
 }
@@ -199,7 +227,7 @@ func TestUntracedEnvelopeStaysV1(t *testing.T) {
 func TestLegacyV1EnvelopesStillDecode(t *testing.T) {
 	msgs := []Message{
 		&AVRequest{Key: "p17", Amount: -42},
-		&DeltaSync{Origin: 1, Deltas: []Delta{{Seq: 1, Key: "a", Amount: -3}}},
+		&DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []Delta{{Seq: 1, Key: "a", Amount: -3}}},
 		&IUPrepare{TxnID: 99, Coord: 1, Key: "nonreg-4", Delta: -10},
 		&SyncPull{},
 	}
@@ -350,7 +378,7 @@ func TestQuickDeltaSyncRoundTrip(t *testing.T) {
 		if len(amounts) < n {
 			n = len(amounts)
 		}
-		in := &DeltaSync{Origin: SiteID(origin)}
+		in := &DeltaSync{Origin: SiteID(origin), FirstSeq: 1}
 		for i := 0; i < n; i++ {
 			in.Deltas = append(in.Deltas, Delta{Seq: uint64(seqs[i]), Key: keys[i], Amount: amounts[i]})
 		}
@@ -408,7 +436,7 @@ func BenchmarkDecodeAVRequest(b *testing.B) {
 }
 
 func BenchmarkEncodeDeltaSync64(b *testing.B) {
-	m := &DeltaSync{Origin: 1}
+	m := &DeltaSync{Origin: 1, FirstSeq: 1}
 	for i := 0; i < 64; i++ {
 		m.Deltas = append(m.Deltas, Delta{Seq: uint64(i + 1), Key: "product-0001", Amount: int64(-i)})
 	}
