@@ -25,12 +25,14 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"avdb/internal/txn"
 )
 
 // AV table errors.
 var (
 	ErrUndefined = errors.New("av: no allowable volume defined for key")
-	ErrOverspend = errors.New("av: attempt to consume or release more than held")
+	ErrOverspend = errors.New("av: attempt to spend or release more than held")
 	ErrNegative  = errors.New("av: negative amount")
 )
 
@@ -273,10 +275,10 @@ func (t *Table) Release(key string, n int64) error {
 	return nil
 }
 
-// Consume destroys n held units — the commit of a decrement update. The
+// Spend destroys n held units — the commit of a decrement update. The
 // destroyed slack is exactly matched by the decrement of the datum, so
 // global conservation is preserved.
-func (t *Table) Consume(key string, n int64) error {
+func (t *Table) Spend(key string, n int64) error {
 	if n < 0 {
 		return ErrNegative
 	}
@@ -287,27 +289,20 @@ func (t *Table) Consume(key string, n int64) error {
 		return ErrUndefined
 	}
 	if e.held < n {
-		return fmt.Errorf("%w: consume %d held %d", ErrOverspend, n, e.held)
+		return fmt.Errorf("%w: spend %d held %d", ErrOverspend, n, e.held)
 	}
 	e.held -= n
 	return nil
 }
 
-// ConsumeAsync is Consume in the shape core.AVTable asks of durable
-// tables: a volatile table has nothing to wait for, so the wait is a
-// no-op.
-func (t *Table) ConsumeAsync(key string, n int64) (wait func() error, err error) {
-	if err := t.Consume(key, n); err != nil {
-		return nil, err
-	}
-	return noWait, nil
-}
+// Stage is the durable half of a balance change in the shape
+// core.AVTable asks of durable tables: a volatile table has no balance
+// row, so it stages nothing into tx.
+func (t *Table) Stage(tx *txn.Txn, key string, n int64) {}
 
-func noWait() error { return nil }
-
-// Credit adds n fresh units of available volume — an increment update
+// Fund adds n fresh units of available volume — an increment update
 // creating new slack, or an inbound AV transfer.
-func (t *Table) Credit(key string, n int64) error {
+func (t *Table) Fund(key string, n int64) error {
 	if n < 0 {
 		return ErrNegative
 	}

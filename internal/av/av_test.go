@@ -41,8 +41,8 @@ func TestUndefinedKeyOps(t *testing.T) {
 	if _, err := tbl.Acquire("x", 10); !errors.Is(err, ErrUndefined) {
 		t.Fatalf("Acquire: %v", err)
 	}
-	if err := tbl.Credit("x", 10); !errors.Is(err, ErrUndefined) {
-		t.Fatalf("Credit: %v", err)
+	if err := tbl.Fund("x", 10); !errors.Is(err, ErrUndefined) {
+		t.Fatalf("Fund: %v", err)
 	}
 	if _, err := tbl.Debit("x", 10); !errors.Is(err, ErrUndefined) {
 		t.Fatalf("Debit: %v", err)
@@ -100,7 +100,7 @@ func TestHoldLifecycle(t *testing.T) {
 		t.Fatalf("held = %d", tbl.Held("p"))
 	}
 	// Update commits spending 70; surplus 20 returns to the table.
-	if err := tbl.Consume("p", 70); err != nil {
+	if err := tbl.Spend("p", 70); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Release("p", 20); err != nil {
@@ -128,7 +128,7 @@ func TestOverspendRejected(t *testing.T) {
 	tbl := NewTable()
 	tbl.Define("p", 10)
 	tbl.AcquireUpTo("p", 10)
-	if err := tbl.Consume("p", 11); !errors.Is(err, ErrOverspend) {
+	if err := tbl.Spend("p", 11); !errors.Is(err, ErrOverspend) {
 		t.Fatalf("over-consume: %v", err)
 	}
 	if err := tbl.Release("p", 11); !errors.Is(err, ErrOverspend) {
@@ -164,8 +164,8 @@ func TestNegativeAmountsRejectedEverywhere(t *testing.T) {
 	if _, err := tbl.Acquire("p", -1); !errors.Is(err, ErrNegative) {
 		t.Fatal("Acquire")
 	}
-	if err := tbl.Credit("p", -1); !errors.Is(err, ErrNegative) {
-		t.Fatal("Credit")
+	if err := tbl.Fund("p", -1); !errors.Is(err, ErrNegative) {
+		t.Fatal("Fund")
 	}
 	if err := tbl.CreditHeld("p", -1); !errors.Is(err, ErrNegative) {
 		t.Fatal("CreditHeld")
@@ -173,8 +173,8 @@ func TestNegativeAmountsRejectedEverywhere(t *testing.T) {
 	if err := tbl.Release("p", -1); !errors.Is(err, ErrNegative) {
 		t.Fatal("Release")
 	}
-	if err := tbl.Consume("p", -1); !errors.Is(err, ErrNegative) {
-		t.Fatal("Consume")
+	if err := tbl.Spend("p", -1); !errors.Is(err, ErrNegative) {
+		t.Fatal("Spend")
 	}
 	if _, err := tbl.Debit("p", -1); !errors.Is(err, ErrNegative) {
 		t.Fatal("Debit")
@@ -218,7 +218,7 @@ func TestTransferConservation(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if err := to.Credit("k", granted); err != nil {
+			if err := to.Fund("k", granted); err != nil {
 				return false
 			}
 			// Random holds and releases interleave with transfers.
@@ -273,7 +273,7 @@ func TestConcurrentHoldsNeverOverdraw(t *testing.T) {
 					continue
 				}
 				if r.Bool(0.8) {
-					if err := tbl.Consume("k", n); err != nil {
+					if err := tbl.Spend("k", n); err != nil {
 						t.Error(err)
 						return
 					}
@@ -306,7 +306,7 @@ func BenchmarkAcquireConsume(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if ok, _ := tbl.Acquire("k", 1); ok {
-			tbl.Consume("k", 1)
+			tbl.Spend("k", 1)
 		}
 	}
 }

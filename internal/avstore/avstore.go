@@ -12,14 +12,20 @@
 //	av/o/<xfer>  a settle/cancel obligation: granter site and flag
 //
 // Holds are volatile: an update that did not commit before a crash must
-// not consume AV, so a restart counts its hold as available again.
+// not consume AV, so a restart counts its hold as available again. So
+// are received grants until the update that gathered them commits: a
+// crash before then loses them, as slack.
 //
-// Crash-safety discipline (the escrow rule): AV-decreasing rows are
-// written *before* their effect escapes the site or lands in the log,
-// AV-increasing rows *after* their cause is durable. A Delay Update's
-// spend is appended before its stock decrement, so every durable prefix
-// of the one log satisfies `AV <= stock`: a crash can only lose slack,
-// never mint it.
+// Crash-safety discipline: an AV change is durable no later than its
+// cause and its effect. A Delay Update's balance change — the spend net
+// of the grants it received, or an increment's slack — is staged into
+// the update's own transaction (Stage), so it is one WAL record with the
+// stock delta: every durable prefix of the one log holds both or
+// neither, satisfies `AV <= stock`, and a crash can only lose slack,
+// never mint it. A grant the update does not spend gets its balance row
+// in a batch of its own before its hold is released; a granter's debit
+// or escrow is durable before the grant leaves the site; an obligation
+// is durable before the credit it guards.
 package avstore
 
 import (
@@ -34,6 +40,7 @@ import (
 
 	"avdb/internal/av"
 	"avdb/internal/storage"
+	"avdb/internal/txn"
 	"avdb/internal/wal"
 )
 
@@ -66,14 +73,15 @@ type Options struct {
 }
 
 // Store is a durable AV table. It implements core.AVTable: the durable
-// operations are its own, the volatile ones (holds, reads) are the
-// embedded table's.
+// operations are its own, the volatile ones (holds, spends, funds,
+// reads) are the embedded table's, and Stage puts an update's balance
+// change into the update's transaction.
 //
-// Every durable operation pairs its table change with one engine batch
-// under s.mu, so the log holds AV changes in table order and every
-// prefix of it rebuilds a table the live one passed through. The
-// durability wait happens after s.mu is released, so concurrent ops
-// share a group commit (or an epoch) instead of serializing on it.
+// Every durable operation of its own pairs its table change with one
+// engine batch under s.mu, so the log holds those changes in table
+// order. The durability wait happens after s.mu is released, so
+// concurrent ops share a group commit (or an epoch) instead of
+// serializing on it.
 type Store struct {
 	*av.Table
 	eng *storage.Engine
@@ -238,54 +246,44 @@ func (s *Store) DefineAll(defs ...av.Def) error {
 	return s.write(func() error { return s.Table.DefineAll(defs...) }, ops...)
 }
 
-// Credit adds fresh available volume durably (an increment's slack). It
-// is called once its cause is durable, so a crash loses, never mints.
+// Stage adds the change of key's balance by n to tx, so it commits in
+// the batch of the stock delta it accounts for (see core.AVTable). A
+// zero change writes nothing: a defined key's row already exists.
+func (s *Store) Stage(tx *txn.Txn, key string, n int64) {
+	if n != 0 {
+		_ = tx.AddMeta(balanceRow(key), n) // fails only on a finished tx, whose commit writes nothing
+	}
+}
+
+// Credit adds fresh available volume durably, as a batch of its own. It
+// validates before writing (a defined key stays defined), so a credit
+// the table would refuse leaves no row behind.
 func (s *Store) Credit(key string, n int64) error {
-	return s.credit(key, n, s.Table.Credit)
-}
-
-// CreditHeld adds a received grant to the reservation. The grant is
-// already durably debited at the granter, so its balance row is written
-// at once, while the hold itself stays volatile: a crash before the
-// update commits returns the volume to `avail`.
-func (s *Store) CreditHeld(key string, n int64) error {
-	return s.credit(key, n, s.Table.CreditHeld)
-}
-
-// credit validates before writing (a defined key stays defined), so a
-// credit the table would refuse leaves no row behind.
-func (s *Store) credit(key string, n int64, apply func(string, int64) error) error {
 	if n < 0 {
 		return av.ErrNegative
 	}
 	if !s.Table.Defined(key) {
 		return av.ErrUndefined
 	}
-	return s.write(func() error { return apply(key, n) }, addBalance(key, n))
+	return s.write(func() error { return s.Table.Fund(key, n) }, addBalance(key, n))
 }
 
-// Consume destroys n held units durably: ConsumeAsync and its wait.
+// Consume destroys n held units durably, as a batch of its own: the
+// table validates and spends, the spend row is appended, and Consume
+// returns once it is durable. If the row cannot be written the hold is
+// restored, so a failed spend leaves the table as it found it.
 func (s *Store) Consume(key string, n int64) error {
-	return wait(s.ConsumeAsync(key, n))
-}
-
-// ConsumeAsync spends n held units: the table validates and consumes,
-// the spend row is appended, and the returned wait blocks until that row
-// is durable. The caller must not acknowledge the spend before the wait
-// resolves. If the row cannot be written the hold is restored, so a
-// failed spend leaves the table as it found it.
-func (s *Store) ConsumeAsync(key string, n int64) (func() error, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.Table.Consume(key, n); err != nil {
-		return nil, err
+	if err := s.Table.Spend(key, n); err != nil {
+		s.mu.Unlock()
+		return err
 	}
 	w, err := s.eng.ApplyAsync(addBalance(key, -n))
 	if err != nil {
 		_ = s.Table.CreditHeld(key, n)
-		return nil, err
 	}
-	return w, nil
+	s.mu.Unlock()
+	return wait(w, err)
 }
 
 // Debit removes up to n available units for an outbound transfer,
@@ -299,7 +297,7 @@ func (s *Store) Debit(key string, n int64) (int64, error) {
 	var w func() error
 	if err == nil && taken > 0 {
 		if w, err = s.eng.ApplyAsync(addBalance(key, -taken)); err != nil {
-			_ = s.Table.Credit(key, taken)
+			_ = s.Table.Fund(key, taken)
 		}
 	}
 	s.mu.Unlock()

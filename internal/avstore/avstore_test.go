@@ -1,6 +1,7 @@
 package avstore
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,8 +12,10 @@ import (
 
 	"avdb/internal/av"
 	"avdb/internal/core"
+	"avdb/internal/lockmgr"
 	"avdb/internal/rng"
 	"avdb/internal/storage"
+	"avdb/internal/txn"
 	"avdb/internal/wal"
 )
 
@@ -137,15 +140,28 @@ func TestHoldsAreVolatile(t *testing.T) {
 	}
 }
 
+// TestReceivedGrantSurvivesRestart: a peer's grant arrives into the
+// hold of an update that then fails. The hold writes nothing; the grant
+// is staged in a transaction of its own and committed before the hold
+// is released, and a restart returns it to avail.
 func TestReceivedGrantSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
 	s.Define("k", 10)
 	s.AcquireUpTo("k", 10)
-	// A peer's grant arrives into the hold; we crash before committing
-	// the update. The grant is durable (the peer durably debited it),
-	// and recovery returns it to avail.
+	lsn := s.eng.LastLSN()
 	if err := s.CreditHeld("k", 25); err != nil {
+		t.Fatal(err)
+	}
+	if s.eng.LastLSN() != lsn {
+		t.Fatal("a received grant wrote a row before its update committed")
+	}
+	tx := txn.NewManager(s.eng, lockmgr.Options{}).Begin()
+	s.Stage(tx, "k", 25)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release("k", 35); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -153,6 +169,41 @@ func TestReceivedGrantSurvivesRestart(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Avail("k"); got != 35 {
 		t.Fatalf("recovered avail = %d, want 10+25", got)
+	}
+}
+
+// TestStagedChangeCommitsWithTheStock: a staged balance change commits
+// in the stock transaction's batch, and a zero change stages nothing.
+func TestStagedChangeCommitsWithTheStock(t *testing.T) {
+	dir := t.TempDir()
+	s, eng := openOn(t, storage.Options{Dir: dir, NoSync: true})
+	if err := eng.Put(storage.Record{Key: "k", Amount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Define("k", 100); err != nil {
+		t.Fatal(err)
+	}
+	tm := txn.NewManager(eng, lockmgr.Options{})
+	for _, n := range []int64{-30, 0} {
+		tx := tm.Begin()
+		if _, err := tx.ApplyDelta(context.Background(), "k", n); err != nil {
+			t.Fatal(err)
+		}
+		s.Stage(tx, "k", n)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lsn := eng.LastLSN(); lsn != 4 {
+		t.Fatalf("engine LSN = %d, want 4 (put, define, two commits)", lsn)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, eng2 := openOn(t, storage.Options{Dir: dir, NoSync: true})
+	defer eng2.Close()
+	if v, _ := eng2.Amount("k"); v != 70 || s2.Avail("k") != 70 {
+		t.Fatalf("stock %d / AV %d after restart, want 70/70", v, s2.Avail("k"))
 	}
 }
 
@@ -313,7 +364,7 @@ func TestFailedSpendRestoresHold(t *testing.T) {
 		t.Fatal("acquire")
 	}
 	eng.Close()
-	if _, err := s.ConsumeAsync("k", 30); !errors.Is(err, storage.ErrClosed) {
+	if err := s.Consume("k", 30); !errors.Is(err, storage.ErrClosed) {
 		t.Fatalf("spend on a closed engine: err = %v, want ErrClosed", err)
 	}
 	if s.Held("k") != 30 || s.Total("k") != 100 {

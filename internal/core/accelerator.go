@@ -268,22 +268,33 @@ func (a *Accelerator) peersFor(key string) []wire.SiteID {
 	return a.cfg.Partitions.PeersFor(a.cfg.Site, key)
 }
 
-// delayUpdate is the Delay Update path (Figs. 3 and 4).
+// delayUpdate is the Delay Update path (Figs. 3 and 4). Each served
+// update commits one storage batch — the stock delta carrying its
+// replication entry, plus the AV balance change staged beside it — and
+// waits once. The batch is atomic, so every durable prefix of a site's
+// log holds a stock change together with its AV change or neither: a
+// crash loses slack, never mints it.
 func (a *Accelerator) delayUpdate(ctx context.Context, key string, delta int64) (Result, error) {
 	if delta >= 0 {
-		// An increment creates slack: apply locally and credit the AV.
-		if err := a.applyLocal(ctx, key, delta); err != nil {
+		// An increment creates slack: its credit commits with the stock.
+		tx := a.tm.Begin()
+		if _, err := tx.ApplyDelta(ctx, key, delta); err != nil {
+			tx.Abort()
 			return Result{}, err
 		}
-		// Observe before the credit: a conservation checker watching
-		// expected stock must never see the freshly minted AV precede the
-		// stock that justifies it.
+		a.avt.Stage(tx, key, delta)
+		if _, err := a.repl.CommitWithRecord(tx, key, delta); err != nil {
+			return Result{}, err
+		}
+		// Observe before the in-memory credit: a conservation checker
+		// watching expected stock must never see the freshly minted AV
+		// precede the stock that justifies it. The credit cannot fail (the
+		// key is defined, delta is not negative), and the update is
+		// committed: nothing after this point may answer ERR.
 		if a.cfg.OnCommit != nil {
 			a.cfg.OnCommit(key, delta)
 		}
-		if err := a.avt.Credit(key, delta); err != nil {
-			return Result{}, err
-		}
+		_ = a.avt.Fund(key, delta)
 		a.stats.DelayLocal.Add(1)
 		return Result{Path: PathDelayLocal}, nil
 	}
@@ -305,45 +316,34 @@ func (a *Accelerator) delayUpdate(ctx context.Context, key string, delta int64) 
 		got, rounds, transferred = got2, rounds2, transferred2
 		if err != nil {
 			// Store all accumulated AV back in the local table (§3.3).
-			if relErr := a.avt.Release(key, got); relErr != nil {
-				return Result{}, relErr
-			}
 			a.stats.Insufficient.Add(1)
-			return Result{Rounds: rounds, Transferred: transferred}, err
+			return Result{Rounds: rounds, Transferred: transferred}, a.unspent(key, got, transferred, err)
 		}
 	}
 
 	// Enough volume is held. Validate the stock row under its exclusive
-	// lock first: a missing key or a lock timeout releases the hold
-	// untouched. Then append the AV spend, then commit the stock batch.
-	// On a durable site both are batches of one WAL and the spend's LSN
-	// is below the stock's, so the commit's one durability wait (a group
-	// commit, or an epoch boundary) covers both, and every durable prefix
-	// that holds the decrement holds its spend: a crash loses slack,
-	// never mints it. Past the validation only a closed or failed log
-	// can refuse, and then nothing is acknowledged.
+	// lock first: a missing key or a lock timeout returns the hold
+	// untouched. Then spend the hold and commit the stock delta with the
+	// balance change staged beside it: the spend net of the grants
+	// gathered for it, whose balance row is written by this commit. Past
+	// the validation only a closed or failed log can refuse; then the
+	// hold is restored and nothing is acknowledged.
 	tx := a.tm.Begin()
 	if _, err := tx.ApplyDelta(ctx, key, delta); err != nil {
 		tx.Abort()
-		a.avt.Release(key, got)
-		return Result{}, err
+		return Result{}, a.unspent(key, got, transferred, err)
 	}
-	spent, err := a.avt.ConsumeAsync(key, need)
-	if err != nil {
+	if err := a.avt.Spend(key, need); err != nil {
 		tx.Abort()
-		a.avt.Release(key, got)
-		return Result{}, err
+		return Result{}, a.unspent(key, got, transferred, err)
 	}
-	if _, err = a.repl.CommitWithRecord(tx, key, delta); err == nil {
-		err = spent()
+	a.avt.Stage(tx, key, transferred-need)
+	if _, err := a.repl.CommitWithRecord(tx, key, delta); err != nil {
+		_ = a.avt.CreditHeld(key, need) // restores the spend; cannot fail
+		return Result{}, a.unspent(key, got, transferred, err)
 	}
 	if got > need {
-		if rerr := a.avt.Release(key, got-need); err == nil {
-			err = rerr
-		}
-	}
-	if err != nil {
-		return Result{}, err
+		_ = a.avt.Release(key, got-need) // the surplus is held: cannot fail
 	}
 	res := Result{Path: PathDelayLocal, Rounds: rounds, Transferred: transferred}
 	if rounds > 0 {
@@ -356,6 +356,27 @@ func (a *Accelerator) delayUpdate(ctx context.Context, key string, delta int64) 
 		a.cfg.OnCommit(key, delta)
 	}
 	return res, nil
+}
+
+// unspent returns the hold of got units of an update that failed with
+// cause to the table, and returns cause. The transferred part of the
+// hold came from peers and has no balance row yet: it is staged in a
+// transaction of its own and committed before the release makes it
+// available — the one served path that writes twice.
+func (a *Accelerator) unspent(key string, got, transferred int64, cause error) error {
+	var err error
+	if transferred > 0 {
+		tx := a.tm.Begin()
+		a.avt.Stage(tx, key, transferred)
+		err = tx.Commit()
+	}
+	if rerr := a.avt.Release(key, got); err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return errors.Join(cause, err)
+	}
+	return cause
 }
 
 // gatherAV requests AV transfers until the hold reaches need or the
@@ -536,19 +557,6 @@ func (a *Accelerator) HandleSettle(ctx context.Context, from wire.SiteID, msg *w
 		return nil, err
 	}
 	return &wire.AVSettleAck{Xfer: msg.Xfer, Amount: n}, nil
-}
-
-// applyLocal commits delta to the local database under a (brief)
-// exclusive lock and records it for lazy propagation — atomically with
-// the data when the site is durable.
-func (a *Accelerator) applyLocal(ctx context.Context, key string, delta int64) error {
-	tx := a.tm.Begin()
-	if _, err := tx.ApplyDelta(ctx, key, delta); err != nil {
-		tx.Abort()
-		return err
-	}
-	_, err := a.repl.CommitWithRecord(tx, key, delta)
-	return err
 }
 
 // HandleAVRequest is the peer-side handler for AV transfer requests: the

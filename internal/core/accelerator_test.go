@@ -119,9 +119,9 @@ func TestDelayTransferFig1Scenario(t *testing.T) {
 	net := memnet.New(memnet.Options{})
 	_ = net
 	sites := buildSites(t, 3, 100, 0, strategy.SODA99())
-	sites[0].avt.Credit("k", 40)
-	sites[1].avt.Credit("k", 20)
-	sites[2].avt.Credit("k", 40)
+	sites[0].avt.Fund("k", 40)
+	sites[1].avt.Fund("k", 20)
+	sites[2].avt.Fund("k", 40)
 	res, err := sites[1].acc.Update(context.Background(), "k", -30)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestDelayTransferFig1Scenario(t *testing.T) {
 
 func TestGrantHalfLeavesDonorHalf(t *testing.T) {
 	sites := buildSites(t, 2, 1000, 0, strategy.SODA99())
-	sites[0].avt.Credit("k", 400)
+	sites[0].avt.Fund("k", 400)
 	// Site 1 asks for 100; SODA99 donor gives half its holding = 200.
 	res, err := sites[1].acc.Update(context.Background(), "k", -100)
 	if err != nil {
@@ -283,7 +283,7 @@ func TestPathString(t *testing.T) {
 func TestDisableGossipSuppressesView(t *testing.T) {
 	sites := buildSites(t, 3, 1000, 0, strategy.SODA99())
 	for _, s := range sites {
-		s.avt.Credit("k", 300)
+		s.avt.Fund("k", 300)
 	}
 	// Rebuild site 1's accelerator with gossip off (direct construction
 	// keeps the same components).
@@ -335,7 +335,7 @@ func TestDemandObserverFed(t *testing.T) {
 
 func TestEscrowTransferSettlesViaReconcile(t *testing.T) {
 	sites := buildSites(t, 2, 1000, 0, strategy.SODA99())
-	sites[0].avt.Credit("k", 400)
+	sites[0].avt.Fund("k", 400)
 	sites[1].acc.cfg.Escrow = true
 
 	res, err := sites[1].acc.Update(context.Background(), "k", -100)
@@ -393,7 +393,7 @@ func TestEscrowCancelRefundsLostGrant(t *testing.T) {
 	dropMu.Unlock()
 	sites := buildSitesNet(t, 2, 1000, 0, strategy.SODA99(),
 		memnet.Options{CallTimeout: 100 * time.Millisecond, Interceptor: &replyDropper{}})
-	sites[0].avt.Credit("k", 400)
+	sites[0].avt.Fund("k", 400)
 	sites[1].acc.cfg.Escrow = true
 	sites[1].acc.cfg.RequestTimeout = 50 * time.Millisecond
 
@@ -432,8 +432,8 @@ func TestEscrowCancelRefundsLostGrant(t *testing.T) {
 
 func TestFailoverSkipsSuspectPeer(t *testing.T) {
 	sites := buildSites(t, 3, 1000, 0, strategy.Policy{Selector: strategy.MaxKnown{}, Decider: strategy.GrantAll{}})
-	sites[0].avt.Credit("k", 1000)
-	sites[2].avt.Credit("k", 300)
+	sites[0].avt.Fund("k", 1000)
+	sites[2].avt.Fund("k", 300)
 	// Site 1 believes site 0 is the best holder...
 	sites[1].acc.View().Observe(0, "k", 1000)
 	sites[1].acc.View().Observe(2, "k", 300)
@@ -471,7 +471,7 @@ func TestSuspectPeerStillUsedAsLastResort(t *testing.T) {
 	// Failover demotes suspects, it does not blacklist them: when no
 	// healthy peer can cover the need, the suspect is still asked.
 	sites := buildSites(t, 2, 1000, 0, strategy.Policy{Selector: strategy.MaxKnown{}, Decider: strategy.GrantAll{}})
-	sites[0].avt.Credit("k", 500)
+	sites[0].avt.Fund("k", 500)
 	sites[1].acc.View().Observe(0, "k", 500)
 	det := failure.NewDetector(0, nil)
 	for i := 0; i < failure.FailureThreshold; i++ {
@@ -488,24 +488,23 @@ func TestSuspectPeerStillUsedAsLastResort(t *testing.T) {
 	}
 }
 
-// closingAV closes the engine right after the AV spend is appended, so
-// the stock commit that follows meets a closed log.
+// closingAV closes the engine right after the AV change is staged, so
+// the commit that follows meets a closed log.
 type closingAV struct {
 	*av.Table
 	eng *storage.Engine
 }
 
-func (c closingAV) ConsumeAsync(key string, n int64) (func() error, error) {
-	wait, err := c.Table.ConsumeAsync(key, n)
+func (c closingAV) Stage(tx *txn.Txn, key string, n int64) {
+	c.Table.Stage(tx, key, n)
 	c.eng.Close()
-	return wait, err
 }
 
 // TestDecrementOrderFailures pins the decrement's order: validate the
-// stock row under its lock, append the spend, commit the stock. A
-// failure before the spend leaves AV and the hold as they were; a
-// commit refused after it acknowledges nothing and loses the spent
-// slack, never mints it.
+// stock row under its lock, spend the hold and stage its balance
+// change, commit. A failure before the commit leaves AV and the hold as
+// they were; a commit the log refuses acknowledges nothing and restores
+// the hold, so no slack is lost either.
 func TestDecrementOrderFailures(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -527,7 +526,7 @@ func TestDecrementOrderFailures(t *testing.T) {
 		}, lockmgr.ErrTimeout, 40, 100},
 		{"closed log at commit", "k", func(t *testing.T, s *testSite) {
 			s.acc.avt = closingAV{s.avt, s.eng}
-		}, storage.ErrClosed, 30, -1},
+		}, storage.ErrClosed, 40, -1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

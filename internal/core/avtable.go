@@ -1,6 +1,9 @@
 package core
 
-import "avdb/internal/av"
+import (
+	"avdb/internal/av"
+	"avdb/internal/txn"
+)
 
 // AVTable is the accelerator's view of an Allowable Volume table. The
 // canonical implementation is av.Table (volatile); avstore.Store keeps
@@ -9,6 +12,12 @@ import "avdb/internal/av"
 // without breaking the global conservation argument (it may only
 // *under*-count after a crash, never over-count — lost slack is safe,
 // minted slack is not).
+//
+// A Delay Update changes its key's balance in memory (Spend, Fund,
+// CreditHeld, Release) and durably through Stage, which puts the
+// balance change into the update's own transaction: the stock delta,
+// the AV change and the replication entry commit as one storage batch,
+// one WAL record, one durability wait.
 type AVTable interface {
 	// Define declares (or adds to) the AV for key; DefineAll does so for
 	// many keys at once (one durable write on a durable table).
@@ -29,13 +38,17 @@ type AVTable interface {
 	CreditHeld(key string, n int64) error
 	// Release moves n reserved units back to available (abort/surplus).
 	Release(key string, n int64) error
-	// ConsumeAsync destroys n reserved units (the spend of a decrement)
-	// and returns the wait for the spend to be durable. A durable table
-	// writes the spend before returning, so a stock batch committed after
-	// it lands later in the same log and its durability wait covers both.
-	ConsumeAsync(key string, n int64) (wait func() error, err error)
-	// Credit adds n fresh available units (increment or inbound grant).
-	Credit(key string, n int64) error
+	// Spend destroys n reserved units (the spend of a decrement).
+	Spend(key string, n int64) error
+	// Fund adds n fresh available units (an increment's slack).
+	Fund(key string, n int64) error
+	// Stage adds the durable change of key's balance by n to tx, so it
+	// commits in tx's batch. It changes nothing in memory, and a volatile
+	// table stages nothing. CreditHeld, Release, Spend and Fund in turn
+	// write nothing: a decrement stages its spend net of the grants it
+	// received, an increment its slack, and a grant an update does not
+	// spend is staged in a transaction of its own before its release.
+	Stage(tx *txn.Txn, key string, n int64)
 	// Debit removes up to n available units for an outbound transfer and
 	// returns how many were taken.
 	Debit(key string, n int64) (int64, error)

@@ -253,7 +253,7 @@ func (p *Plane) applyBatch(lsn uint64, at time.Time, ops []storage.Op) {
 			st.hot.bump(op.Key, 0)
 		case storage.OpDelete:
 			st.stock.del(op.Key)
-		case storage.OpDelta:
+		case storage.OpDelta, storage.OpLoggedDelta:
 			st.stock.add(op.Key, op.Delta)
 			st.hot.bump(op.Key, op.Delta)
 		default:

@@ -32,31 +32,12 @@ import (
 
 // Metadata keys used by durable replicators (stored through the
 // engine's meta namespace, atomically with the data they describe).
+// The outbound log's rows, storage.LogKey(seq), are written by the
+// storage.OpLoggedDelta that commits each entry's delta.
 const (
-	metaLogPrefix     = "repl/log/"
 	metaAppliedPrefix = "repl/applied/"
 	metaFloorKey      = "repl/floor"
 )
-
-// metaLogKey pads the sequence so meta rows sort in log order.
-func metaLogKey(seq uint64) string {
-	return fmt.Sprintf("%s%020d", metaLogPrefix, seq)
-}
-
-// encodeLogValue serializes one outbound log entry's (key, delta).
-func encodeLogValue(key string, delta int64) []byte {
-	b := binary.AppendVarint(nil, delta)
-	return append(b, key...)
-}
-
-// decodeLogValue parses encodeLogValue output.
-func decodeLogValue(v []byte) (key string, delta int64, err error) {
-	delta, n := binary.Varint(v)
-	if n <= 0 {
-		return "", 0, fmt.Errorf("replica: corrupt log value")
-	}
-	return string(v[n:]), delta, nil
-}
 
 // Replicator manages one site's outbound delta log and the application
 // of other sites' deltas. It is safe for concurrent use.
@@ -124,15 +105,10 @@ func NewDurable(origin wire.SiteID, eng *storage.Engine) (*Replicator, error) {
 	}
 	// Recover the outbound log.
 	var scanErr error
-	err := eng.ScanMeta(metaLogPrefix, func(k string, v []byte) bool {
-		seq, err := strconv.ParseUint(strings.TrimPrefix(k, metaLogPrefix), 10, 64)
+	err := eng.ScanMeta(storage.LogPrefix, func(k string, v []byte) bool {
+		seq, key, delta, err := storage.ParseLogRow(k, v)
 		if err != nil {
-			scanErr = fmt.Errorf("replica: corrupt log key %q", k)
-			return false
-		}
-		key, delta, err := decodeLogValue(v)
-		if err != nil {
-			scanErr = err
+			scanErr = fmt.Errorf("replica: %w", err)
 			return false
 		}
 		want := r.firstSeq + uint64(len(r.log))
@@ -199,8 +175,9 @@ func (r *Replicator) NextSeq() uint64 {
 // data write of (key, delta) — together with the outbound log entry,
 // and returns the entry's sequence. For volatile replicators the commit
 // and the in-memory log append simply happen back to back; for durable
-// ones the log row is part of the committed batch, so a crash can never
-// separate the update from its replication record.
+// ones the delta itself becomes the entry (tx.LogDelta), so the update
+// and its replication record are one op of one batch and a crash can
+// never separate them.
 func (r *Replicator) CommitWithRecord(tx *txn.Txn, key string, delta int64) (uint64, error) {
 	if !r.durable {
 		if err := tx.Commit(); err != nil {
@@ -211,7 +188,8 @@ func (r *Replicator) CommitWithRecord(tx *txn.Txn, key string, delta int64) (uin
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	seq := r.firstSeq + uint64(len(r.log))
-	if err := tx.PutMeta(metaLogKey(seq), encodeLogValue(key, delta)); err != nil {
+	if err := tx.LogDelta(key, delta, seq); err != nil {
+		tx.Abort()
 		return 0, err
 	}
 	if err := tx.Commit(); err != nil {
@@ -553,7 +531,7 @@ func (r *Replicator) Compact(peers []wire.SiteID) {
 	if r.durable {
 		ops := make([]storage.Op, 0, drop+1)
 		for seq := r.firstSeq; seq <= min; seq++ {
-			ops = append(ops, storage.MetaDeleteOp(metaLogKey(seq)))
+			ops = append(ops, storage.MetaDeleteOp(storage.LogKey(seq)))
 		}
 		ops = append(ops, storage.MetaPutOp(metaFloorKey, binary.AppendUvarint(nil, min+1)))
 		if err := r.eng.Apply(ops...); err != nil {

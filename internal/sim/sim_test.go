@@ -63,7 +63,7 @@ func TestSimTraceHashesPinned(t *testing.T) {
 		want uint64
 	}{
 		{"seed 17", Config{Seed: 17}, 0xf1155d122abd3992},
-		{"seed 17 epochs", Config{Seed: 17, Epochs: true}, 0x519e361ef2f28ae1},
+		{"seed 17 epochs", Config{Seed: 17, Epochs: true}, 0x2907a0f1c61f2ee4},
 		{"sharded seed 7", shardedCfg(7, 120), 0xeb64615f6ea56537},
 	} {
 		res, err := Run(tc.cfg)

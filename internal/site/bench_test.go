@@ -8,7 +8,9 @@ import (
 
 	"avdb/internal/core"
 	"avdb/internal/storage"
+	"avdb/internal/strategy"
 	"avdb/internal/transport/memnet"
+	"avdb/internal/wal"
 	"avdb/internal/wire"
 )
 
@@ -59,6 +61,64 @@ func BenchmarkSiteUpdateReadPlane(b *testing.B) {
 					b.Fatalf("plane applied %d of %d updates", got, b.N)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkDelayUpdateDurable is one Delay Update through Site.Update
+// on a durable site with real fsyncs, per shape: a local decrement, an
+// increment, and a decrement funded by a transfer from an in-memory
+// peer (exact requests and grants, so every update transfers). wal-B/op
+// and fsyncs/op are what each update costs the updating site's WAL.
+func BenchmarkDelayUpdateDurable(b *testing.B) {
+	const key = "product-0001"
+	exact := strategy.Policy{Selector: strategy.MaxKnown{}, Decider: strategy.GrantExact{}}
+	for _, shape := range []struct {
+		name  string
+		delta int64
+		av    int64 // the updating site's initial AV; its peer holds the rest
+		path  core.Path
+	}{
+		{"decrement", -1, 1 << 40, core.PathDelayLocal},
+		{"increment", 1, 0, core.PathDelayLocal},
+		{"transfer", -1, 0, core.PathDelayTransfer},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			dir := b.TempDir()
+			st := &wal.Stats{}
+			net := memnet.New(memnet.Options{})
+			s, err := Open(Config{ID: 0, Peers: []wire.SiteID{1}, StorageDir: dir, PersistAV: true, WALStats: st, Policy: exact}, net)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			peer, err := Open(Config{ID: 1, Peers: []wire.SiteID{0}, Policy: exact}, net)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer peer.Close()
+			for _, x := range []struct {
+				s  *Site
+				av int64
+			}{{s, shape.av}, {peer, 1<<40 - shape.av}} {
+				if err := x.s.Seed(storage.Record{Key: key, Amount: 1 << 40, Class: storage.Regular}); err != nil {
+					b.Fatal(err)
+				}
+				if err := x.s.DefineAV(key, x.av); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fsyncs, bytes := st.Fsyncs.Load(), walBytes(b, dir)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := s.Update(bg(), key, shape.delta)
+				if err != nil || res.Path != shape.path {
+					b.Fatalf("update %d: path %v, err %v", i, res.Path, err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(walBytes(b, dir)-bytes)/float64(b.N), "wal-B/op")
+			b.ReportMetric(float64(st.Fsyncs.Load()-fsyncs)/float64(b.N), "fsyncs/op")
 		})
 	}
 }

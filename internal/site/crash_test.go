@@ -2,6 +2,7 @@ package site
 
 import (
 	"encoding/binary"
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"avdb/internal/core"
 	"avdb/internal/storage"
 	"avdb/internal/strategy"
 	"avdb/internal/transport"
@@ -38,15 +40,15 @@ func stateOf(s *Site, key string) avState {
 }
 
 // TestCrashPointsOverOneWAL runs a scripted decrement / increment /
-// transfer / escrow workload against a PersistAV site (site 0), then
-// reopens it from every record boundary of its one WAL. Each prefix is
-// a crash point. Every one must reopen, must hold no more free AV than
-// surviving stock (escrowed units are excluded, as in the simulator's
-// no-mint oracle: an in-flight transfer counts at both ends until it
-// settles), and the whole log must reproduce the state before the
-// crash. Site 0 starts with all of the slack and sites 1 and 2 never
-// hold more than they spend, so the bound is tight: a decrement whose
-// stock row outlived its AV spend would exceed it.
+// transfer / escrow / unspent-grant workload against a PersistAV site
+// (site 0), then reopens it from every record boundary of its one WAL.
+// Each prefix is a crash point. Every one must reopen, must hold no
+// more free AV than surviving stock (escrowed units are excluded, as in
+// the simulator's no-mint oracle: an in-flight transfer counts at both
+// ends until it settles), and the whole log must reproduce the state
+// before the crash. Site 0 starts with all of the slack and ends holding
+// all of it again, so the bound is tight: a decrement whose stock row
+// outlived its AV change, or a grant credited twice, would exceed it.
 func TestCrashPointsOverOneWAL(t *testing.T) {
 	dir := t.TempDir()
 	drop := &dropAVReplies{}
@@ -108,13 +110,20 @@ func TestCrashPointsOverOneWAL(t *testing.T) {
 	step("flush 2", s2.Flush(bg()))
 	step("remote increment", update(s1, 30))
 	step("flush 1 again", s1.Flush(bg()))
-	step("escrow in", update(s0, -70)) // site 0 short: obligation, grant, spend
+	step("escrow in", update(s0, -70)) // site 0 short: obligation, then grant and spend in one commit
 	_, err = s0.Reconcile(bg())
 	step("settle in", err)
+	// Site 1 holds the last 20 units: site 0 receives them, still falls
+	// short, and writes the unspent grant's credit on its own.
+	if err := update(s0, -30); !errors.Is(err, core.ErrInsufficientAV) {
+		t.Fatalf("partial grant: err = %v, want ErrInsufficientAV", err)
+	}
+	_, err = s0.Reconcile(bg())
+	step("settle partial", err)
 
 	want := stateOf(s0, "k")
-	if want != (avState{Stock: 20, Free: 0}) {
-		t.Fatalf("scripted end state = %+v, want stock 20, no AV left", want)
+	if want != (avState{Stock: 20, Free: 20}) {
+		t.Fatalf("scripted end state = %+v, want stock 20, all of it free AV", want)
 	}
 	if err := s0.Close(); err != nil {
 		t.Fatal(err)
@@ -129,13 +138,18 @@ func TestCrashPointsOverOneWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Record boundaries: each frame is a u32 length, a u32 CRC, payload.
+	// Site 0 writes 19 records: its incarnation, seed and AV definition;
+	// one per decrement, increment, plain debit, escrow, settle, escrow,
+	// cancel and inbound window (three); for the escrow in, an obligation
+	// and one commit; its discharge; for the partial grant, an obligation
+	// and the unspent credit; its discharge.
 	bounds := []int{0}
 	for off := 0; off < len(seg); {
 		off += 8 + int(binary.LittleEndian.Uint32(seg[off:]))
 		bounds = append(bounds, off)
 	}
-	if bounds[len(bounds)-1] != len(seg) || len(bounds) < 10 {
-		t.Fatalf("WAL framing: %d records ending at %d of %d bytes", len(bounds)-1, bounds[len(bounds)-1], len(seg))
+	if bounds[len(bounds)-1] != len(seg) || len(bounds)-1 != 19 {
+		t.Fatalf("WAL framing: %d records ending at %d of %d bytes, want 19", len(bounds)-1, bounds[len(bounds)-1], len(seg))
 	}
 
 	for k, end := range bounds {

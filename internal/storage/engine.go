@@ -199,11 +199,14 @@ func (e *Engine) unlockStripes(idx []int) {
 }
 
 // stripesFor returns the sorted, deduplicated stripe indices a batch
-// touches.
+// touches: an OpLoggedDelta touches its row's and its log row's.
 func stripesFor(ops []Op) []int {
 	var mask uint32
 	for i := range ops {
 		mask |= 1 << uint(stripeOf(storageKey(&ops[i])))
+		if ops[i].Kind == OpLoggedDelta {
+			mask |= 1 << uint(stripeOf(MetaPrefix+LogKey(ops[i].Seq)))
+		}
 	}
 	idx := make([]int, 0, numStripes)
 	for i := 0; i < numStripes; i++ {
@@ -467,7 +470,7 @@ func (e *Engine) applyBatch(ops []Op) (uint64, error) {
 		case OpDelete:
 			deleted[op.Key] = true
 			delete(created, op.Key)
-		case OpDelta:
+		case OpDelta, OpLoggedDelta:
 			if deleted[op.Key] {
 				return 0, fmt.Errorf("storage: delta to key %q deleted earlier in batch: %w", op.Key, ErrNotFound)
 			}
@@ -523,7 +526,14 @@ func (e *Engine) applyOps(ops []Op) {
 			s.mem.Put(op.Key, encodeValue(&rec))
 		case OpDelete:
 			s.mem.Delete(op.Key)
-		case OpDelta:
+		case OpDelta, OpLoggedDelta:
+			if op.Kind == OpLoggedDelta {
+				row := MetaPrefix + LogKey(op.Seq)
+				ls := &e.stripes[stripeOf(row)]
+				if !ls.mem.Put(row, encodeLogValue(op.Key, op.Delta)) {
+					ls.metaCount++
+				}
+			}
 			v, ok := s.mem.Get(op.Key)
 			if !ok {
 				// Replay may delta rows that a later snapshot-era op

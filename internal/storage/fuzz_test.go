@@ -20,6 +20,9 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(encodeBatch([]Op{MetaAddOp("av/product-0001", -30)}))
 	f.Add(encodeBatch([]Op{MetaAddOp("av/αβ", 5), DeltaOp("αβ", -5), MetaPutOp("repl/log/1", nil)}))
 	f.Add([]byte{})
+	f.Add(encodeBatch([]Op{LoggedDeltaOp("product-0001", -7, 1)}))
+	f.Add(encodeBatch([]Op{LoggedDeltaOp("product-0001", 5, 1<<20), MetaAddOp("av/product-0001", 5)}))
+	f.Add(encodeBatch([]Op{LoggedDeltaOp("αβ", -1<<40, 1<<63), MetaAddOp("av/αβ", 1<<40-1)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := decodeBatch(data)

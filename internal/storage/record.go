@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // Class is a product's consistency classification. In the paper, an AV
@@ -95,6 +97,11 @@ const (
 	// as 0 and is created, even by a zero delta). The AV table's balances
 	// are such rows.
 	OpMetaAdd
+	// OpLoggedDelta is an OpDelta that is also outbound replication entry
+	// Seq: applying it adds Delta to the row and writes the entry's
+	// LogKey(Seq) metadata row (the OpMetaPut an older WAL carries beside
+	// a plain OpDelta), so the key and delta are logged once.
+	OpLoggedDelta
 )
 
 // MetaPrefix namespaces internal metadata rows (replication watermarks,
@@ -109,13 +116,14 @@ const MetaPrefix = "\x00m\x00"
 // Delta is added to the existing row's Amount; OpDelete removes the
 // row; OpMetaPut/OpMetaDelete store or remove a raw metadata value
 // under MetaPrefix+Key; OpMetaAdd adds Delta to a varint metadata
-// value there.
+// value there; OpLoggedDelta is OpDelta plus replication entry Seq.
 type Op struct {
 	Kind  OpKind
 	Key   string
 	Rec   Record
 	Delta int64
 	Value []byte
+	Seq   uint64
 }
 
 // PutOp builds an OpPut.
@@ -136,6 +144,39 @@ func MetaDeleteOp(key string) Op { return Op{Kind: OpMetaDelete, Key: key} }
 // MetaAddOp builds an OpMetaAdd.
 func MetaAddOp(key string, delta int64) Op { return Op{Kind: OpMetaAdd, Key: key, Delta: delta} }
 
+// LoggedDeltaOp builds an OpLoggedDelta.
+func LoggedDeltaOp(key string, delta int64, seq uint64) Op {
+	return Op{Kind: OpLoggedDelta, Key: key, Delta: delta, Seq: seq}
+}
+
+// LogPrefix namespaces a site's outbound replication log: entry seq is
+// the metadata row LogKey(seq), holding the key and delta the entry
+// replicates, and the rows sort in sequence order.
+const LogPrefix = "repl/log/"
+
+// LogKey returns the metadata key of replication entry seq (the
+// sequence zero-padded to 20 digits).
+func LogKey(seq uint64) string { return fmt.Sprintf("%s%020d", LogPrefix, seq) }
+
+// encodeLogValue serializes a replication entry's (key, delta).
+func encodeLogValue(key string, delta int64) []byte {
+	return append(binary.AppendVarint(nil, delta), key...)
+}
+
+// ParseLogRow decodes the replication log row (k, v) found under
+// LogPrefix by a metadata scan into its sequence, key and delta.
+func ParseLogRow(k string, v []byte) (seq uint64, key string, delta int64, err error) {
+	seq, err = strconv.ParseUint(strings.TrimPrefix(k, LogPrefix), 10, 64)
+	if err != nil {
+		return 0, "", 0, fmt.Errorf("%w: replication log key %q", ErrCorrupt, k)
+	}
+	delta, n := binary.Varint(v)
+	if n <= 0 {
+		return 0, "", 0, fmt.Errorf("%w: replication log row %q", ErrCorrupt, k)
+	}
+	return seq, string(v[n:]), delta, nil
+}
+
 // encodeBatch serializes a batch of ops into one WAL payload.
 func encodeBatch(ops []Op) []byte {
 	b := make([]byte, 0, 32*len(ops))
@@ -150,8 +191,11 @@ func encodeBatch(ops []Op) []byte {
 			val := encodeValue(&op.Rec)
 			b = binary.AppendUvarint(b, uint64(len(val)))
 			b = append(b, val...)
-		case OpDelta, OpMetaAdd:
+		case OpDelta, OpMetaAdd, OpLoggedDelta:
 			b = binary.AppendVarint(b, op.Delta)
+			if op.Kind == OpLoggedDelta {
+				b = binary.AppendUvarint(b, op.Seq)
+			}
 		case OpMetaPut:
 			b = binary.AppendUvarint(b, uint64(len(op.Value)))
 			b = append(b, op.Value...)
@@ -196,13 +240,21 @@ func decodeBatch(b []byte) ([]Op, error) {
 				return nil, err
 			}
 			b = b[n+int(valLen):]
-		case OpDelta, OpMetaAdd:
+		case OpDelta, OpMetaAdd, OpLoggedDelta:
 			delta, n := binary.Varint(b)
 			if n <= 0 {
 				return nil, ErrCorrupt
 			}
 			op.Delta = delta
 			b = b[n:]
+			if kind == OpLoggedDelta {
+				seq, n := binary.Uvarint(b)
+				if n <= 0 {
+					return nil, ErrCorrupt
+				}
+				op.Seq = seq
+				b = b[n:]
+			}
 		case OpMetaPut:
 			valLen, n := binary.Uvarint(b)
 			if n <= 0 || valLen > uint64(len(b)-n) {

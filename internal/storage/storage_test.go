@@ -289,6 +289,81 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuickBatchCodecRoundTrip: a batch of well-formed ops of every kind
+// decodes back to exactly those ops, every field its kind carries — a
+// logged delta's replication sequence included.
+func TestQuickBatchCodecRoundTrip(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		ops := make([]Op, r.Intn(8))
+		for i := range ops {
+			key := fmt.Sprintf("k%d", r.Intn(1000))
+			delta := r.Range(-1<<40, 1<<40)
+			switch OpKind(1 + r.Intn(int(OpLoggedDelta))) {
+			case OpPut:
+				ops[i] = PutOp(Record{Key: key, Name: "n" + key, Amount: delta, Class: Class(r.Intn(2))})
+			case OpDelete:
+				ops[i] = DeleteOp(key)
+			case OpDelta:
+				ops[i] = DeltaOp(key, delta)
+			case OpMetaPut:
+				ops[i] = MetaPutOp(key, []byte(key))
+			case OpMetaDelete:
+				ops[i] = MetaDeleteOp(key)
+			case OpMetaAdd:
+				ops[i] = MetaAddOp(key, delta)
+			case OpLoggedDelta:
+				ops[i] = LoggedDeltaOp(key, delta, r.Uint64())
+			}
+		}
+		got, err := decodeBatch(encodeBatch(ops))
+		return err == nil && reflect.DeepEqual(got, ops)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoggedDeltaWritesTheLogRow: applying an OpLoggedDelta adds its
+// delta to the row and writes the replication log row an OpMetaPut of
+// LogKey(seq) would, through recovery and a checkpoint alike.
+func TestLoggedDeltaWritesTheLogRow(t *testing.T) {
+	dir := t.TempDir()
+	e := diskEngine(t, dir)
+	if err := e.Put(Record{Key: "k", Amount: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Apply(LoggedDeltaOp("k", -3, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Apply(LoggedDeltaOp("ghost", -3, 8)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("logged delta to a missing row: err = %v, want ErrNotFound", err)
+	}
+	check := func(e *Engine, when string) {
+		t.Helper()
+		var rows []string
+		e.ScanMeta(LogPrefix, func(k string, v []byte) bool {
+			seq, key, delta, err := ParseLogRow(k, v)
+			rows = append(rows, fmt.Sprintf("%d %s %d %v", seq, key, delta, err))
+			return true
+		})
+		if v, _ := e.Amount("k"); v != 7 || len(rows) != 1 || rows[0] != "7 k -3 <nil>" || e.Len() != 1 {
+			t.Fatalf("%s: amount %d, log rows %q, len %d", when, v, rows, e.Len())
+		}
+	}
+	check(e, "live")
+	e.Close()
+	e = diskEngine(t, dir)
+	check(e, "recovered")
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	e = diskEngine(t, dir)
+	defer e.Close()
+	check(e, "from snapshot")
+}
+
 func TestBatchCodecRejectsGarbage(t *testing.T) {
 	valid := encodeBatch([]Op{DeltaOp("key", 7)})
 	for n := 0; n < len(valid); n++ {

@@ -10,6 +10,7 @@ package txn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"avdb/internal/lockmgr"
@@ -179,26 +180,33 @@ func (t *Txn) ApplyDelta(ctx context.Context, key string, delta int64) (int64, e
 	return cur.Amount + delta, nil
 }
 
-// PutMeta buffers a metadata write (see storage.MetaPrefix). Metadata
-// rows are internal bookkeeping (replication logs and watermarks); they
-// take no locks — their writers serialize among themselves — but they
-// commit atomically with the transaction's data writes, which is the
-// point: a replicated delta and its log/watermark row land together.
-func (t *Txn) PutMeta(key string, value []byte) error {
+// AddMeta buffers an addition to a varint metadata row (see
+// storage.MetaAddOp), such as an AV table balance. Metadata rows take
+// no locks — their writers serialize among themselves — but they commit
+// atomically with the transaction's data writes, which is the point: an
+// AV change and the stock delta it accounts for land in one batch.
+func (t *Txn) AddMeta(key string, delta int64) error {
 	if t.done {
 		return ErrDone
 	}
-	t.writes = append(t.writes, storage.MetaPutOp(key, value))
+	t.writes = append(t.writes, storage.MetaAddOp(key, delta))
 	return nil
 }
 
-// DeleteMeta buffers a metadata deletion.
-func (t *Txn) DeleteMeta(key string) error {
+// LogDelta makes the transaction's last buffered delta of delta to key
+// outbound replication entry seq (storage.OpLoggedDelta), so the entry's
+// log row commits in the same op as the data it describes.
+func (t *Txn) LogDelta(key string, delta int64, seq uint64) error {
 	if t.done {
 		return ErrDone
 	}
-	t.writes = append(t.writes, storage.MetaDeleteOp(key))
-	return nil
+	for i := len(t.writes) - 1; i >= 0; i-- {
+		if w := &t.writes[i]; w.Kind == storage.OpDelta && w.Key == key && w.Delta == delta {
+			*w = storage.LoggedDeltaOp(key, delta, seq)
+			return nil
+		}
+	}
+	return fmt.Errorf("txn: no buffered delta of %d to %q to log", delta, key)
 }
 
 // Commit atomically applies the buffered writes and releases all locks.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -173,6 +174,44 @@ func TestFinishedTxnRejectsOps(t *testing.T) {
 		t.Fatalf("double commit: %v", err)
 	}
 	tx.Abort() // no-op, must not panic
+}
+
+// TestLogDeltaCommitsOneOp: LogDelta turns the buffered delta into a
+// logged delta — one op carrying the data change and its replication
+// row — and refuses a delta the transaction never buffered.
+func TestLogDeltaCommitsOneOp(t *testing.T) {
+	m := newMgr(t)
+	if err := m.Engine().Put(storage.Record{Key: "p", Amount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	var batch []storage.Op
+	m.Engine().SetApplyObserver(func(_ uint64, ops []storage.Op) { batch = ops })
+	tx := m.Begin()
+	if _, err := tx.ApplyDelta(bg(), "p", -40); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.LogDelta("p", -41, 9); err == nil {
+		t.Fatal("LogDelta of a delta never buffered succeeded")
+	}
+	if err := tx.LogDelta("p", -40, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddMeta("av/p", -40); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := []storage.Op{storage.LoggedDeltaOp("p", -40, 9), storage.MetaAddOp("av/p", -40)}
+	if !reflect.DeepEqual(batch, want) {
+		t.Fatalf("committed batch %v, want %v", batch, want)
+	}
+	if n, _ := m.Engine().Amount("p"); n != 60 {
+		t.Fatalf("amount = %d, want 60", n)
+	}
+	if _, ok, _ := m.Engine().GetMeta(storage.LogKey(9)); !ok {
+		t.Fatal("no replication log row for entry 9")
+	}
 }
 
 func TestConcurrentIncrementsSerialize(t *testing.T) {
