@@ -1,24 +1,21 @@
-// Package lockmgr provides the shared/exclusive lock manager used for
-// strict two-phase locking in each site's local database and by the
+// Package lockmgr provides the exclusive lock manager used for strict
+// two-phase locking in each site's local database and by the
 // Immediate-Update (primary-copy 2PC) participants.
 //
-// Locks are granted in FIFO order to prevent starvation, lock upgrades
-// (S -> X by the sole holder) are supported, waiters time out, and
-// deadlocks are detected eagerly by a waits-for-graph cycle search at
-// block time — the requester that would close the cycle is the victim
-// and gets ErrDeadlock.
+// Every update in the paper touches one datum, so the rule here is that
+// a lock owner holds at most one key, exclusively: Acquire of a second
+// key by an owner that already holds one returns ErrSecondKey instead of
+// waiting. A waiter therefore never holds anything, no waits-for cycle
+// can form, and the manager needs no deadlock detector; a wait is
+// bounded only by its timeout. Locks are granted in FIFO order to
+// prevent starvation.
 //
 // The lock table is hash-partitioned into shards, each with its own
 // mutex, so transactions locking unrelated keys never contend on one
-// global mutex. Cross-shard state (which keys a transaction holds,
-// which key it waits on) lives behind small dedicated mutexes with a
-// fixed acquisition order — waiting-graph mutex, then one shard at a
-// time, then a held-set shard mutex (partitioned by TxnID) — so the
-// manager itself cannot deadlock. The cycle detector inspects shards one by one without a
-// global freeze; under true concurrency it may therefore pick a victim
-// from a cycle that a concurrent release is already breaking (a benign
-// spurious abort), and a cycle it misses is still cut by the wait
-// timeout.
+// global mutex. Which key each owner holds lives in a second set of
+// shards, partitioned by TxnID; a held-set mutex is a leaf (it may be
+// taken under a shard mutex, never the other way round), so the manager
+// itself cannot deadlock.
 package lockmgr
 
 import (
@@ -28,30 +25,22 @@ import (
 	"time"
 )
 
-// Mode is a lock mode.
+// Mode is a lock mode. Exclusive is the only one; Acquire keeps the
+// argument so callers written against a mode-taking API (the bench
+// layer probe) compile unchanged.
 type Mode int
 
-// Lock modes.
-const (
-	Shared Mode = iota
-	Exclusive
-)
+// Exclusive is the one lock mode.
+const Exclusive Mode = 1
 
-// String names the mode for diagnostics.
-func (m Mode) String() string {
-	if m == Exclusive {
-		return "X"
-	}
-	return "S"
-}
-
-// TxnID identifies a lock owner (a transaction).
+// TxnID identifies a lock owner (a transaction). An owner is driven by
+// one goroutine at a time.
 type TxnID uint64
 
 // Lock manager errors.
 var (
-	ErrDeadlock = errors.New("lockmgr: deadlock detected")
-	ErrTimeout  = errors.New("lockmgr: lock wait timed out")
+	ErrTimeout   = errors.New("lockmgr: lock wait timed out")
+	ErrSecondKey = errors.New("lockmgr: owner already holds another key")
 )
 
 // Options configure a Manager.
@@ -75,63 +64,37 @@ func shardOf(key string) int {
 	return int(h & (numShards - 1))
 }
 
-// shard is one partition of the lock table. free is a one-slot
-// lockState recycler so the common lock/release churn of a key does not
-// allocate a fresh state (and holders map) every transaction.
+// shard is one partition of the lock table: a key has a lockState
+// exactly while someone holds it. free is a one-slot lockState recycler
+// so the common lock/release churn of a key does not allocate a fresh
+// state every transaction.
 type shard struct {
 	mu    sync.Mutex
 	locks map[string]*lockState
 	free  *lockState
 }
 
-// heldShard is one partition of the cross-shard held set, partitioned
-// by TxnID so concurrent transactions record their grants without a
-// single global mutex. The per-txn key set is a small slice: almost
-// every transaction holds a handful of keys, and a linear scan beats a
-// map allocation per transaction.
+// heldShard is one partition of the owner -> held key set.
 type heldShard struct {
 	mu   sync.Mutex
-	held map[TxnID][]heldEntry
-}
-
-type heldEntry struct {
-	key  string
-	mode Mode
+	held map[TxnID]string
 }
 
 // Manager is a lock table. It is safe for concurrent use.
 type Manager struct {
-	opts Options
-
-	shards [numShards]shard
-
-	// heldShards guard the held set, partitioned by TxnID. They are
-	// leaves: one may be taken while holding a shard mutex, and nothing
-	// is acquired under one.
+	opts       Options
+	shards     [numShards]shard
 	heldShards [numShards]heldShard
-
-	// wmu guards waitingOn and orders before shard mutexes: the cycle
-	// detector holds wmu while visiting shards one at a time.
-	wmu       sync.Mutex
-	waitingOn map[TxnID]string // txn -> key it is blocked on
-}
-
-// heldShardOf returns the held-set partition for txn.
-func (m *Manager) heldShardOf(txn TxnID) *heldShard {
-	return &m.heldShards[uint64(txn)&(numShards-1)]
 }
 
 type lockState struct {
-	holders map[TxnID]Mode
-	queue   []*waiter
+	holder TxnID
+	queue  []*waiter
 }
 
 type waiter struct {
-	txn      TxnID
-	mode     Mode
-	upgrade  bool
-	canceled bool
-	ready    chan struct{} // closed when granted, under the shard mutex
+	txn   TxnID
+	ready chan struct{} // closed when granted, under the shard mutex
 }
 
 // New creates a Manager.
@@ -139,25 +102,35 @@ func New(opts Options) *Manager {
 	if opts.WaitTimeout <= 0 {
 		opts.WaitTimeout = 5 * time.Second
 	}
-	m := &Manager{
-		opts:      opts,
-		waitingOn: make(map[TxnID]string),
-	}
+	m := &Manager{opts: opts}
 	for i := range m.shards {
 		m.shards[i].locks = make(map[string]*lockState)
-		m.heldShards[i].held = make(map[TxnID][]heldEntry)
+		m.heldShards[i].held = make(map[TxnID]string)
 	}
 	return m
 }
 
-// Acquire obtains key in mode for txn, blocking if necessary. It returns
-// nil on success, ErrDeadlock if granting would deadlock, ErrTimeout if
-// the wait exceeded the deadline, or the context's error.
-//
-// A transaction that already holds the key in the same or a stronger
-// mode returns immediately; holding Shared and requesting Exclusive
-// performs an upgrade.
-func (m *Manager) Acquire(ctx context.Context, txn TxnID, key string, mode Mode) error {
+// heldShardOf returns the held-set partition for txn.
+func (m *Manager) heldShardOf(txn TxnID) *heldShard {
+	return &m.heldShards[uint64(txn)&(numShards-1)]
+}
+
+// Acquire obtains key exclusively for txn, blocking behind earlier
+// requests if necessary. It returns nil on success (at once if txn
+// already holds key), ErrSecondKey if txn holds a different key,
+// ErrTimeout if the wait exceeded the deadline, or the context's error.
+func (m *Manager) Acquire(ctx context.Context, txn TxnID, key string, _ Mode) error {
+	hs := m.heldShardOf(txn)
+	hs.mu.Lock()
+	cur, holds := hs.held[txn]
+	hs.mu.Unlock()
+	if holds {
+		if cur == key {
+			return nil
+		}
+		return ErrSecondKey
+	}
+
 	sh := &m.shards[shardOf(key)]
 	sh.mu.Lock()
 	ls := sh.locks[key]
@@ -165,59 +138,16 @@ func (m *Manager) Acquire(ctx context.Context, txn TxnID, key string, mode Mode)
 		if ls = sh.free; ls != nil {
 			sh.free = nil
 		} else {
-			ls = &lockState{holders: make(map[TxnID]Mode)}
+			ls = &lockState{}
 		}
 		sh.locks[key] = ls
-	}
-
-	if cur, ok := ls.holders[txn]; ok {
-		if cur >= mode {
-			sh.mu.Unlock()
-			return nil // already strong enough
-		}
-		// Upgrade S -> X: immediate if sole holder.
-		if len(ls.holders) == 1 {
-			ls.holders[txn] = Exclusive
-			m.recordHeld(txn, key, Exclusive)
-			sh.mu.Unlock()
-			return nil
-		}
-		w := &waiter{txn: txn, mode: Exclusive, upgrade: true, ready: make(chan struct{})}
-		// Upgraders queue ahead of ordinary waiters.
-		ls.queue = append([]*waiter{w}, ls.queue...)
-		sh.mu.Unlock()
-		return m.block(ctx, sh, ls, w, key)
-	}
-
-	if m.grantableLocked(ls, txn, mode) && len(ls.queue) == 0 {
-		m.grantLocked(ls, txn, key, mode)
+		m.grantLocked(ls, txn, key)
 		sh.mu.Unlock()
 		return nil
 	}
-	w := &waiter{txn: txn, mode: mode, ready: make(chan struct{})}
+	w := &waiter{txn: txn, ready: make(chan struct{})}
 	ls.queue = append(ls.queue, w)
 	sh.mu.Unlock()
-	return m.block(ctx, sh, ls, w, key)
-}
-
-// block waits for w (already queued) to be granted. Called with no
-// locks held.
-func (m *Manager) block(ctx context.Context, sh *shard, ls *lockState, w *waiter, key string) error {
-	m.wmu.Lock()
-	m.waitingOn[w.txn] = key
-	cycle := m.cycleFromWLocked(w.txn)
-	if cycle {
-		delete(m.waitingOn, w.txn)
-	}
-	m.wmu.Unlock()
-	if cycle {
-		if m.cancelWaiter(sh, ls, w, key) {
-			// Granted between enqueue and the cycle check; keep the lock
-			// (strict 2PL will release it with the rest).
-			return nil
-		}
-		return ErrDeadlock
-	}
 
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
@@ -226,263 +156,67 @@ func (m *Manager) block(ctx context.Context, sh *shard, ls *lockState, w *waiter
 	}
 	select {
 	case <-w.ready:
-		m.unregisterWait(w.txn)
 		return nil
 	case <-ctx.Done():
-		m.unregisterWait(w.txn)
-		if m.cancelWaiter(sh, ls, w, key) {
-			// Granted in the race window; the caller gets the lock after
-			// all (strict 2PL will release it with the rest).
-			return nil
-		}
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return ErrTimeout
-		}
-		return ctx.Err()
 	}
-}
-
-// unregisterWait removes txn from the waits-for graph.
-func (m *Manager) unregisterWait(txn TxnID) {
-	m.wmu.Lock()
-	delete(m.waitingOn, txn)
-	m.wmu.Unlock()
-}
-
-// cancelWaiter withdraws w from the queue unless it was granted in the
-// race window; it reports whether the grant won.
-func (m *Manager) cancelWaiter(sh *shard, ls *lockState, w *waiter, key string) (granted bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	select {
 	case <-w.ready:
-		return true
+		// Granted in the race window; the caller gets the lock after all
+		// (strict 2PL will release it with the rest).
+		return nil
 	default:
 	}
-	w.canceled = true
-	m.removeWaiterLocked(ls, w)
-	m.pumpLocked(sh, ls, key)
-	return false
-}
-
-// recordHeld notes txn's hold of key in the cross-shard held set.
-// Callable while holding a shard mutex (held shards are leaves).
-func (m *Manager) recordHeld(txn TxnID, key string, mode Mode) {
-	hs := m.heldShardOf(txn)
-	hs.mu.Lock()
-	entries := hs.held[txn]
-	for i := range entries {
-		if entries[i].key == key {
-			entries[i].mode = mode
-			hs.mu.Unlock()
-			return
-		}
-	}
-	hs.held[txn] = append(entries, heldEntry{key: key, mode: mode})
-	hs.mu.Unlock()
-}
-
-// grantableLocked reports whether txn could hold key in mode alongside
-// the current holders (ignoring txn's own existing hold, for upgrades).
-// Caller holds the key's shard mutex.
-func (m *Manager) grantableLocked(ls *lockState, txn TxnID, mode Mode) bool {
-	for holder, hmode := range ls.holders {
-		if holder == txn {
-			continue
-		}
-		if mode == Exclusive || hmode == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
-// grantLocked records the grant. Caller holds the key's shard mutex.
-func (m *Manager) grantLocked(ls *lockState, txn TxnID, key string, mode Mode) {
-	ls.holders[txn] = mode
-	m.recordHeld(txn, key, mode)
-}
-
-// pumpLocked grants queued waiters in FIFO order while compatible.
-// Caller holds the shard mutex.
-func (m *Manager) pumpLocked(sh *shard, ls *lockState, key string) {
-	for len(ls.queue) > 0 {
-		w := ls.queue[0]
-		if w.canceled {
-			ls.queue = ls.queue[1:]
-			continue
-		}
-		if !m.grantableLocked(ls, w.txn, w.mode) {
-			return
-		}
-		ls.queue = ls.queue[1:]
-		m.grantLocked(ls, w.txn, key, w.mode)
-		close(w.ready)
-	}
-}
-
-// removeWaiterLocked deletes w from the queue if still present.
-func (m *Manager) removeWaiterLocked(ls *lockState, w *waiter) {
+	// The key is held while anyone queues for it, so withdrawing w leaves
+	// no grant to hand on.
 	for i, q := range ls.queue {
 		if q == w {
 			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			return
-		}
-	}
-}
-
-// conflictersLocked returns the set of transactions that currently
-// prevent txn from acquiring key in mode: incompatible holders plus
-// incompatible waiters queued ahead of txn. Caller holds the key's
-// shard mutex.
-func (m *Manager) conflictersLocked(sh *shard, txn TxnID, key string) map[TxnID]bool {
-	ls := sh.locks[key]
-	if ls == nil {
-		return nil
-	}
-	// Find txn's queued request to know its mode and position. No live
-	// queue entry means txn is not actually waiting here — its waitingOn
-	// record is stale (granted or canceled, goroutine not yet woken to
-	// unregister) and following it would manufacture phantom edges to
-	// everything queued behind its old slot.
-	var req *waiter
-	pos := len(ls.queue)
-	for i, w := range ls.queue {
-		if w.txn == txn {
-			req = w
-			pos = i
 			break
 		}
 	}
-	if req == nil || req.canceled {
-		return nil
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return ErrTimeout
 	}
-	mode := req.mode
-	out := make(map[TxnID]bool)
-	for holder, hmode := range ls.holders {
-		if holder == txn {
-			continue
-		}
-		if mode == Exclusive || hmode == Exclusive {
-			out[holder] = true
-		}
-	}
-	for i := 0; i < pos; i++ {
-		w := ls.queue[i]
-		if w.txn == txn || w.canceled {
-			continue
-		}
-		if mode == Exclusive || w.mode == Exclusive {
-			out[w.txn] = true
-		}
-	}
-	return out
+	return ctx.Err()
 }
 
-// cycleFromWLocked reports whether the waits-for graph reachable from
-// start leads back to start. Caller holds wmu; each visited key's shard
-// is locked transiently (one at a time, never two — shards are below
-// wmu in the lock order and a DFS may revisit a shard).
-func (m *Manager) cycleFromWLocked(start TxnID) bool {
-	visited := map[TxnID]bool{}
-	var dfs func(t TxnID) bool
-	dfs = func(t TxnID) bool {
-		key, blocked := m.waitingOn[t]
-		if !blocked {
-			return false
-		}
-		sh := &m.shards[shardOf(key)]
-		sh.mu.Lock()
-		conf := m.conflictersLocked(sh, t, key)
-		sh.mu.Unlock()
-		for c := range conf {
-			if c == start {
-				return true
-			}
-			if !visited[c] {
-				visited[c] = true
-				if dfs(c) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return dfs(start)
-}
-
-// Release drops txn's lock on key (if held) and wakes compatible waiters.
-func (m *Manager) Release(txn TxnID, key string) {
-	sh := &m.shards[shardOf(key)]
-	sh.mu.Lock()
-	m.releaseLocked(sh, txn, key)
-	sh.mu.Unlock()
+// grantLocked makes txn the holder of key. Caller holds the key's shard
+// mutex.
+func (m *Manager) grantLocked(ls *lockState, txn TxnID, key string) {
+	ls.holder = txn
 	hs := m.heldShardOf(txn)
 	hs.mu.Lock()
-	entries := hs.held[txn]
-	for i := range entries {
-		if entries[i].key == key {
-			hs.held[txn] = append(entries[:i], entries[i+1:]...)
-			break
-		}
-	}
-	if len(hs.held[txn]) == 0 {
-		delete(hs.held, txn)
-	}
+	hs.held[txn] = key
 	hs.mu.Unlock()
 }
 
-// releaseLocked drops the shard-local hold and pumps the queue. Caller
-// holds the shard mutex; the held set is the caller's to update.
-func (m *Manager) releaseLocked(sh *shard, txn TxnID, key string) {
-	ls := sh.locks[key]
-	if ls == nil {
-		return
-	}
-	if _, ok := ls.holders[txn]; !ok {
-		return
-	}
-	delete(ls.holders, txn)
-	m.pumpLocked(sh, ls, key)
-	if len(ls.holders) == 0 && len(ls.queue) == 0 {
-		delete(sh.locks, key)
-		sh.free = ls
-	}
-}
-
-// ReleaseAll drops every lock txn holds — the strict-2PL release at
-// commit or abort.
+// ReleaseAll drops the lock txn holds, if any, and hands it to the
+// oldest waiter — the strict-2PL release at commit or abort.
 func (m *Manager) ReleaseAll(txn TxnID) {
 	hs := m.heldShardOf(txn)
 	hs.mu.Lock()
-	entries := hs.held[txn]
+	key, holds := hs.held[txn]
 	delete(hs.held, txn)
 	hs.mu.Unlock()
-	for _, e := range entries {
-		sh := &m.shards[shardOf(e.key)]
-		sh.mu.Lock()
-		m.releaseLocked(sh, txn, e.key)
-		sh.mu.Unlock()
+	if !holds {
+		return
 	}
-}
-
-// Holds reports the mode txn holds on key, if any.
-func (m *Manager) Holds(txn TxnID, key string) (Mode, bool) {
-	hs := m.heldShardOf(txn)
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	for _, e := range hs.held[txn] {
-		if e.key == key {
-			return e.mode, true
-		}
+	sh := &m.shards[shardOf(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ls := sh.locks[key]
+	if ls == nil || ls.holder != txn {
+		return
 	}
-	return 0, false
-}
-
-// HeldKeys returns how many keys txn currently holds.
-func (m *Manager) HeldKeys(txn TxnID) int {
-	hs := m.heldShardOf(txn)
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	return len(hs.held[txn])
+	if len(ls.queue) == 0 {
+		delete(sh.locks, key)
+		sh.free = ls
+		return
+	}
+	w := ls.queue[0]
+	ls.queue = ls.queue[1:]
+	m.grantLocked(ls, w.txn, key)
+	close(w.ready)
 }

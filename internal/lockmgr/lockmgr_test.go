@@ -14,18 +14,13 @@ import (
 
 func ctxBg() context.Context { return context.Background() }
 
-func TestSharedLocksCoexist(t *testing.T) {
-	m := New(Options{})
-	for txn := TxnID(1); txn <= 5; txn++ {
-		if err := m.Acquire(ctxBg(), txn, "k", Shared); err != nil {
-			t.Fatalf("txn %d: %v", txn, err)
-		}
-	}
-	for txn := TxnID(1); txn <= 5; txn++ {
-		if mode, ok := m.Holds(txn, "k"); !ok || mode != Shared {
-			t.Fatalf("txn %d holds = %v,%v", txn, mode, ok)
-		}
-	}
+// heldKey reports the key txn holds, if any.
+func heldKey(m *Manager, txn TxnID) (string, bool) {
+	hs := m.heldShardOf(txn)
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	key, ok := hs.held[txn]
+	return key, ok
 }
 
 func TestExclusiveBlocksOthers(t *testing.T) {
@@ -33,11 +28,13 @@ func TestExclusiveBlocksOthers(t *testing.T) {
 	if err := m.Acquire(ctxBg(), 1, "k", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(ctxBg(), 2, "k", Shared); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("S behind X: %v, want timeout", err)
+	for txn := TxnID(2); txn <= 3; txn++ {
+		if err := m.Acquire(ctxBg(), txn, "k", Exclusive); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("txn %d behind X: %v, want timeout", txn, err)
+		}
 	}
-	if err := m.Acquire(ctxBg(), 3, "k", Exclusive); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("X behind X: %v, want timeout", err)
+	if err := m.Acquire(ctxBg(), 4, "other", Exclusive); err != nil {
+		t.Fatalf("unrelated key: %v", err)
 	}
 }
 
@@ -49,7 +46,7 @@ func TestReleaseWakesWaiter(t *testing.T) {
 	got := make(chan error, 1)
 	go func() { got <- m.Acquire(ctxBg(), 2, "k", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
-	m.Release(1, "k")
+	m.ReleaseAll(1)
 	select {
 	case err := <-got:
 		if err != nil {
@@ -58,108 +55,61 @@ func TestReleaseWakesWaiter(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("waiter not woken")
 	}
-	if _, ok := m.Holds(2, "k"); !ok {
-		t.Fatal("txn 2 does not hold the lock after wake")
+	if key, ok := heldKey(m, 2); !ok || key != "k" {
+		t.Fatalf("txn 2 holds %q,%v after wake, want k", key, ok)
+	}
+	if _, ok := heldKey(m, 1); ok {
+		t.Fatal("txn 1 still holds a key after ReleaseAll")
 	}
 }
 
 func TestReentrantAcquire(t *testing.T) {
 	m := New(Options{})
-	if err := m.Acquire(ctxBg(), 1, "k", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Acquire(ctxBg(), 1, "k", Exclusive); err != nil {
-		t.Fatalf("re-acquire X: %v", err)
-	}
-	if err := m.Acquire(ctxBg(), 1, "k", Shared); err != nil {
-		t.Fatalf("S while holding X: %v", err)
-	}
-	if m.HeldKeys(1) != 1 {
-		t.Fatalf("HeldKeys = %d", m.HeldKeys(1))
-	}
-}
-
-func TestUpgradeSoleHolder(t *testing.T) {
-	m := New(Options{})
-	if err := m.Acquire(ctxBg(), 1, "k", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Acquire(ctxBg(), 1, "k", Exclusive); err != nil {
-		t.Fatalf("upgrade: %v", err)
-	}
-	if mode, _ := m.Holds(1, "k"); mode != Exclusive {
-		t.Fatalf("mode after upgrade = %v", mode)
-	}
-}
-
-func TestUpgradeWaitsForReaders(t *testing.T) {
-	m := New(Options{})
-	m.Acquire(ctxBg(), 1, "k", Shared)
-	m.Acquire(ctxBg(), 2, "k", Shared)
-	got := make(chan error, 1)
-	go func() { got <- m.Acquire(ctxBg(), 1, "k", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
-	select {
-	case err := <-got:
-		t.Fatalf("upgrade completed with reader present: %v", err)
-	default:
-	}
-	m.Release(2, "k")
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := m.Acquire(ctxBg(), 1, "k", Exclusive); err != nil {
+			t.Fatalf("acquire %d: %v", i, err)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("upgrade never granted")
 	}
-	if mode, _ := m.Holds(1, "k"); mode != Exclusive {
-		t.Fatalf("mode = %v", mode)
+	// One release frees it: a re-acquire is not counted.
+	m.ReleaseAll(1)
+	if err := m.Acquire(ctxBg(), 2, "k", Exclusive); err != nil {
+		t.Fatalf("lock not free after one ReleaseAll: %v", err)
 	}
 }
 
-func TestDeadlockDetected(t *testing.T) {
+// TestSecondKeyRefused: an owner holding one key is refused a second at
+// once, keeps the first, and can lock another key after releasing. The
+// interleaving that could deadlock (1 holds a and wants b, 2 holds b and
+// wants a) therefore never waits.
+func TestSecondKeyRefused(t *testing.T) {
 	m := New(Options{WaitTimeout: 5 * time.Second})
-	m.Acquire(ctxBg(), 1, "a", Exclusive)
-	m.Acquire(ctxBg(), 2, "b", Exclusive)
-	got := make(chan error, 1)
-	go func() { got <- m.Acquire(ctxBg(), 1, "b", Exclusive) }() // 1 waits on 2
-	time.Sleep(20 * time.Millisecond)
-	// 2 requesting a would close the cycle: must be refused immediately.
+	if err := m.Acquire(ctxBg(), 1, "a", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(ctxBg(), 2, "b", Exclusive); err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	err := m.Acquire(ctxBg(), 2, "a", Exclusive)
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
+	if err := m.Acquire(ctxBg(), 1, "b", Exclusive); !errors.Is(err, ErrSecondKey) {
+		t.Fatalf("1 -> b: %v, want ErrSecondKey", err)
 	}
-	if time.Since(start) > time.Second {
-		t.Fatal("deadlock detection took too long (timed out instead?)")
+	if err := m.Acquire(ctxBg(), 2, "a", Exclusive); !errors.Is(err, ErrSecondKey) {
+		t.Fatalf("2 -> a: %v, want ErrSecondKey", err)
 	}
-	// Victim releases; txn 1 proceeds.
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("refusal waited %v", d)
+	}
+	if key, _ := heldKey(m, 1); key != "a" {
+		t.Fatalf("txn 1 holds %q after refusal, want a", key)
+	}
 	m.ReleaseAll(2)
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("txn 1 never unblocked after victim released")
-	}
-}
-
-func TestThreeWayDeadlock(t *testing.T) {
-	m := New(Options{WaitTimeout: 5 * time.Second})
-	m.Acquire(ctxBg(), 1, "a", Exclusive)
-	m.Acquire(ctxBg(), 2, "b", Exclusive)
-	m.Acquire(ctxBg(), 3, "c", Exclusive)
-	go m.Acquire(ctxBg(), 1, "b", Exclusive)
-	go m.Acquire(ctxBg(), 2, "c", Exclusive)
-	time.Sleep(20 * time.Millisecond)
-	if err := m.Acquire(ctxBg(), 3, "a", Exclusive); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
+	if err := m.Acquire(ctxBg(), 3, "b", Exclusive); err != nil {
+		t.Fatalf("b not free after its owner released: %v", err)
 	}
 	m.ReleaseAll(1)
-	m.ReleaseAll(2)
-	m.ReleaseAll(3)
+	if err := m.Acquire(ctxBg(), 1, "c", Exclusive); err != nil {
+		t.Fatalf("txn 1 after release: %v", err)
+	}
 }
 
 func TestFIFOOrdering(t *testing.T) {
@@ -181,11 +131,11 @@ func TestFIFOOrdering(t *testing.T) {
 			order = append(order, int(txn))
 			mu.Unlock()
 			time.Sleep(5 * time.Millisecond)
-			m.Release(txn, "k")
+			m.ReleaseAll(txn)
 		}()
 		time.Sleep(15 * time.Millisecond) // force distinct queue positions
 	}
-	m.Release(1, "k")
+	m.ReleaseAll(1)
 	wg.Wait()
 	if fmt.Sprint(order) != "[2 3 4]" {
 		t.Fatalf("grant order = %v, want [2 3 4]", order)
@@ -193,19 +143,23 @@ func TestFIFOOrdering(t *testing.T) {
 }
 
 func TestReleaseAll(t *testing.T) {
-	m := New(Options{})
-	for _, k := range []string{"a", "b", "c"} {
-		m.Acquire(ctxBg(), 7, k, Exclusive)
-	}
-	if m.HeldKeys(7) != 3 {
-		t.Fatalf("HeldKeys = %d", m.HeldKeys(7))
+	m := New(Options{WaitTimeout: 50 * time.Millisecond})
+	m.ReleaseAll(7) // holds nothing: a no-op
+	if err := m.Acquire(ctxBg(), 7, "a", Exclusive); err != nil {
+		t.Fatal(err)
 	}
 	m.ReleaseAll(7)
-	if m.HeldKeys(7) != 0 {
-		t.Fatalf("HeldKeys after ReleaseAll = %d", m.HeldKeys(7))
+	if _, ok := heldKey(m, 7); ok {
+		t.Fatal("txn 7 still holds a key after ReleaseAll")
 	}
 	if err := m.Acquire(ctxBg(), 8, "a", Exclusive); err != nil {
 		t.Fatalf("lock not actually free: %v", err)
+	}
+	m.ReleaseAll(7) // a second release must not free txn 8's lock
+	if err := m.Acquire(ctxBg(), 9, "a", Exclusive); err == nil {
+		t.Fatal("txn 9 got a lock txn 8 holds")
+	} else if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("txn 9: %v, want timeout", err)
 	}
 }
 
@@ -216,11 +170,11 @@ func TestTimeoutRemovesFromQueue(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// After the timed-out waiter is gone, release must not grant to it.
-	m.Release(1, "k")
+	m.ReleaseAll(1)
 	if err := m.Acquire(ctxBg(), 3, "k", Exclusive); err != nil {
 		t.Fatalf("txn 3: %v", err)
 	}
-	if _, ok := m.Holds(2, "k"); ok {
+	if _, ok := heldKey(m, 2); ok {
 		t.Fatal("timed-out txn 2 somehow holds the lock")
 	}
 }
@@ -236,11 +190,11 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // TestNoConflictingGrants hammers the manager and asserts the core safety
-// property: never two holders where one is exclusive.
+// property: never two holders of one key.
 func TestNoConflictingGrants(t *testing.T) {
 	m := New(Options{WaitTimeout: 2 * time.Second})
 	keys := []string{"a", "b", "c"}
-	var inCS [3]atomic.Int32 // index per key: +1 per S holder, +1000 per X holder
+	var inCS [3]atomic.Int32
 	var violations atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -252,22 +206,13 @@ func TestNoConflictingGrants(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				txn := TxnID(uint64(seed)*100000 + uint64(i))
 				ki := r.Intn(len(keys))
-				mode := Shared
-				if r.Bool(0.5) {
-					mode = Exclusive
+				if err := m.Acquire(ctxBg(), txn, keys[ki], Exclusive); err != nil {
+					continue // timeout: fine, just skip
 				}
-				if err := m.Acquire(ctxBg(), txn, keys[ki], mode); err != nil {
-					continue // deadlock/timeout: fine, just skip
-				}
-				delta := int32(1)
-				if mode == Exclusive {
-					delta = 1000
-				}
-				v := inCS[ki].Add(delta)
-				if (mode == Exclusive && v != 1000) || (mode == Shared && v >= 1000) {
+				if inCS[ki].Add(1) != 1 {
 					violations.Add(1)
 				}
-				inCS[ki].Add(-delta)
+				inCS[ki].Add(-1)
 				m.ReleaseAll(txn)
 			}
 		}()
@@ -289,13 +234,19 @@ func BenchmarkUncontendedAcquireRelease(b *testing.B) {
 	}
 }
 
-func BenchmarkSharedAcquireRelease(b *testing.B) {
+// BenchmarkContendedAcquireRelease runs every goroutine on one key, so
+// most acquisitions queue and are granted by a release hand-off.
+func BenchmarkContendedAcquireRelease(b *testing.B) {
 	m := New(Options{})
-	for i := 0; i < b.N; i++ {
-		txn := TxnID(i)
-		if err := m.Acquire(ctxBg(), txn, "k", Shared); err != nil {
-			b.Fatal(err)
+	var next atomic.Uint64
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			txn := TxnID(next.Add(1))
+			if err := m.Acquire(ctxBg(), txn, "k", Exclusive); err != nil {
+				b.Error(err)
+				return
+			}
+			m.ReleaseAll(txn)
 		}
-		m.ReleaseAll(txn)
-	}
+	})
 }

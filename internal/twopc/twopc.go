@@ -30,7 +30,6 @@ import (
 
 	"avdb/internal/clock"
 	"avdb/internal/failure"
-	"avdb/internal/storage"
 	"avdb/internal/trace"
 	"avdb/internal/transport"
 	"avdb/internal/txn"
@@ -49,37 +48,27 @@ var (
 	ErrCompletionUnknown = errors.New("twopc: committed but base acknowledgement missing")
 )
 
-// Validator approves or rejects the tentative result of an update at a
-// site. rec is the record before the update; newAmount the amount after.
-type Validator func(rec storage.Record, newAmount int64) error
+// Participant and decision-delivery timing.
+const (
+	// preparedTTL is how long a participant holds a prepared transaction
+	// before presuming abort.
+	preparedTTL = 10 * time.Second
+	// decisionRetries is how many times a failed decision delivery is
+	// retried per peer. Decisions must eventually reach every participant
+	// or the prepared-TTL sweep frees it instead.
+	decisionRetries = 2
+)
 
-// NonNegative is the default validator: stock may not go below zero.
-func NonNegative(rec storage.Record, newAmount int64) error {
-	if newAmount < 0 {
-		return fmt.Errorf("amount %d would become negative (%d)", rec.Amount, newAmount)
-	}
-	return nil
-}
+// retryBackoff spaces decision retries.
+var retryBackoff = failure.Policy{BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 
 // Options configure an Engine.
 type Options struct {
 	// Site is this engine's site ID.
 	Site wire.SiteID
-	// Validate approves tentative updates (default NonNegative).
-	Validate Validator
 	// PrepareTimeout bounds each remote prepare/decision call
 	// (default 2s).
 	PrepareTimeout time.Duration
-	// PreparedTTL is how long a participant holds a prepared transaction
-	// before presuming abort (default 10s).
-	PreparedTTL time.Duration
-	// DecisionRetries is how many times a failed decision delivery is
-	// retried per peer (default 2; 0 keeps the single attempt, a negative
-	// value disables retries explicitly). Decisions must eventually reach
-	// every participant or the prepared-TTL sweep frees it instead.
-	DecisionRetries int
-	// RetryBackoff spaces decision retries (default 25ms base, 250ms cap).
-	RetryBackoff failure.Policy
 	// Tracer records protocol spans (nil disables tracing).
 	Tracer *trace.Tracer
 	// Clock drives prepared-transaction deadlines, decision-retry backoff
@@ -153,25 +142,8 @@ type preparedTxn struct {
 
 // New creates an Engine over tm. Call SetNode before coordinating.
 func New(opts Options, tm *txn.Manager) *Engine {
-	if opts.Validate == nil {
-		opts.Validate = NonNegative
-	}
 	if opts.PrepareTimeout <= 0 {
 		opts.PrepareTimeout = 2 * time.Second
-	}
-	if opts.PreparedTTL <= 0 {
-		opts.PreparedTTL = 10 * time.Second
-	}
-	if opts.DecisionRetries == 0 {
-		opts.DecisionRetries = 2
-	} else if opts.DecisionRetries < 0 {
-		opts.DecisionRetries = 0
-	}
-	if opts.RetryBackoff.BaseDelay <= 0 {
-		opts.RetryBackoff.BaseDelay = 25 * time.Millisecond
-	}
-	if opts.RetryBackoff.MaxDelay <= 0 {
-		opts.RetryBackoff.MaxDelay = 250 * time.Millisecond
 	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
@@ -239,7 +211,7 @@ func (e *Engine) Update(ctx context.Context, replicas []wire.SiteID, key string,
 	// Local tentative apply under lock — the coordinator is also the
 	// first participant.
 	local := e.tm.Begin()
-	if err := e.tentative(ctx, local, key, delta); err != nil {
+	if err := tentative(ctx, local, key, delta); err != nil {
 		local.Abort()
 		return fmt.Errorf("%w: local prepare: %v", ErrAborted, err)
 	}
@@ -350,10 +322,10 @@ func (e *Engine) broadcastDecision(ctx context.Context, peers []wire.SiteID, txn
 			// A lost decision would leave the participant prepared until
 			// its TTL sweep presumes abort, so retry with backoff — the
 			// participant's decided-outcome cache makes duplicates safe.
-			for attempt := 0; attempt <= e.opts.DecisionRetries; attempt++ {
+			for attempt := 0; attempt <= decisionRetries; attempt++ {
 				if attempt > 0 {
 					e.stats.DecisionRetries.Add(1)
-					t := clock.NewTimer(e.opts.Clock, e.opts.RetryBackoff.Backoff(attempt-1))
+					t := clock.NewTimer(e.opts.Clock, retryBackoff.Backoff(attempt-1))
 					select {
 					case <-ctx.Done():
 						t.Stop()
@@ -384,17 +356,17 @@ func (e *Engine) broadcastDecision(ctx context.Context, peers []wire.SiteID, txn
 	wg.Wait()
 }
 
-// tentative locks key, applies delta in tx, and validates the result.
-func (e *Engine) tentative(ctx context.Context, tx *txn.Txn, key string, delta int64) error {
-	before, err := tx.Get(ctx, key)
-	if err != nil {
-		return err
-	}
+// tentative locks key, applies delta in tx, and refuses a result below
+// zero: stock may not go negative.
+func tentative(ctx context.Context, tx *txn.Txn, key string, delta int64) error {
 	after, err := tx.ApplyDelta(ctx, key, delta)
 	if err != nil {
 		return err
 	}
-	return e.opts.Validate(before, after)
+	if after < 0 {
+		return fmt.Errorf("amount %d would become negative (%d)", after-delta, after)
+	}
+	return nil
 }
 
 // HandlePrepare is the participant's phase-1 handler. ctx carries the
@@ -408,7 +380,7 @@ func (e *Engine) HandlePrepare(ctx context.Context, from wire.SiteID, msg *wire.
 	ctx, cancel := context.WithTimeout(ctx, e.opts.PrepareTimeout)
 	defer cancel()
 	tx := e.tm.Begin()
-	if err := e.tentative(ctx, tx, msg.Key, msg.Delta); err != nil {
+	if err := tentative(ctx, tx, msg.Key, msg.Delta); err != nil {
 		tx.Abort()
 		return &wire.IUVote{TxnID: msg.TxnID, OK: false, Reason: err.Error()}
 	}
@@ -423,7 +395,7 @@ func (e *Engine) HandlePrepare(ctx context.Context, from wire.SiteID, msg *wire.
 		return &wire.IUVote{TxnID: msg.TxnID, OK: false,
 			Reason: fmt.Sprintf("txn already decided (commit=%v)", outcome)}
 	}
-	e.prepared[msg.TxnID] = &preparedTxn{tx: tx, key: msg.Key, deadline: e.opts.Clock.Now().Add(e.opts.PreparedTTL)}
+	e.prepared[msg.TxnID] = &preparedTxn{tx: tx, key: msg.Key, deadline: e.opts.Clock.Now().Add(preparedTTL)}
 	e.mu.Unlock()
 	return &wire.IUVote{TxnID: msg.TxnID, OK: true}
 }

@@ -550,3 +550,46 @@ func TestAbortOvertakesPrepare(t *testing.T) {
 		t.Fatalf("amount = %d, want 99", n)
 	}
 }
+
+// TestSameKeyPreparesBothCommit starts two prepares of one key at one
+// participant together and delivers each COMMIT as soon as its vote is
+// in. The second prepare waits for the first's lock and then votes OK:
+// two concurrent Immediate Updates of one key serialize at a
+// participant, and neither aborts the other.
+func TestSameKeyPreparesBothCommit(t *testing.T) {
+	const rounds = 10000
+	h := newHarness(t, 2, 0)
+	e := h.engines[1]
+	want := int64(0)
+	for r := 0; r < rounds; r++ {
+		start := make(chan struct{})
+		errs := make(chan string, 2)
+		var wg sync.WaitGroup
+		for i, delta := range []int64{1, 2} {
+			id := uint64(2*r + i + 1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				vote := e.HandlePrepare(context.Background(), 0, &wire.IUPrepare{TxnID: id, Coord: 0, Key: "k", Delta: delta})
+				if !vote.OK {
+					errs <- fmt.Sprintf("txn %d voted NO: %s", id, vote.Reason)
+					return
+				}
+				if ack := e.HandleDecision(context.Background(), 0, &wire.IUDecision{TxnID: id, Commit: true}); !ack.OK {
+					errs <- fmt.Sprintf("txn %d: commit not acked", id)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for msg := range errs {
+			t.Fatalf("round %d: %s", r, msg)
+		}
+		want += 3
+		if n, _ := h.stores[1].Amount("k"); n != want {
+			t.Fatalf("round %d: amount = %d, want %d", r, n, want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package txn
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,18 +26,19 @@ func bg() context.Context { return context.Background() }
 
 func TestCommitAppliesWrites(t *testing.T) {
 	m := newMgr(t)
+	m.Engine().Put(storage.Record{Key: "p", Amount: 100})
 	tx := m.Begin()
-	if err := tx.Put(bg(), storage.Record{Key: "p", Amount: 100}); err != nil {
+	if _, err := tx.ApplyDelta(bg(), "p", -40); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.ApplyDelta(bg(), "p", -40); err != nil {
+	if _, err := tx.ApplyDelta(bg(), "p", -5); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := m.Engine().Amount("p"); n != 60 {
-		t.Fatalf("amount = %d, want 60", n)
+	if n, _ := m.Engine().Amount("p"); n != 55 {
+		t.Fatalf("amount = %d, want 55", n)
 	}
 }
 
@@ -66,51 +66,15 @@ func TestReadYourOwnWrites(t *testing.T) {
 	m.Engine().Put(storage.Record{Key: "p", Amount: 10})
 	tx := m.Begin()
 	defer tx.Abort()
-	if _, err := tx.ApplyDelta(bg(), "p", 5); err != nil {
-		t.Fatal(err)
+	if n, err := tx.ApplyDelta(bg(), "p", 5); err != nil || n != 15 {
+		t.Fatalf("first delta projects %d, %v; want 15", n, err)
 	}
-	rec, err := tx.Get(bg(), "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Amount != 15 {
-		t.Fatalf("txn sees %d, want 15 (own delta)", rec.Amount)
+	if n, err := tx.ApplyDelta(bg(), "p", -3); err != nil || n != 12 {
+		t.Fatalf("second delta projects %d, %v; want 12 (own delta)", n, err)
 	}
 	// Other state unaffected until commit.
 	if n, _ := m.Engine().Amount("p"); n != 10 {
 		t.Fatalf("uncommitted delta visible: %d", n)
-	}
-}
-
-func TestPutThenDeltaThenGet(t *testing.T) {
-	m := newMgr(t)
-	tx := m.Begin()
-	defer tx.Abort()
-	tx.Put(bg(), storage.Record{Key: "new", Amount: 50, Name: "N"})
-	n, err := tx.ApplyDelta(bg(), "new", 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 75 {
-		t.Fatalf("projected = %d, want 75", n)
-	}
-	rec, _ := tx.Get(bg(), "new")
-	if rec.Amount != 75 || rec.Name != "N" {
-		t.Fatalf("rec = %+v", rec)
-	}
-}
-
-func TestDeleteVisibleInTxn(t *testing.T) {
-	m := newMgr(t)
-	m.Engine().Put(storage.Record{Key: "p", Amount: 1})
-	tx := m.Begin()
-	defer tx.Abort()
-	tx.Delete(bg(), "p")
-	if _, err := tx.Get(bg(), "p"); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("deleted key visible: %v", err)
-	}
-	if _, err := tx.ApplyDelta(bg(), "p", 1); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("delta to deleted key: %v", err)
 	}
 }
 
@@ -145,30 +109,18 @@ func TestWriteConflictBlocks(t *testing.T) {
 	}
 }
 
-func TestReadersShareLock(t *testing.T) {
-	m := newMgr(t)
-	m.Engine().Put(storage.Record{Key: "p", Amount: 10})
-	tx1 := m.Begin()
-	defer tx1.Abort()
-	tx2 := m.Begin()
-	defer tx2.Abort()
-	if _, err := tx1.Get(bg(), "p"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx2.Get(bg(), "p"); err != nil {
-		t.Fatalf("second reader blocked: %v", err)
-	}
-}
-
 func TestFinishedTxnRejectsOps(t *testing.T) {
 	m := newMgr(t)
 	tx := m.Begin()
 	tx.Commit()
-	if err := tx.Put(bg(), storage.Record{Key: "x"}); !errors.Is(err, ErrDone) {
-		t.Fatalf("Put after commit: %v", err)
+	if _, err := tx.ApplyDelta(bg(), "x", 1); !errors.Is(err, ErrDone) {
+		t.Fatalf("ApplyDelta after commit: %v", err)
 	}
-	if _, err := tx.Get(bg(), "x"); !errors.Is(err, ErrDone) {
-		t.Fatalf("Get after commit: %v", err)
+	if err := tx.AddMeta("x", 1); !errors.Is(err, ErrDone) {
+		t.Fatalf("AddMeta after commit: %v", err)
+	}
+	if err := tx.LogDelta("x", 1, 1); !errors.Is(err, ErrDone) {
+		t.Fatalf("LogDelta after commit: %v", err)
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrDone) {
 		t.Fatalf("double commit: %v", err)
@@ -214,6 +166,38 @@ func TestLogDeltaCommitsOneOp(t *testing.T) {
 	}
 }
 
+// TestSecondKeyRefused: a transaction changes one key. A delta to a
+// second key is refused without waiting and without touching that key,
+// and the first key's buffered delta still commits.
+func TestSecondKeyRefused(t *testing.T) {
+	m := newMgr(t)
+	m.Engine().Put(storage.Record{Key: "a", Amount: 0})
+	m.Engine().Put(storage.Record{Key: "b", Amount: 0})
+	tx1 := m.Begin()
+	if _, err := tx1.ApplyDelta(bg(), "a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx1.ApplyDelta(bg(), "b", 1); !errors.Is(err, lockmgr.ErrSecondKey) {
+		t.Fatalf("second key: %v, want ErrSecondKey", err)
+	}
+	tx2 := m.Begin()
+	if _, err := tx2.ApplyDelta(bg(), "b", 2); err != nil {
+		t.Fatalf("b locked by the refused request: %v", err)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if na, _ := m.Engine().Amount("a"); na != 1 {
+		t.Fatalf("a = %d, want 1", na)
+	}
+	if nb, _ := m.Engine().Amount("b"); nb != 2 {
+		t.Fatalf("b = %d, want 2", nb)
+	}
+}
+
 func TestConcurrentIncrementsSerialize(t *testing.T) {
 	m := newMgr(t)
 	m.Engine().Put(storage.Record{Key: "ctr", Amount: 0})
@@ -243,59 +227,6 @@ func TestConcurrentIncrementsSerialize(t *testing.T) {
 	wg.Wait()
 	if n, _ := m.Engine().Amount("ctr"); n != workers*each {
 		t.Fatalf("counter = %d, want %d", n, workers*each)
-	}
-}
-
-func TestDeadlockVictimCanRetry(t *testing.T) {
-	m := newMgr(t)
-	m.Engine().Put(storage.Record{Key: "a", Amount: 0})
-	m.Engine().Put(storage.Record{Key: "b", Amount: 0})
-	tx1 := m.Begin()
-	tx2 := m.Begin()
-	if _, err := tx1.ApplyDelta(bg(), "a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx2.ApplyDelta(bg(), "b", 1); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := tx1.ApplyDelta(bg(), "b", 1)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	_, err := tx2.ApplyDelta(bg(), "a", 1)
-	if !errors.Is(err, lockmgr.ErrDeadlock) {
-		t.Fatalf("err = %v, want deadlock", err)
-	}
-	tx2.Abort()
-	if err := <-done; err != nil {
-		t.Fatalf("survivor errored: %v", err)
-	}
-	if err := tx1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if na, _ := m.Engine().Amount("a"); na != 1 {
-		t.Fatalf("a = %d", na)
-	}
-	if nb, _ := m.Engine().Amount("b"); nb != 1 {
-		t.Fatalf("b = %d", nb)
-	}
-}
-
-func TestManyKeysOneTxn(t *testing.T) {
-	m := newMgr(t)
-	tx := m.Begin()
-	for i := 0; i < 50; i++ {
-		if err := tx.Put(bg(), storage.Record{Key: fmt.Sprintf("k%02d", i), Amount: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Engine().Len() != 50 {
-		t.Fatalf("Len = %d", m.Engine().Len())
 	}
 }
 

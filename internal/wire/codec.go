@@ -37,6 +37,15 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
 
+// appendOptUvarint appends v as an optional trailing field: omitted when
+// zero, so a message without it encodes exactly as one that predates it.
+func appendOptUvarint(b []byte, v uint64) []byte {
+	if v == 0 {
+		return b
+	}
+	return appendUvarint(b, v)
+}
+
 // appendVarint appends v to b in zig-zag varint encoding.
 func appendVarint(b []byte, v int64) []byte {
 	return binary.AppendVarint(b, v)
@@ -68,6 +77,19 @@ func (r *reader) uvarint() (uint64, error) {
 	}
 	r.b = r.b[n:]
 	return v, nil
+}
+
+// optUvarint reads a trailing field written by appendOptUvarint: zero
+// when no bytes remain, ErrNonCanonical for an explicit zero.
+func (r *reader) optUvarint() (uint64, error) {
+	if len(r.b) == 0 {
+		return 0, nil
+	}
+	v, err := r.uvarint()
+	if err == nil && v == 0 {
+		return 0, ErrNonCanonical
+	}
+	return v, err
 }
 
 func (r *reader) varint() (int64, error) {

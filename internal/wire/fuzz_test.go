@@ -70,6 +70,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	}
 	routed := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: &RouteReply{Status: RouteOK, AppliedSite: 4, AppliedLSN: 77}})
 	f.Add(routed[:len(routed)-1])
+	// An AV request and a delta window with their optional trailing
+	// uvarint written as an explicit zero: non-canonical, so rejected.
+	for _, m := range []Message{&AVRequest{Key: "k", Amount: 5},
+		&DeltaSync{Origin: 1, FirstSeq: 4, Deltas: []Delta{{Seq: 4, Key: "k", Amount: -1}}}} {
+		f.Add(append(EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: m}), 0x00))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeEnvelope(data)

@@ -126,10 +126,7 @@ func (*AVRequest) Kind() Kind { return KindAVRequest }
 func (m *AVRequest) encode(b []byte) []byte {
 	b = appendString(b, m.Key)
 	b = appendVarint(b, m.Amount)
-	if m.Xfer != 0 {
-		b = appendUvarint(b, m.Xfer)
-	}
-	return b
+	return appendOptUvarint(b, m.Xfer)
 }
 
 func (m *AVRequest) decode(r *reader) (err error) {
@@ -139,14 +136,7 @@ func (m *AVRequest) decode(r *reader) (err error) {
 	if m.Amount, err = r.varint(); err != nil {
 		return err
 	}
-	if r.remaining() > 0 {
-		if m.Xfer, err = r.uvarint(); err != nil {
-			return err
-		}
-		if m.Xfer == 0 {
-			return ErrNonCanonical
-		}
-	}
+	m.Xfer, err = r.optUvarint()
 	return err
 }
 
@@ -249,10 +239,7 @@ func (m *DeltaSync) encode(b []byte) []byte {
 		b = appendString(b, d.Key)
 		b = appendVarint(b, d.Amount)
 	}
-	if m.WindowTop != 0 {
-		b = appendUvarint(b, m.WindowTop)
-	}
-	return b
+	return appendOptUvarint(b, m.WindowTop)
 }
 
 func (m *DeltaSync) decode(r *reader) error {
@@ -283,15 +270,8 @@ func (m *DeltaSync) decode(r *reader) error {
 			return err
 		}
 	}
-	if r.remaining() > 0 {
-		if m.WindowTop, err = r.uvarint(); err != nil {
-			return err
-		}
-		if m.WindowTop == 0 {
-			return ErrNonCanonical
-		}
-	}
-	return nil
+	m.WindowTop, err = r.optUvarint()
+	return err
 }
 
 // DeltaAck acknowledges that the sender has applied Origin's deltas up to
