@@ -73,7 +73,6 @@ func main() {
 		heartbeatMS  = flag.Int("heartbeat-ms", 1000, "peer liveness probe interval in milliseconds (0 = off)")
 		suspectMS    = flag.Int("suspect-after-ms", 0, "consecutive-failure duration before a peer is suspected (0 = default)")
 		flushPeerMS  = flag.Int("flush-peer-ms", 2000, "per-peer deadline within one anti-entropy flush (0 = unbounded)")
-		escrow       = flag.Bool("escrow", false, "make remote AV grants crash-safe escrowed transfers")
 		readPlane    = flag.Bool("readplane", true, "materialize read models and serve /read/* on the admin server")
 		readTopK     = flag.Int("read-topk", 0, "hot-key view size (0 = default)")
 		retransmitMS = flag.Int("retransmit-ms", 0, "inter-site RPC retransmission interval in milliseconds (0 = off; receivers dedup)")
@@ -158,7 +157,6 @@ func main() {
 		SuspectAfter:      time.Duration(*suspectMS) * time.Millisecond,
 		FlushPeerTimeout:  time.Duration(*flushPeerMS) * time.Millisecond,
 		FlushBackoff:      flushBackoff,
-		EscrowTransfers:   *escrow,
 		ReadPlane:         *readPlane,
 		ReadPlaneTopK:     *readTopK,
 		WALMaxSyncDelay:   time.Duration(*syncDelayUS) * time.Microsecond,
@@ -176,12 +174,14 @@ func main() {
 	if *admin != "" {
 		srv := obs.New(obs.Options{Registry: registry, Tracer: tracer})
 		srv.RegisterHistogram("update_latency", updateLatency)
-		// Failure-model counters: how often the node failed over, retried,
-		// aborted, or reconciled — the first place to look when a cluster
-		// is degraded.
+		// Failure-model counters: how often the node failed over, retried
+		// or aborted, and how much AV it granted and received — the first
+		// place to look when a cluster is degraded.
 		srv.RegisterCounter("av_failovers", s.Accelerator().Stats().Failovers.Load)
-		srv.RegisterCounter("escrow_settles", s.Accelerator().Stats().Settles.Load)
-		srv.RegisterCounter("escrow_cancels", s.Accelerator().Stats().Cancels.Load)
+		// Granted minus received, summed over the cluster, is the AV
+		// slack lost with grant replies that never arrived.
+		srv.RegisterCounter("av_granted_units", s.Accelerator().Stats().GrantedUnits.Load)
+		srv.RegisterCounter("av_received_units", s.Accelerator().Stats().ReceivedUnits.Load)
 		srv.RegisterCounter("twopc_aborts", s.TwoPC().Stats().Aborts.Load)
 		srv.RegisterCounter("twopc_swept", s.TwoPC().Stats().Swept.Load)
 		srv.RegisterCounter("twopc_decision_retries", s.TwoPC().Stats().DecisionRetries.Load)

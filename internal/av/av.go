@@ -23,7 +23,6 @@ package av
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"avdb/internal/txn"
@@ -50,26 +49,9 @@ func shardOf(key string) int {
 	return int(h & (numShards - 1))
 }
 
-// maxResolvedXfers bounds the tombstone set remembering resolved
-// transfer IDs (so a late duplicate request can't re-create escrow).
-const maxResolvedXfers = 4096
-
 // Table is one site's AV management table. It is safe for concurrent use.
 type Table struct {
 	shards [numShards]tableShard
-
-	// Escrowed outbound transfers, keyed by transfer ID. Guarded by its
-	// own lock; lock order is xmu before a shard lock, never the reverse.
-	xmu           sync.Mutex
-	xfers         map[uint64]escrowRec
-	resolved      map[uint64]bool // tombstones of settled/canceled xfers
-	resolvedOrder []uint64        // FIFO for tombstone eviction
-	obls          map[uint64]Obligation
-}
-
-type escrowRec struct {
-	key string
-	n   int64
 }
 
 type tableShard struct {
@@ -78,18 +60,13 @@ type tableShard struct {
 }
 
 type entry struct {
-	avail  int64 // free allowable volume
-	held   int64 // reserved by in-flight updates
-	escrow int64 // debited for a transfer but not yet settled/canceled
+	avail int64 // free allowable volume
+	held  int64 // reserved by in-flight updates
 }
 
 // NewTable creates an empty table.
 func NewTable() *Table {
-	t := &Table{
-		xfers:    make(map[uint64]escrowRec),
-		resolved: make(map[uint64]bool),
-		obls:     make(map[uint64]Obligation),
-	}
+	t := &Table{}
 	for i := range t.shards {
 		t.shards[i].entries = make(map[string]*entry)
 	}
@@ -172,26 +149,13 @@ func (t *Table) Held(key string) int64 {
 	return 0
 }
 
-// Total returns avail + held + escrow: every unit of global slack this
-// site is accountable for. Escrowed units still count against the site
-// until the requester settles the transfer, which is what keeps the
-// cluster-wide conservation sum exact while transfers are in flight.
+// Total returns avail + held: every unit of global slack this site is
+// accountable for.
 func (t *Table) Total(key string) int64 {
 	s := t.shard(key)
 	defer s.mu.Unlock()
 	if e := s.entries[key]; e != nil {
-		return e.avail + e.held + e.escrow
-	}
-	return 0
-}
-
-// Escrowed returns the volume parked in unresolved outbound transfers
-// of key.
-func (t *Table) Escrowed(key string) int64 {
-	s := t.shard(key)
-	defer s.mu.Unlock()
-	if e := s.entries[key]; e != nil {
-		return e.escrow
+		return e.avail + e.held
 	}
 	return 0
 }
@@ -335,177 +299,6 @@ func (t *Table) Debit(key string, n int64) (int64, error) {
 	}
 	e.avail -= take
 	return take, nil
-}
-
-// EscrowDebit removes up to n available units for the outbound
-// transfer identified by xfer and parks them in escrow instead of
-// handing them over unconditionally. The units leave avail but stay in
-// this site's Total until ResolveEscrow settles (destroys) or cancels
-// (refunds) them, so a lost grant reply can never make AV vanish — it
-// strands slack, which the requester-driven settle protocol reclaims.
-//
-// EscrowDebit is idempotent on xfer: a duplicate request for a known
-// transfer returns the originally escrowed amount without debiting
-// again, and a request for an already-resolved transfer returns 0 (the
-// tombstone blocks late duplicates from minting fresh escrow).
-func (t *Table) EscrowDebit(key string, xfer uint64, n int64) (int64, error) {
-	if n < 0 {
-		return 0, ErrNegative
-	}
-	if xfer == 0 {
-		return 0, fmt.Errorf("av: zero transfer id")
-	}
-	t.xmu.Lock()
-	defer t.xmu.Unlock()
-	if rec, ok := t.xfers[xfer]; ok {
-		return rec.n, nil
-	}
-	if t.resolved[xfer] {
-		return 0, nil
-	}
-	s := t.shard(key)
-	e := s.entries[key]
-	if e == nil {
-		s.mu.Unlock()
-		return 0, ErrUndefined
-	}
-	take := n
-	if e.avail < take {
-		take = e.avail
-	}
-	e.avail -= take
-	e.escrow += take
-	s.mu.Unlock()
-	if take > 0 {
-		// A zero take leaves no ledger entry: the requester uses a fresh
-		// transfer id per attempt, and resolving an unknown id is a no-op.
-		t.xfers[xfer] = escrowRec{key: key, n: take}
-	}
-	return take, nil
-}
-
-// ResolveEscrow finishes the transfer identified by xfer. With refund
-// false (settle) the escrowed units are destroyed — the requester
-// credited them, so this site's share of the global slack shrinks by
-// exactly what the requester's grew. With refund true (cancel) they
-// return to avail. Resolving an unknown or already-resolved transfer
-// returns (0, nil): settles and cancels may be retried and duplicated
-// freely.
-func (t *Table) ResolveEscrow(xfer uint64, refund bool) (int64, error) {
-	t.xmu.Lock()
-	defer t.xmu.Unlock()
-	rec, ok := t.xfers[xfer]
-	if !ok {
-		return 0, nil
-	}
-	delete(t.xfers, xfer)
-	t.tombstone(xfer)
-	s := t.shard(rec.key)
-	defer s.mu.Unlock()
-	e := s.entries[rec.key]
-	if e == nil || e.escrow < rec.n {
-		return 0, fmt.Errorf("%w: resolve %d escrow %d", ErrOverspend, rec.n, t.escrowOf(e))
-	}
-	e.escrow -= rec.n
-	if refund {
-		e.avail += rec.n
-	}
-	return rec.n, nil
-}
-
-func (t *Table) escrowOf(e *entry) int64 {
-	if e == nil {
-		return 0
-	}
-	return e.escrow
-}
-
-// tombstone records a resolved xfer, evicting the oldest record when
-// the set is full. Caller holds t.xmu.
-func (t *Table) tombstone(xfer uint64) {
-	if len(t.resolvedOrder) >= maxResolvedXfers {
-		evict := t.resolvedOrder[0]
-		t.resolvedOrder = t.resolvedOrder[1:]
-		delete(t.resolved, evict)
-	}
-	t.resolved[xfer] = true
-	t.resolvedOrder = append(t.resolvedOrder, xfer)
-}
-
-// PendingEscrow returns the unresolved transfer xfer; ok is false when
-// the transfer is unknown or already resolved.
-func (t *Table) PendingEscrow(xfer uint64) (esc Escrow, ok bool) {
-	t.xmu.Lock()
-	defer t.xmu.Unlock()
-	rec, ok := t.xfers[xfer]
-	return Escrow{Xfer: xfer, Key: rec.key, N: rec.n}, ok
-}
-
-// Escrow describes one unresolved outbound transfer.
-type Escrow struct {
-	Xfer uint64
-	Key  string
-	N    int64
-}
-
-// PendingEscrows returns the unresolved outbound transfers, ordered by
-// transfer id, for restart recovery and invariant checks.
-func (t *Table) PendingEscrows() []Escrow {
-	t.xmu.Lock()
-	defer t.xmu.Unlock()
-	out := make([]Escrow, 0, len(t.xfers))
-	for x, rec := range t.xfers {
-		out = append(out, Escrow{Xfer: x, Key: rec.key, N: rec.n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Xfer < out[j].Xfer })
-	return out
-}
-
-// Obligation is a requester-side promise to finish an escrowed inbound
-// transfer: Cancel=false settles (the units were credited locally, the
-// granter must destroy its escrow), Cancel=true cancels (the request
-// failed, the granter must refund). Obligations are recorded before
-// their effects so that after a crash the requester re-drives the
-// settle/cancel and the granter's escrow cannot strand double-counted.
-type Obligation struct {
-	Xfer   uint64
-	Peer   uint32 // granter site
-	Cancel bool
-}
-
-// AddObligation records ob, overwriting any previous record for the
-// same transfer.
-func (t *Table) AddObligation(ob Obligation) error {
-	if ob.Xfer == 0 {
-		return errors.New("av: zero obligation transfer id")
-	}
-	t.xmu.Lock()
-	defer t.xmu.Unlock()
-	t.obls[ob.Xfer] = ob
-	return nil
-}
-
-// CompleteObligation discharges the obligation for xfer (no-op when
-// unknown).
-func (t *Table) CompleteObligation(xfer uint64) error {
-	t.xmu.Lock()
-	defer t.xmu.Unlock()
-	delete(t.obls, xfer)
-	return nil
-}
-
-// Obligations returns the outstanding obligations, ordered by transfer
-// id so callers that iterate them (escrow reconciliation) behave
-// deterministically.
-func (t *Table) Obligations() []Obligation {
-	t.xmu.Lock()
-	defer t.xmu.Unlock()
-	out := make([]Obligation, 0, len(t.obls))
-	for _, ob := range t.obls {
-		out = append(out, ob)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Xfer < out[j].Xfer })
-	return out
 }
 
 // Keys returns the defined keys (unordered).

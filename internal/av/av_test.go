@@ -321,117 +321,3 @@ func BenchmarkAcquireUpToContended(b *testing.B) {
 		}
 	})
 }
-
-func TestEscrowDebitMovesAvailToEscrow(t *testing.T) {
-	tb := NewTable()
-	tb.Define("k", 100)
-	got, err := tb.EscrowDebit("k", 7, 30)
-	if err != nil || got != 30 {
-		t.Fatalf("EscrowDebit = %d, %v", got, err)
-	}
-	if a := tb.Avail("k"); a != 70 {
-		t.Fatalf("Avail = %d want 70", a)
-	}
-	if e := tb.Escrowed("k"); e != 30 {
-		t.Fatalf("Escrowed = %d want 30", e)
-	}
-	if tot := tb.Total("k"); tot != 100 {
-		t.Fatalf("Total = %d want 100 (escrow still counts)", tot)
-	}
-}
-
-func TestEscrowDebitCapsAtAvail(t *testing.T) {
-	tb := NewTable()
-	tb.Define("k", 10)
-	got, err := tb.EscrowDebit("k", 7, 25)
-	if err != nil || got != 10 {
-		t.Fatalf("EscrowDebit = %d, %v", got, err)
-	}
-}
-
-func TestEscrowDebitIdempotentOnXfer(t *testing.T) {
-	tb := NewTable()
-	tb.Define("k", 100)
-	tb.EscrowDebit("k", 7, 30)
-	// Duplicate request (same xfer): same answer, no extra debit.
-	got, err := tb.EscrowDebit("k", 7, 30)
-	if err != nil || got != 30 {
-		t.Fatalf("duplicate EscrowDebit = %d, %v", got, err)
-	}
-	if a := tb.Avail("k"); a != 70 {
-		t.Fatalf("Avail = %d want 70 after duplicate", a)
-	}
-}
-
-func TestSettleDestroysEscrow(t *testing.T) {
-	tb := NewTable()
-	tb.Define("k", 100)
-	tb.EscrowDebit("k", 7, 30)
-	n, err := tb.ResolveEscrow(7, false)
-	if err != nil || n != 30 {
-		t.Fatalf("ResolveEscrow = %d, %v", n, err)
-	}
-	if tot := tb.Total("k"); tot != 70 {
-		t.Fatalf("Total = %d want 70 after settle", tot)
-	}
-	if e := tb.Escrowed("k"); e != 0 {
-		t.Fatalf("Escrowed = %d want 0", e)
-	}
-}
-
-func TestCancelRefundsEscrow(t *testing.T) {
-	tb := NewTable()
-	tb.Define("k", 100)
-	tb.EscrowDebit("k", 7, 30)
-	n, err := tb.ResolveEscrow(7, true)
-	if err != nil || n != 30 {
-		t.Fatalf("ResolveEscrow = %d, %v", n, err)
-	}
-	if a := tb.Avail("k"); a != 100 {
-		t.Fatalf("Avail = %d want 100 after cancel", a)
-	}
-}
-
-func TestResolveUnknownXferIsNoop(t *testing.T) {
-	tb := NewTable()
-	tb.Define("k", 100)
-	if n, err := tb.ResolveEscrow(99, false); n != 0 || err != nil {
-		t.Fatalf("ResolveEscrow(unknown) = %d, %v", n, err)
-	}
-}
-
-func TestLateDuplicateAfterResolveGetsNothing(t *testing.T) {
-	tb := NewTable()
-	tb.Define("k", 100)
-	tb.EscrowDebit("k", 7, 30)
-	tb.ResolveEscrow(7, true)
-	// A delayed duplicate of the original request must not re-escrow.
-	got, err := tb.EscrowDebit("k", 7, 30)
-	if err != nil || got != 0 {
-		t.Fatalf("late duplicate EscrowDebit = %d, %v", got, err)
-	}
-	if a := tb.Avail("k"); a != 100 {
-		t.Fatalf("Avail = %d want 100", a)
-	}
-}
-
-func TestPendingEscrows(t *testing.T) {
-	tb := NewTable()
-	tb.Define("a", 50)
-	tb.Define("b", 50)
-	tb.EscrowDebit("a", 1, 10)
-	tb.EscrowDebit("b", 2, 20)
-	tb.ResolveEscrow(1, false)
-	pend := tb.PendingEscrows()
-	if len(pend) != 1 || pend[0].Xfer != 2 || pend[0].Key != "b" || pend[0].N != 20 {
-		t.Fatalf("PendingEscrows = %+v", pend)
-	}
-}
-
-func TestEscrowDebitRejectsZeroXfer(t *testing.T) {
-	tb := NewTable()
-	tb.Define("k", 10)
-	if _, err := tb.EscrowDebit("k", 0, 5); err == nil {
-		t.Fatal("zero xfer accepted")
-	}
-}

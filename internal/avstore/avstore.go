@@ -6,10 +6,8 @@
 // a storage engine — on a site, the engine that holds the stock, so the
 // AV and the stock share one WAL, one LSN space and one checkpoint:
 //
-//	av/<key>     the balance (avail + held + escrow), a varint changed
-//	             only by storage.OpMetaAdd
-//	av/e/<xfer>  an unresolved outbound escrow: key and amount
-//	av/o/<xfer>  a settle/cancel obligation: granter site and flag
+//	av/<key>  the balance (avail + held), a varint changed only by
+//	          storage.OpMetaAdd
 //
 // Holds are volatile: an update that did not commit before a crash must
 // not consume AV, so a restart counts its hold as available again. So
@@ -23,9 +21,9 @@
 // stock delta: every durable prefix of the one log holds both or
 // neither, satisfies `AV <= stock`, and a crash can only lose slack,
 // never mint it. A grant the update does not spend gets its balance row
-// in a batch of its own before its hold is released; a granter's debit
-// or escrow is durable before the grant leaves the site; an obligation
-// is durable before the credit it guards.
+// in a batch of its own before its hold is released, and a granter's
+// debit is durable before the grant leaves the site: a grant lost on
+// the way is slack lost, never volume minted.
 package avstore
 
 import (
@@ -34,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -44,7 +41,9 @@ import (
 	"avdb/internal/wal"
 )
 
-// Row prefixes inside the engine's metadata namespace.
+// Row prefixes inside the engine's metadata namespace. The escrow and
+// obligation prefixes are reserved: no key may balance under them, and
+// a directory that holds such rows is refused (ErrEscrowLayout).
 const (
 	rowPrefix    = "av/"
 	escrowPrefix = rowPrefix + "e/"
@@ -59,6 +58,12 @@ var (
 	// would find no AV, and a node that seeds missing AV would define it
 	// again on top of the old journal's balances: minted volume.
 	ErrLegacyLayout = errors.New("avstore: legacy AV journal or snapshot present")
+	// ErrEscrowLayout refuses a directory holding the escrow or
+	// obligation rows of the escrowed transfer protocol avdb used to
+	// offer. An escrow's units are still inside its granter's balance
+	// row while the requester already holds them, so loading the balance
+	// alone would make them available twice: minted volume.
+	ErrEscrowLayout = errors.New("avstore: escrowed-transfer rows present")
 )
 
 // Options configure a Store.
@@ -114,95 +119,30 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// load defines every balance row, then parks the escrow rows' units
-// (the balance includes them) and restores the obligations.
+// load defines every balance row.
 func (s *Store) load() error {
-	var escrows []av.Escrow
-	var obls []av.Obligation
 	var err error
 	scanErr := s.eng.ScanMeta(rowPrefix, func(row string, v []byte) bool {
-		switch {
-		case strings.HasPrefix(row, escrowPrefix):
-			var esc av.Escrow
-			esc, err = decodeEscrow(row, v)
-			escrows = append(escrows, esc)
-		case strings.HasPrefix(row, obligPrefix):
-			var ob av.Obligation
-			ob, err = decodeObligation(row, v)
-			obls = append(obls, ob)
-		default:
-			n, k := binary.Varint(v)
-			if k <= 0 || k != len(v) || n < 0 {
-				err = fmt.Errorf("%w: balance row %q", ErrCorrupt, row)
-			} else {
-				err = s.Table.Define(row[len(rowPrefix):], n)
-			}
+		if strings.HasPrefix(row, escrowPrefix) || strings.HasPrefix(row, obligPrefix) {
+			err = fmt.Errorf("%w: %q", ErrEscrowLayout, row)
+			return false
+		}
+		n, k := binary.Varint(v)
+		if k <= 0 || k != len(v) || n < 0 {
+			err = fmt.Errorf("%w: balance row %q", ErrCorrupt, row)
+		} else {
+			err = s.Table.Define(row[len(rowPrefix):], n)
 		}
 		return err == nil
 	})
 	if scanErr != nil {
 		return scanErr
 	}
-	if err != nil {
-		return err
-	}
-	for _, esc := range escrows {
-		taken, err := s.Table.EscrowDebit(esc.Key, esc.Xfer, esc.N)
-		if err != nil {
-			return err
-		}
-		if taken != esc.N {
-			return fmt.Errorf("%w: escrow %d wants %d of %s, took %d", ErrCorrupt, esc.Xfer, esc.N, esc.Key, taken)
-		}
-	}
-	for _, ob := range obls {
-		if err := s.Table.AddObligation(ob); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 func balanceRow(key string) string              { return rowPrefix + key }
-func escrowRow(xfer uint64) string              { return escrowPrefix + strconv.FormatUint(xfer, 10) }
-func obligRow(xfer uint64) string               { return obligPrefix + strconv.FormatUint(xfer, 10) }
 func addBalance(key string, n int64) storage.Op { return storage.MetaAddOp(balanceRow(key), n) }
-
-func decodeEscrow(row string, v []byte) (av.Escrow, error) {
-	xfer, err := strconv.ParseUint(row[len(escrowPrefix):], 10, 64)
-	keyLen, k := binary.Uvarint(v)
-	if err != nil || k <= 0 || keyLen > uint64(len(v)-k) {
-		return av.Escrow{}, fmt.Errorf("%w: escrow row %q", ErrCorrupt, row)
-	}
-	key := string(v[k : k+int(keyLen)])
-	n, m := binary.Varint(v[k+int(keyLen):])
-	if m <= 0 || k+int(keyLen)+m != len(v) || n <= 0 {
-		return av.Escrow{}, fmt.Errorf("%w: escrow row %q", ErrCorrupt, row)
-	}
-	return av.Escrow{Xfer: xfer, Key: key, N: n}, nil
-}
-
-func encodeEscrow(key string, n int64) []byte {
-	v := binary.AppendUvarint(nil, uint64(len(key)))
-	return binary.AppendVarint(append(v, key...), n)
-}
-
-func decodeObligation(row string, v []byte) (av.Obligation, error) {
-	xfer, err := strconv.ParseUint(row[len(obligPrefix):], 10, 64)
-	peer, k := binary.Uvarint(v)
-	if err != nil || k <= 0 || peer > 0xFFFFFFFF || len(v) != k+1 || v[k] > 1 {
-		return av.Obligation{}, fmt.Errorf("%w: obligation row %q", ErrCorrupt, row)
-	}
-	return av.Obligation{Xfer: xfer, Peer: uint32(peer), Cancel: v[k] == 1}, nil
-}
-
-func encodeObligation(ob av.Obligation) []byte {
-	flag := byte(0)
-	if ob.Cancel {
-		flag = 1
-	}
-	return append(binary.AppendUvarint(nil, uint64(ob.Peer)), flag)
-}
 
 // wait runs a durability wait returned by an engine batch, once s.mu is
 // released; a batch that failed to apply has nothing to wait for.
@@ -239,7 +179,7 @@ func (s *Store) DefineAll(defs ...av.Def) error {
 			return av.ErrNegative
 		}
 		if row := balanceRow(d.Key); strings.HasPrefix(row, escrowPrefix) || strings.HasPrefix(row, obligPrefix) {
-			return fmt.Errorf("avstore: key %q collides with the escrow and obligation rows", d.Key)
+			return fmt.Errorf("avstore: key %q collides with the reserved escrow and obligation rows", d.Key)
 		}
 		ops[i] = addBalance(d.Key, d.N)
 	}
@@ -314,69 +254,6 @@ func granted(taken int64, w func() error, err error) (int64, error) {
 		return 0, err
 	}
 	return taken, nil
-}
-
-// EscrowDebit durably parks up to n available units in escrow for the
-// transfer xfer and returns the amount taken. Like Debit, the row is
-// durable before the grant leaves the site. A duplicate request for a
-// known transfer rewrites the same row, so it too returns only once the
-// escrow is durable.
-func (s *Store) EscrowDebit(key string, xfer uint64, n int64) (int64, error) {
-	s.mu.Lock()
-	_, dup := s.Table.PendingEscrow(xfer)
-	taken, err := s.Table.EscrowDebit(key, xfer, n)
-	var w func() error
-	if err == nil && taken > 0 {
-		if w, err = s.eng.ApplyAsync(storage.MetaPutOp(escrowRow(xfer), encodeEscrow(key, taken))); err != nil && !dup {
-			_, _ = s.Table.ResolveEscrow(xfer, true)
-		}
-	}
-	s.mu.Unlock()
-	return granted(taken, w, err)
-}
-
-// ResolveEscrow durably finishes transfer xfer (refund=true cancels,
-// false settles and destroys the units). The escrow row and, for a
-// settle, the balance change go in one batch. Resolving an unknown
-// transfer is a no-op that writes nothing.
-func (s *Store) ResolveEscrow(xfer uint64, refund bool) (int64, error) {
-	s.mu.Lock()
-	esc, ok := s.Table.PendingEscrow(xfer)
-	if !ok {
-		s.mu.Unlock()
-		return 0, nil
-	}
-	ops := []storage.Op{storage.MetaDeleteOp(escrowRow(xfer))}
-	if !refund {
-		ops = append(ops, addBalance(esc.Key, -esc.N))
-	}
-	w, err := s.eng.ApplyAsync(ops...)
-	var n int64
-	if err == nil {
-		n, err = s.Table.ResolveEscrow(xfer, refund)
-	}
-	s.mu.Unlock()
-	if err := wait(w, err); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// AddObligation durably records a settle/cancel obligation for an
-// inbound transfer. It is written before the effect it guards (the
-// local credit), so a restarted site re-drives it.
-func (s *Store) AddObligation(ob av.Obligation) error {
-	if ob.Xfer == 0 {
-		return s.Table.AddObligation(ob) // rejected: nothing to write
-	}
-	return s.write(func() error { return s.Table.AddObligation(ob) },
-		storage.MetaPutOp(obligRow(ob.Xfer), encodeObligation(ob)))
-}
-
-// CompleteObligation durably discharges the obligation for xfer.
-func (s *Store) CompleteObligation(xfer uint64) error {
-	return s.write(func() error { return s.Table.CompleteObligation(xfer) },
-		storage.MetaDeleteOp(obligRow(xfer)))
 }
 
 // Close closes a private engine. A shared engine belongs to its site,

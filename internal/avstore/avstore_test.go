@@ -283,8 +283,6 @@ func TestCorruptRowRejected(t *testing.T) {
 	for _, op := range []storage.Op{
 		storage.MetaPutOp(balanceRow("k"), []byte{0x80}),
 		storage.MetaAddOp(balanceRow("k"), -1),
-		storage.MetaPutOp(escrowRow(7), encodeEscrow("ghost", 5)),
-		storage.MetaPutOp(obligRow(9), []byte{1, 2}),
 	} {
 		dir := t.TempDir()
 		eng, err := storage.Open(storage.Options{Dir: dir, NoSync: true})
@@ -313,6 +311,39 @@ func TestLegacyLayoutRefused(t *testing.T) {
 		}
 		if _, err := Open(dir, Options{NoSync: true}); !errors.Is(err, ErrLegacyLayout) {
 			t.Fatalf("%s: err = %v, want ErrLegacyLayout", legacy, err)
+		}
+	}
+}
+
+// TestEscrowRowsRefused: a directory written by the escrowed transfer
+// protocol can hold escrow rows, whose units are also still inside the
+// granter's balance row, and obligation rows. Open refuses either with
+// ErrEscrowLayout rather than load the balance and mint the escrow.
+func TestEscrowRowsRefused(t *testing.T) {
+	escrow := append([]byte{5}, "ghost"...)
+	escrow = append(escrow, 10) // varint 5
+	for _, op := range []storage.Op{
+		storage.MetaPutOp(escrowPrefix+"7", escrow),
+		storage.MetaPutOp(obligPrefix+"9", []byte{3, 0}),
+	} {
+		dir := t.TempDir()
+		eng, err := storage.Open(storage.Options{Dir: dir, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Apply(storage.MetaAddOp(balanceRow("ghost"), 5), op); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, Options{Engine: eng}); !errors.Is(err, ErrEscrowLayout) {
+			t.Errorf("row %q: err = %v, want ErrEscrowLayout", op.Key, err)
+		}
+		eng.Close()
+	}
+	s := openStore(t, t.TempDir())
+	defer s.Close()
+	for _, key := range []string{"e/7", "o/9"} {
+		if err := s.Define(key, 1); err == nil {
+			t.Errorf("Define(%q) accepted a reserved row name", key)
 		}
 	}
 }
@@ -573,16 +604,15 @@ func TestConcurrentDurableOpsWithCheckpointer(t *testing.T) {
 
 	const workers = 6
 	var wg sync.WaitGroup
-	spent := make([]int64, workers)   // committed decrements
-	minted := make([]int64, workers)  // credits
-	settled := make([]int64, workers) // escrows resolved as settle (destroyed)
+	spent := make([]int64, workers)  // committed decrements and grants
+	minted := make([]int64, workers) // credits
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			r := rng.New(uint64(g + 1))
 			for i := 0; i < 40; i++ {
-				switch r.Intn(4) {
+				switch r.Intn(3) {
 				case 0:
 					n := r.Range(1, 20)
 					if ok, err := s.Acquire("k", n); err == nil && ok {
@@ -607,20 +637,6 @@ func TestConcurrentDurableOpsWithCheckpointer(t *testing.T) {
 						return
 					}
 					spent[g] += taken
-				case 3:
-					xfer := uint64(g)<<32 | uint64(i)
-					taken, err := s.EscrowDebit("k", xfer, r.Range(1, 10))
-					if err != nil || taken == 0 {
-						continue
-					}
-					cancel := r.Bool(0.5)
-					if _, err := s.ResolveEscrow(xfer, cancel); err != nil {
-						t.Errorf("resolve: %v", err)
-						return
-					}
-					if !cancel {
-						settled[g] += taken
-					}
 				}
 			}
 		}(g)
@@ -649,7 +665,7 @@ func TestConcurrentDurableOpsWithCheckpointer(t *testing.T) {
 
 	truth := int64(initial)
 	for g := 0; g < workers; g++ {
-		truth += minted[g] - spent[g] - settled[g]
+		truth += minted[g] - spent[g]
 	}
 	if got := s.Avail("k") + s.Held("k"); got != truth {
 		t.Fatalf("in-memory balance %d, want %d", got, truth)
@@ -719,174 +735,4 @@ func benchmarkDurableDecrement(b *testing.B, run func(body func())) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(st.Fsyncs.Load()-start)/float64(b.N), "fsyncs/op")
-}
-
-func TestEscrowSurvivesRestartViaJournal(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir)
-	if err := s.Define("k", 100); err != nil {
-		t.Fatal(err)
-	}
-	taken, err := s.EscrowDebit("k", 7, 30)
-	if err != nil || taken != 30 {
-		t.Fatalf("EscrowDebit = %d, %v", taken, err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir)
-	defer s2.Close()
-	if got := s2.Escrowed("k"); got != 30 {
-		t.Fatalf("escrowed after restart = %d, want 30", got)
-	}
-	if got := s2.Avail("k"); got != 70 {
-		t.Fatalf("avail after restart = %d, want 70", got)
-	}
-	if got := s2.Total("k"); got != 100 {
-		t.Fatalf("total after restart = %d, want 100", got)
-	}
-	// The transfer id must still be resolvable.
-	n, err := s2.ResolveEscrow(7, true)
-	if err != nil || n != 30 {
-		t.Fatalf("ResolveEscrow = %d, %v", n, err)
-	}
-	if got := s2.Avail("k"); got != 100 {
-		t.Fatalf("avail after refund = %d, want 100", got)
-	}
-}
-
-func TestEscrowSurvivesCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir)
-	if err := s.Define("k", 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.EscrowDebit("k", 9, 40); err != nil {
-		t.Fatal(err)
-	}
-	checkpoint(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir)
-	defer s2.Close()
-	if got := s2.Escrowed("k"); got != 40 {
-		t.Fatalf("escrowed after checkpoint+restart = %d, want 40", got)
-	}
-	if got := s2.Total("k"); got != 100 {
-		t.Fatalf("total after checkpoint+restart = %d, want 100", got)
-	}
-	// Settle destroys the units at the granter.
-	n, err := s2.ResolveEscrow(9, false)
-	if err != nil || n != 40 {
-		t.Fatalf("ResolveEscrow = %d, %v", n, err)
-	}
-	if got := s2.Total("k"); got != 60 {
-		t.Fatalf("total after settle = %d, want 60", got)
-	}
-}
-
-func TestEscrowResolveSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir)
-	if err := s.Define("k", 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.EscrowDebit("k", 3, 25); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ResolveEscrow(3, false); err != nil { // settle: destroy
-		t.Fatal(err)
-	}
-	if _, err := s.EscrowDebit("k", 4, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ResolveEscrow(4, true); err != nil { // cancel: refund
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir)
-	defer s2.Close()
-	if got := s2.Total("k"); got != 75 {
-		t.Fatalf("total after replay = %d, want 75", got)
-	}
-	if got := s2.Escrowed("k"); got != 0 {
-		t.Fatalf("escrowed after replay = %d, want 0", got)
-	}
-	if got := s2.Avail("k"); got != 75 {
-		t.Fatalf("avail after replay = %d, want 75", got)
-	}
-}
-
-func TestDuplicateEscrowDebitNotDoubleJournaled(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir)
-	if err := s.Define("k", 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.EscrowDebit("k", 11, 20); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate request for the same transfer id must be idempotent.
-	taken, err := s.EscrowDebit("k", 11, 20)
-	if err != nil || taken != 20 {
-		t.Fatalf("duplicate EscrowDebit = %d, %v", taken, err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir)
-	defer s2.Close()
-	if got := s2.Escrowed("k"); got != 20 {
-		t.Fatalf("escrowed after replay = %d, want 20", got)
-	}
-	if got := s2.Total("k"); got != 100 {
-		t.Fatalf("total after replay = %d, want 100", got)
-	}
-}
-
-func TestObligationsSurviveRestart(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir)
-	if err := s.AddObligation(av.Obligation{Xfer: 21, Peer: 3, Cancel: false}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddObligation(av.Obligation{Xfer: 22, Peer: 5, Cancel: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CompleteObligation(21); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir)
-	obls := s2.Obligations()
-	if len(obls) != 1 || obls[0] != (av.Obligation{Xfer: 22, Peer: 5, Cancel: true}) {
-		t.Fatalf("obligations after WAL replay = %v", obls)
-	}
-	// And through a checkpoint (snapshot path).
-	checkpoint(t, s2)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3 := openStore(t, dir)
-	defer s3.Close()
-	obls = s3.Obligations()
-	if len(obls) != 1 || obls[0] != (av.Obligation{Xfer: 22, Peer: 5, Cancel: true}) {
-		t.Fatalf("obligations after snapshot = %v", obls)
-	}
-	if err := s3.CompleteObligation(22); err != nil {
-		t.Fatal(err)
-	}
-	if got := s3.Obligations(); len(got) != 0 {
-		t.Fatalf("obligations after discharge = %v", got)
-	}
 }

@@ -166,12 +166,13 @@ func TestChaosFixedSeedLong(t *testing.T) {
 // TestChaosSoakScripted is the conservation soak for the full failure
 // model: durable sites on a fault-injected network run a seeded
 // workload through scripted 5% message loss, a symmetric partition, and
-// a crash-restart-from-WAL of one site, with escrowed AV transfers,
+// a crash-restart-from-WAL of one site, with AV transfers,
 // retransmission, per-peer flush backoff and failure detection all on.
-// After the scenario heals and the cluster quiesces (sweeps, escrow
-// reconciliation, anti-entropy), every invariant must hold: replicas
-// converge, sum(AV) equals the surviving stock, and no hold or escrow
-// is left behind — a crash may lose slack, never mint it.
+// After the scenario heals and the cluster quiesces (sweeps,
+// anti-entropy), every invariant must hold: replicas converge, sum(AV)
+// never exceeds the surviving stock and falls short of it by no more
+// than lost grants and the crash explain, and no hold is left behind —
+// a lost reply or a crash may lose slack, never mint it.
 func TestChaosSoakScripted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is slow")
@@ -193,7 +194,6 @@ func TestChaosSoakScripted(t *testing.T) {
 		FlushPeerTimeout:   200 * time.Millisecond,
 		FlushBackoff:       failure.Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 800 * time.Millisecond},
 		SuspectAfter:       500 * time.Millisecond,
-		EscrowTransfers:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,9 +243,9 @@ func TestChaosSoakScripted(t *testing.T) {
 		t.Fatal("scenario script did not run to completion")
 	}
 
-	// Quiesce: stop injecting, drain orphaned 2PC state, settle escrow
-	// obligations, and let anti-entropy outlast the flush backoff
-	// windows opened during the faults.
+	// Quiesce: stop injecting, drain orphaned 2PC state, and let
+	// anti-entropy outlast the flush backoff windows opened during the
+	// faults.
 	inj.SetDefault(chaos.LinkFaults{})
 	inj.Heal()
 	for round := 0; round < 6; round++ {
@@ -262,11 +262,6 @@ func TestChaosSoakScripted(t *testing.T) {
 			t.Fatalf("quiesce flush round %d: %v", round, err)
 		}
 		time.Sleep(200 * time.Millisecond)
-	}
-	for i, s := range c.Sites {
-		if got := len(s.Accelerator().Obligations()); got != 0 {
-			t.Fatalf("site %d still holds %d escrow obligations after quiesce", i, got)
-		}
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -89,9 +89,6 @@ type Config struct {
 	// FlushPeerTimeout/FlushBackoff bound and back off per-peer flushes.
 	FlushPeerTimeout time.Duration
 	FlushBackoff     failure.Policy
-	// EscrowTransfers makes remote AV grants crash-safe escrowed
-	// transfers on every site.
-	EscrowTransfers bool
 	// Clock, when non-nil, drives every timer in the cluster — network
 	// delivery and call timeouts, 2PC deadlines, flush deadlines, sweeps.
 	// The deterministic simulator passes a *clock.Virtual; nil keeps the
@@ -100,10 +97,6 @@ type Config struct {
 	// EventsFor, when non-nil, supplies each site's event log (the
 	// simulator hashes these into its reproducibility trace).
 	EventsFor func(site int) *eventlog.Log
-	// XferSalt, when non-zero, makes escrow transfer ids deterministic;
-	// the cluster mixes in the site id and a per-site restart epoch so
-	// ids stay unique across restarts. Zero keeps wall-clock entropy.
-	XferSalt uint64
 	// TxnObserver, when non-nil, receives every locally applied 2PC
 	// outcome cluster-wide.
 	TxnObserver func(twopc.Outcome)
@@ -142,9 +135,12 @@ type Cluster struct {
 	// pm is the shared partition map (partition.Full when unsharded).
 	pm *partition.Map
 
-	mu     sync.Mutex
-	down   map[int]bool // crashed sites (durable clusters only)
-	epochs map[int]int  // per-site restart count, salts transfer ids
+	mu   sync.Mutex
+	down map[int]bool // crashed sites (durable clusters only)
+	// lost sums what crashed site incarnations could have taken with
+	// them: their grants sent minus grants received, and the AV their
+	// in-flight updates held when they went down (see LostSlackBound).
+	lost int64
 }
 
 // KeyName returns the catalog key for item i.
@@ -186,7 +182,6 @@ func New(cfg Config) (*Cluster, error) {
 		Cfg:      cfg,
 		Registry: cfg.Registry,
 		down:     make(map[int]bool),
-		epochs:   make(map[int]int),
 		Net: memnet.New(memnet.Options{
 			Registry:           cfg.Registry,
 			Latency:            cfg.Latency,
@@ -323,22 +318,12 @@ func (c *Cluster) siteConfig(id int) site.Config {
 		SuspectAfter:      cfg.SuspectAfter,
 		FlushPeerTimeout:  cfg.FlushPeerTimeout,
 		FlushBackoff:      cfg.FlushBackoff,
-		EscrowTransfers:   cfg.EscrowTransfers,
 		ReadPlane:         cfg.ReadPlane,
 		Partitions:        c.pm,
 		UpdateObserver:    cfg.UpdateObserver,
 	}
 	if cfg.EventsFor != nil {
 		sc.Events = cfg.EventsFor(id)
-	}
-	c.mu.Lock()
-	epoch := c.epochs[id]
-	c.mu.Unlock()
-	// A reborn site must never re-mint a transfer id a previous life
-	// used: granters tombstone resolved transfer ids. (Its 2PC ids are
-	// salted by the incarnation count the site keeps in its own storage.)
-	if cfg.XferSalt != 0 {
-		sc.XferSalt = cfg.XferSalt ^ ((uint64(id) + 1) << 32) ^ (uint64(epoch) + 1)
 	}
 	if cfg.Dir != "" {
 		sc.StorageDir = filepath.Join(cfg.Dir, fmt.Sprintf("site-%d", id))
@@ -364,7 +349,17 @@ func (c *Cluster) CrashSite(idx int) error {
 	}
 	c.down[idx] = true
 	c.mu.Unlock()
-	return c.Sites[idx].Close()
+	s := c.Sites[idx]
+	held := int64(0)
+	for _, key := range c.RegularKeys {
+		held += s.AV().Held(key)
+	}
+	err := s.Close()
+	st := s.Accelerator().Stats()
+	c.mu.Lock()
+	c.lost += held + st.GrantedUnits.Load() - st.ReceivedUnits.Load()
+	c.mu.Unlock()
+	return err
 }
 
 // RestartSite rebuilds a crashed durable site from its on-disk state.
@@ -380,7 +375,6 @@ func (c *Cluster) RestartSite(idx int) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: site %d is not down", idx)
 	}
-	c.epochs[idx]++ // the reborn site mints transfer ids from a new salt
 	c.mu.Unlock()
 	s, err := site.Reopen(c.siteConfig(idx), c.Net)
 	if err != nil {
@@ -463,12 +457,35 @@ func (c *Cluster) ConvergedValue(key string) (int64, error) {
 	return v0, nil
 }
 
+// LostSlackBound returns the most AV slack the cluster can have lost:
+// the units granted but never received over every site incarnation (the
+// grant replies that were lost), plus the units held by in-flight
+// updates at each crash (a received grant dies with the hold that has
+// not committed it). Lost slack is the one way AV may leave the
+// cluster other than a spend. With no lost reply and no crash the bound
+// is zero.
+func (c *Cluster) LostSlackBound() int64 {
+	c.mu.Lock()
+	lost := c.lost
+	for i, s := range c.Sites {
+		if !c.down[i] {
+			st := s.Accelerator().Stats()
+			lost += st.GrantedUnits.Load() - st.ReceivedUnits.Load()
+		}
+	}
+	c.mu.Unlock()
+	return lost
+}
+
 // CheckInvariants asserts, for every regular key, that the replicas have
-// converged and that the system-wide AV exactly equals the global stock:
-// transfers conserve AV, decrements consume one unit of AV per unit of
-// stock, increments mint one per unit. Call after FlushAll with no
-// in-flight updates.
+// converged, that the system-wide AV never exceeds the global stock
+// (no-mint: transfers move AV, decrements consume one unit of AV per
+// unit of stock, increments mint one per unit), and that the slack
+// missing summed over keys is within LostSlackBound — exact equality
+// whenever no grant was lost. Call after FlushAll with no in-flight
+// updates.
 func (c *Cluster) CheckInvariants() error {
+	var missing int64
 	for _, key := range c.RegularKeys {
 		v, err := c.ConvergedValue(key)
 		if err != nil {
@@ -478,20 +495,20 @@ func (c *Cluster) CheckInvariants() error {
 		for _, s := range c.Sites {
 			avSum += s.AV().Total(key)
 		}
-		if avSum != v {
-			return fmt.Errorf("cluster: key %s AV sum %d != global stock %d", key, avSum, v)
+		if avSum > v {
+			return fmt.Errorf("cluster: key %s AV sum %d exceeds global stock %d", key, avSum, v)
 		}
-		// At quiescence no update is in flight, so no reservation or
-		// unsettled escrow may linger — a leaked hold would silently
-		// shrink usable slack, an unsettled escrow double-counts volume.
+		missing += v - avSum
+		// At quiescence no update is in flight, so no reservation may
+		// linger — a leaked hold would silently shrink usable slack.
 		for i, s := range c.Sites {
 			if held := s.AV().Held(key); held != 0 {
 				return fmt.Errorf("cluster: key %s site %d leaked hold of %d", key, i, held)
 			}
-			if esc := s.AV().Escrowed(key); esc != 0 {
-				return fmt.Errorf("cluster: key %s site %d left %d in escrow", key, i, esc)
-			}
 		}
+	}
+	if bound := c.LostSlackBound(); missing > bound {
+		return fmt.Errorf("cluster: AV sums are %d short of global stock, more than the %d lost grants and crashes can explain", missing, bound)
 	}
 	for _, key := range c.NonRegularKeys {
 		if _, err := c.ConvergedValue(key); err != nil {

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"avdb/internal/av"
 	"avdb/internal/clock"
 	"avdb/internal/failure"
 	"avdb/internal/partition"
@@ -92,21 +91,8 @@ type Config struct {
 	// demoted behind every healthy candidate, so a request reaches the
 	// next-best AV holder instead of timing out on a dead one.
 	Detector *failure.Detector
-	// Escrow switches AV transfers to the escrowed protocol: grants are
-	// parked in the granter's escrow under a unique transfer id and the
-	// requester durably promises (before using the units) to settle or
-	// cancel, so a crash on either side cannot mint AV — at worst it
-	// strands slack until Reconcile re-drives the promise. Off by
-	// default; the healthy-path experiments are byte-identical without
-	// it.
-	Escrow bool
 	// Clock drives AV transfer call timeouts (nil means the real clock).
 	Clock clock.Clock
-	// XferSalt, when non-zero, seeds the transfer-id counter base instead
-	// of wall-clock entropy, making transfer ids deterministic. The salt
-	// must differ across a site's restarts (the simulator mixes a restart
-	// epoch in) because granters tombstone resolved ids.
-	XferSalt uint64
 }
 
 // DemandObserver receives the site's own consumption stream.
@@ -123,8 +109,13 @@ type Stats struct {
 	Immediate      atomic.Int64 // immediate updates attempted
 	Insufficient   atomic.Int64 // delay updates failed for lack of AV
 	Failovers      atomic.Int64 // candidate passes that demoted >= 1 suspect peer
-	Settles        atomic.Int64 // escrowed transfers settled (units destroyed at granter)
-	Cancels        atomic.Int64 // escrowed transfers canceled (units refunded at granter)
+	// GrantedUnits sums the AV this site debited for grants it sent;
+	// ReceivedUnits the AV it credited from grants it received. A grant
+	// whose reply is lost has left its granter and reached no one: lost
+	// slack, never minted volume. Summed over the cluster, granted minus
+	// received is exactly the slack lost that way.
+	GrantedUnits  atomic.Int64
+	ReceivedUnits atomic.Int64
 }
 
 // Accelerator is one site's accelerator.
@@ -139,11 +130,6 @@ type Accelerator struct {
 
 	rmu sync.Mutex
 	rnd *rng.Rand
-
-	// xferBase + xferCtr mint transfer ids unique across this site's
-	// restarts (the base is wall-clock entropy, the high bits the site).
-	xferBase uint64
-	xferCtr  atomic.Uint64
 
 	stats Stats
 }
@@ -160,32 +146,15 @@ func New(cfg Config, avt AVTable, tm *txn.Manager, iu *twopc.Engine, repl *repli
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Second
 	}
-	xferBase := uint64(time.Now().UnixNano()) & (1<<40 - 1)
-	if cfg.XferSalt != 0 {
-		// Deterministic base: a splitmix64 finalization of the salt, so
-		// nearby salts (site/epoch increments) land far apart.
-		z := cfg.XferSalt + 0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		xferBase = (z ^ (z >> 31)) & (1<<40 - 1)
-	}
 	return &Accelerator{
-		cfg:      cfg,
-		avt:      avt,
-		view:     strategy.NewView(),
-		tm:       tm,
-		iu:       iu,
-		repl:     repl,
-		rnd:      rng.New(cfg.Seed ^ (uint64(cfg.Site) << 32)),
-		xferBase: xferBase,
+		cfg:  cfg,
+		avt:  avt,
+		view: strategy.NewView(),
+		tm:   tm,
+		iu:   iu,
+		repl: repl,
+		rnd:  rng.New(cfg.Seed ^ (uint64(cfg.Site) << 32)),
 	}
-}
-
-// nextXfer mints a transfer id: site in the high bits, a wall-clock
-// seeded counter in the low 40. Restart uniqueness matters because the
-// granter tombstones resolved ids — a reused id would be refused.
-func (a *Accelerator) nextXfer() uint64 {
-	return uint64(a.cfg.Site)<<40 | ((a.xferBase + a.xferCtr.Add(1)) & (1<<40 - 1))
 }
 
 // SetNode attaches the transport endpoint.
@@ -403,14 +372,8 @@ func (a *Accelerator) gatherAV(ctx context.Context, key string, need, got int64)
 				break
 			}
 			req := a.cfg.Policy.Decider.Request(need - got)
-			msg := &wire.AVRequest{Key: key, Amount: req}
-			var xfer uint64
-			if a.cfg.Escrow {
-				xfer = a.nextXfer()
-				msg.Xfer = xfer
-			}
 			cctx, cancel := clock.WithTimeout(ctx, a.cfg.Clock, a.cfg.RequestTimeout)
-			reply, err := a.node.Call(cctx, c.Site, msg)
+			reply, err := a.node.Call(cctx, c.Site, &wire.AVRequest{Key: key, Amount: req})
 			cancel()
 			rounds++
 			a.stats.TransferRounds.Add(1)
@@ -420,14 +383,6 @@ func (a *Accelerator) gatherAV(ctx context.Context, key string, need, got int64)
 				// failure detector so the next selecting step fails over.
 				if a.cfg.Detector != nil {
 					a.cfg.Detector.ReportFailure(c.Site)
-				}
-				if xfer != 0 {
-					// The grant may have landed in the peer's escrow even
-					// though the reply never arrived; durably promise to
-					// cancel it so the units are refunded, not stranded.
-					if oerr := a.avt.AddObligation(av.Obligation{Xfer: xfer, Peer: uint32(c.Site), Cancel: true}); oerr != nil {
-						return got, rounds, transferred, oerr
-					}
 				}
 				a.view.Observe(c.Site, key, 0)
 				continue
@@ -443,19 +398,10 @@ func (a *Accelerator) gatherAV(ctx context.Context, key string, need, got int64)
 				a.view.ObserveAll(avr.View)
 			}
 			if avr.Granted > 0 {
-				if xfer != 0 {
-					// Promise to settle *before* the credit becomes
-					// spendable: a crash between the two loses the units
-					// (the settle destroys the granter's escrow and we
-					// never credited — lost slack, the safe direction),
-					// whereas the opposite order could double them.
-					if oerr := a.avt.AddObligation(av.Obligation{Xfer: xfer, Peer: uint32(c.Site)}); oerr != nil {
-						return got, rounds, transferred, oerr
-					}
-				}
 				if err := a.avt.CreditHeld(key, avr.Granted); err != nil {
 					return got, rounds, transferred, err
 				}
+				a.stats.ReceivedUnits.Add(avr.Granted)
 				got += avr.Granted
 				transferred += avr.Granted
 				progress = true
@@ -496,69 +442,6 @@ func (a *Accelerator) demoteSuspects(cands []strategy.Candidate) []strategy.Cand
 	return append(healthy, suspect...)
 }
 
-// Reconcile re-drives the outstanding settle/cancel obligations of
-// escrowed transfers: for each one it calls the granter with an
-// AVSettle and discharges the obligation on acknowledgement. It returns
-// the number of obligations still outstanding (peers that stayed
-// unreachable) and the first error. Sites call this periodically and
-// after restart; it is idempotent — the granter resolves each transfer
-// at most once and acknowledges duplicates harmlessly.
-func (a *Accelerator) Reconcile(ctx context.Context) (int, error) {
-	obls := a.avt.Obligations()
-	var firstErr error
-	remaining := 0
-	for _, ob := range obls {
-		cctx, cancel := clock.WithTimeout(ctx, a.cfg.Clock, a.cfg.RequestTimeout)
-		reply, err := a.node.Call(cctx, wire.SiteID(ob.Peer), &wire.AVSettle{Xfer: ob.Xfer, Cancel: ob.Cancel})
-		cancel()
-		if err != nil {
-			if a.cfg.Detector != nil {
-				a.cfg.Detector.ReportFailure(wire.SiteID(ob.Peer))
-			}
-			remaining++
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if a.cfg.Detector != nil {
-			a.cfg.Detector.ReportSuccess(wire.SiteID(ob.Peer))
-		}
-		if _, ok := reply.(*wire.AVSettleAck); !ok {
-			remaining++
-			continue
-		}
-		if err := a.avt.CompleteObligation(ob.Xfer); err != nil {
-			remaining++
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if ob.Cancel {
-			a.stats.Cancels.Add(1)
-		} else {
-			a.stats.Settles.Add(1)
-		}
-	}
-	return remaining, firstErr
-}
-
-// Obligations exposes the outstanding transfer obligations.
-func (a *Accelerator) Obligations() []av.Obligation { return a.avt.Obligations() }
-
-// HandleSettle is the granter-side handler for AVSettle: it resolves
-// the escrowed transfer (cancel refunds, settle destroys) and reports
-// the amount. Unknown or already-resolved transfers acknowledge with
-// amount 0, so retries and duplicates are harmless.
-func (a *Accelerator) HandleSettle(ctx context.Context, from wire.SiteID, msg *wire.AVSettle) (*wire.AVSettleAck, error) {
-	n, err := a.avt.ResolveEscrow(msg.Xfer, msg.Cancel)
-	if err != nil {
-		return nil, err
-	}
-	return &wire.AVSettleAck{Xfer: msg.Xfer, Amount: n}, nil
-}
-
 // HandleAVRequest is the peer-side handler for AV transfer requests: the
 // deciding function computes the donation, the table enforces it, and
 // the reply piggybacks this site's view so the requester's selecting
@@ -575,19 +458,11 @@ func (a *Accelerator) HandleAVRequest(ctx context.Context, from wire.SiteID, req
 		decider = kd.ForKey(req.Key)
 	}
 	want := decider.Grant(a.avt.Avail(req.Key), req.Amount)
-	var granted int64
-	var err error
-	if req.Xfer != 0 {
-		// Escrowed transfer: the units leave avail but wait under the
-		// transfer id until the requester settles or cancels, so a lost
-		// reply can be refunded instead of stranding the grant.
-		granted, err = a.avt.EscrowDebit(req.Key, req.Xfer, want)
-	} else {
-		granted, err = a.avt.Debit(req.Key, want)
-	}
+	granted, err := a.avt.Debit(req.Key, want)
 	if err != nil {
 		granted = 0
 	}
+	a.stats.GrantedUnits.Add(granted)
 	if a.cfg.DisableGossip {
 		return &wire.AVReply{Key: req.Key, Granted: granted}
 	}

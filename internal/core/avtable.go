@@ -7,10 +7,10 @@ import (
 
 // AVTable is the accelerator's view of an Allowable Volume table. The
 // canonical implementation is av.Table (volatile); avstore.Store keeps
-// its balances, escrows and obligations as rows of the site's storage
-// engine, so a site's AV survives restarts in the same WAL as the stock
-// without breaking the global conservation argument (it may only
-// *under*-count after a crash, never over-count — lost slack is safe,
+// its balances as rows of the site's storage engine, so a site's AV
+// survives restarts in the same WAL as the stock without breaking the
+// global conservation argument (it may only *under*-count after a
+// crash or a lost grant reply, never over-count — lost slack is safe,
 // minted slack is not).
 //
 // A Delay Update changes its key's balance in memory (Spend, Fund,
@@ -50,28 +50,10 @@ type AVTable interface {
 	// spend is staged in a transaction of its own before its release.
 	Stage(tx *txn.Txn, key string, n int64)
 	// Debit removes up to n available units for an outbound transfer and
-	// returns how many were taken.
+	// returns how many were taken. The units are gone from this site
+	// before the grant leaves it: a grant whose reply is lost is slack
+	// lost, never volume minted.
 	Debit(key string, n int64) (int64, error)
-	// EscrowDebit removes up to n available units for the outbound
-	// transfer identified by xfer, parking them in escrow until the
-	// transfer settles (units destroyed here, credited remotely) or
-	// cancels (units refunded to available). Duplicate calls for a known
-	// xfer return the originally escrowed amount; calls for an already
-	// resolved xfer return 0.
-	EscrowDebit(key string, xfer uint64, n int64) (int64, error)
-	// ResolveEscrow finishes the transfer: refund=true returns the units
-	// to available (cancel), refund=false destroys them (settle). It
-	// returns the escrowed amount, or 0 for an unknown xfer.
-	ResolveEscrow(xfer uint64, refund bool) (int64, error)
-	// Escrowed returns the volume currently parked in escrow for key.
-	Escrowed(key string) int64
-	// AddObligation records a requester-side promise to settle or cancel
-	// an inbound escrowed transfer; CompleteObligation discharges it;
-	// Obligations lists the outstanding ones. Recorded *before* their
-	// effects so a restarted site re-drives unfinished transfers.
-	AddObligation(ob av.Obligation) error
-	CompleteObligation(xfer uint64) error
-	Obligations() []av.Obligation
 	// Keys lists defined keys; Snapshot maps key -> available volume.
 	Keys() []string
 	Snapshot() map[string]int64

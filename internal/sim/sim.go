@@ -35,8 +35,7 @@ import (
 // Config parameterizes one simulation run.
 type Config struct {
 	// Seed determines everything: workload, fault schedule (when Script
-	// is nil), per-site accelerator randomness, chaos coin flips and
-	// escrow transfer ids.
+	// is nil), per-site accelerator randomness and chaos coin flips.
 	Seed uint64
 	// Sites, Items, InitialAmount, NonRegularFraction shape the cluster
 	// (defaults: 4 sites, 6 items, 400 units, 1/3 non-regular).
@@ -102,7 +101,7 @@ func (cfg Config) withDefaults() Config {
 // about the system under test, not a harness failure (those are the
 // error return of Run).
 type Violation struct {
-	Oracle string // conservation | no-mint | atomicity | history | convergence | obligations | read-plane | locality | unexpected-error
+	Oracle string // conservation | no-mint | atomicity | history | convergence | read-plane | locality | unexpected-error
 	Detail string
 }
 
@@ -293,14 +292,12 @@ func Run(cfg Config) (Result, error) {
 		Clock:              h.clk,
 		Interceptor:        h.inj,
 		EventsFor:          func(i int) *eventlog.Log { return h.logs[i] },
-		XferSalt:           cfg.Seed*0x9E3779B97F4A7C15 | 1,
 		TxnObserver: func(o twopc.Outcome) {
 			h.omu.Lock()
 			h.outcomes = append(h.outcomes, o)
 			h.omu.Unlock()
 		},
 		UpdateObserver:     h.addExpected,
-		EscrowTransfers:    true,
 		ReadPlane:          true,
 		CallTimeout:        250 * time.Millisecond,
 		RetransmitInterval: 25 * time.Millisecond,
@@ -458,7 +455,7 @@ func (h *harness) run(steps []chaos.Step) (Result, error) {
 }
 
 // quiesce heals every fault, restarts crashed sites, drains orphaned
-// 2PC state and escrow obligations, and converges the replicas.
+// 2PC state and converges the replicas.
 func (h *harness) quiesce(ctx context.Context) error {
 	c := h.c
 	h.inj.SetDefault(chaos.LinkFaults{})
@@ -481,7 +478,6 @@ func (h *harness) quiesce(ctx context.Context) error {
 				s.TwoPC().Sweep(h.clk.Now().Add(time.Hour))
 				hctx, cancel := clock.WithTimeout(ctx, h.clk, 2*time.Second)
 				s.Heartbeat(hctx)
-				_, _ = s.Reconcile(hctx)
 				cancel()
 			}
 			_ = c.FlushAll(ctx)
@@ -645,11 +641,10 @@ func (h *harness) outcomesSince(n int) []twopc.Outcome {
 }
 
 // checkNoMint is the continuous conservation oracle, run between
-// operations while the network is settled. Escrowed units are excluded
-// from the sum because an in-flight transfer legitimately double-counts
-// until its obligation settles; free+held volume alone can never exceed
-// the stock implied by the applied operations. It only runs while every
-// site is up (a crashed site's in-memory table is not authoritative).
+// operations while the network is settled: free+held volume can never
+// exceed the stock implied by the applied operations. It only runs
+// while every site is up (a crashed site's in-memory table is not
+// authoritative).
 func (h *harness) checkNoMint() *Violation {
 	for i := range h.c.Sites {
 		if h.c.SiteDown(i) {
@@ -659,7 +654,7 @@ func (h *harness) checkNoMint() *Violation {
 	for _, key := range h.c.RegularKeys {
 		var sum int64
 		for _, s := range h.c.Sites {
-			sum += s.AV().Total(key) - s.AV().Escrowed(key)
+			sum += s.AV().Total(key)
 		}
 		if want := h.expectedFor(key); sum > want {
 			return &Violation{Oracle: "no-mint",
@@ -784,7 +779,11 @@ func (h *harness) checkOracles() *Violation {
 	}
 
 	// Regular keys: replicas converged, value equals the applied
-	// history, AV conservation exact, no leaked holds or escrow.
+	// history, AV never exceeds the stock, no leaked holds. The slack
+	// missing over all keys is at most what lost grant replies and
+	// crashes can have taken (cluster.LostSlackBound): exact
+	// conservation whenever no grant was lost.
+	var missing int64
 	for _, key := range c.RegularKeys {
 		v, err := c.ConvergedValue(key)
 		if err != nil {
@@ -802,28 +801,18 @@ func (h *harness) checkOracles() *Violation {
 			return &Violation{Oracle: "no-mint",
 				Detail: fmt.Sprintf("key %s: AV sum %d exceeds global stock %d", key, avSum, v)}
 		}
-		if avSum < v {
-			return &Violation{Oracle: "conservation",
-				Detail: fmt.Sprintf("key %s: AV sum %d lost slack against global stock %d", key, avSum, v)}
-		}
+		missing += v - avSum
 		for i, s := range c.Sites {
 			if held := s.AV().Held(key); held != 0 {
 				return &Violation{Oracle: "conservation",
 					Detail: fmt.Sprintf("key %s site %d leaked hold of %d", key, i, held)}
 			}
-			if esc := s.AV().Escrowed(key); esc != 0 {
-				return &Violation{Oracle: "conservation",
-					Detail: fmt.Sprintf("key %s site %d left %d in escrow", key, i, esc)}
-			}
 		}
 	}
 
-	// Escrow obligations must all have been re-driven to completion.
-	for i, s := range c.Sites {
-		if n := len(s.Accelerator().Obligations()); n != 0 {
-			return &Violation{Oracle: "obligations",
-				Detail: fmt.Sprintf("site %d still holds %d escrow obligations after quiesce", i, n)}
-		}
+	if bound := c.LostSlackBound(); missing > bound {
+		return &Violation{Oracle: "conservation",
+			Detail: fmt.Sprintf("AV sums lost %d slack against global stock, more than the %d lost grants and crashes can explain", missing, bound)}
 	}
 
 	// Non-regular keys: every site must hold exactly its applied 2PC

@@ -19,8 +19,8 @@ import (
 	"avdb/internal/wire"
 )
 
-// dropAVReplies drops site 0's AV grant replies while on, so an escrow
-// request reaches site 0 but the requester never hears the grant.
+// dropAVReplies drops site 0's AV grant replies while on, so a request
+// reaches site 0 but the requester never hears the grant.
 type dropAVReplies struct{ on atomic.Bool }
 
 func (d *dropAVReplies) Intercept(from, to wire.SiteID, isReply bool, kind wire.Kind) transport.Fault {
@@ -29,25 +29,22 @@ func (d *dropAVReplies) Intercept(from, to wire.SiteID, isReply bool, kind wire.
 
 // avState is what a PersistAV site recovers for one key.
 type avState struct {
-	Stock, Free, Escrowed int64
-	Obligations           int
+	Stock, Free int64
 }
 
 func stateOf(s *Site, key string) avState {
 	stock, _ := s.Read(key) // 0 before the row is seeded
-	avt := s.AV()
-	return avState{stock, avt.Total(key) - avt.Escrowed(key), avt.Escrowed(key), len(avt.Obligations())}
+	return avState{stock, s.AV().Total(key)}
 }
 
 // TestCrashPointsOverOneWAL runs a scripted decrement / increment /
-// transfer / escrow / unspent-grant workload against a PersistAV site
-// (site 0), then reopens it from every record boundary of its one WAL.
-// Each prefix is a crash point. Every one must reopen, must hold no
-// more free AV than surviving stock (escrowed units are excluded, as in
-// the simulator's no-mint oracle: an in-flight transfer counts at both
-// ends until it settles), and the whole log must reproduce the state
-// before the crash. Site 0 starts with all of the slack and ends holding
-// all of it again, so the bound is tight: a decrement whose stock row
+// transfer / lost-grant / unspent-grant workload against a PersistAV
+// site (site 0), then reopens it from every record boundary of its one
+// WAL. Each prefix is a crash point. Every one must reopen, must hold
+// no more free AV than surviving stock, and the whole log must
+// reproduce the state before the crash. Site 0 starts with all of the
+// slack and ends holding all of it again except the one grant whose
+// reply was lost, so the bound is tight: a decrement whose stock row
 // outlived its AV change, or a grant credited twice, would exceed it.
 func TestCrashPointsOverOneWAL(t *testing.T) {
 	dir := t.TempDir()
@@ -55,19 +52,19 @@ func TestCrashPointsOverOneWAL(t *testing.T) {
 	net := memnet.New(memnet.Options{CallTimeout: 200 * time.Millisecond, Interceptor: drop})
 	exact := strategy.Policy{Selector: strategy.MaxKnown{}, Decider: strategy.GrantExact{}}
 	cfg0 := Config{ID: 0, Peers: []wire.SiteID{1, 2}, StorageDir: dir, PersistAV: true, NoSync: true,
-		EscrowTransfers: true, Policy: exact}
+		Policy: exact}
 	s0, err := Open(cfg0, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Site 1 asks for plain transfers (a Debit at site 0), site 2 for
-	// escrowed ones (an escrow, then a settle or a cancel at site 0).
+	// Sites 1 and 2 ask site 0 for transfers (a Debit there); one of
+	// site 2's grant replies is lost.
 	s1, err := Open(Config{ID: 1, Peers: []wire.SiteID{0, 2}, Policy: exact}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
-	s2, err := Open(Config{ID: 2, Peers: []wire.SiteID{0, 1}, Policy: exact, EscrowTransfers: true,
+	s2, err := Open(Config{ID: 2, Peers: []wire.SiteID{0, 1}, Policy: exact,
 		RequestTimeout: 100 * time.Millisecond}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -95,35 +92,33 @@ func TestCrashPointsOverOneWAL(t *testing.T) {
 	update := func(s *Site, delta int64) error { _, err := s.Update(bg(), "k", delta); return err }
 	step("decrement", update(s0, -10))
 	step("increment", update(s0, 5))
-	step("plain transfer out", update(s1, -20))
-	step("escrow out", update(s2, -15))
-	_, err = s2.Reconcile(bg()) // settle at site 0
-	step("settle", err)
+	step("transfer out", update(s1, -20))
+	step("transfer out again", update(s2, -15))
 	drop.on.Store(true)
-	if update(s2, -5) == nil { // escrowed at site 0, grant reply lost
+	const lost = 5
+	if update(s2, -lost) == nil { // debited at site 0, grant reply lost
 		t.Fatal("update with a lost grant succeeded")
 	}
 	drop.on.Store(false)
-	_, err = s2.Reconcile(bg()) // cancel: site 0 refunds
-	step("cancel", err)
 	step("flush 1", s1.Flush(bg()))
 	step("flush 2", s2.Flush(bg()))
 	step("remote increment", update(s1, 30))
 	step("flush 1 again", s1.Flush(bg()))
-	step("escrow in", update(s0, -70)) // site 0 short: obligation, then grant and spend in one commit
-	_, err = s0.Reconcile(bg())
-	step("settle in", err)
-	// Site 1 holds the last 20 units: site 0 receives them, still falls
+	step("transfer in", update(s0, -70)) // site 0 short: grant and spend in one commit
+	// Site 1 holds the last 15 units: site 0 receives them, still falls
 	// short, and writes the unspent grant's credit on its own.
 	if err := update(s0, -30); !errors.Is(err, core.ErrInsufficientAV) {
 		t.Fatalf("partial grant: err = %v, want ErrInsufficientAV", err)
 	}
-	_, err = s0.Reconcile(bg())
-	step("settle partial", err)
 
+	// The lost grant is the one gap between stock and AV: it left site
+	// 0 and reached no one.
 	want := stateOf(s0, "k")
-	if want != (avState{Stock: 20, Free: 20}) {
-		t.Fatalf("scripted end state = %+v, want stock 20, all of it free AV", want)
+	if want != (avState{Stock: 20, Free: 20 - lost}) {
+		t.Fatalf("scripted end state = %+v, want stock 20 and free AV short by the lost grant of %d", want, lost)
+	}
+	if got := s2.Accelerator().Stats().ReceivedUnits.Load(); got != 15 {
+		t.Fatalf("site 2 received %d units, want 15 (the lost grant never arrived)", got)
 	}
 	if err := s0.Close(); err != nil {
 		t.Fatal(err)
@@ -138,18 +133,17 @@ func TestCrashPointsOverOneWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Record boundaries: each frame is a u32 length, a u32 CRC, payload.
-	// Site 0 writes 19 records: its incarnation, seed and AV definition;
-	// one per decrement, increment, plain debit, escrow, settle, escrow,
-	// cancel and inbound window (three); for the escrow in, an obligation
-	// and one commit; its discharge; for the partial grant, an obligation
-	// and the unspent credit; its discharge.
+	// Site 0 writes 13 records: its incarnation, seed and AV definition;
+	// one per decrement, increment, debit (three, the lost grant's
+	// included) and inbound window (three); one commit for the transfer
+	// in; the unspent credit of the partial grant.
 	bounds := []int{0}
 	for off := 0; off < len(seg); {
 		off += 8 + int(binary.LittleEndian.Uint32(seg[off:]))
 		bounds = append(bounds, off)
 	}
-	if bounds[len(bounds)-1] != len(seg) || len(bounds)-1 != 19 {
-		t.Fatalf("WAL framing: %d records ending at %d of %d bytes, want 19", len(bounds)-1, bounds[len(bounds)-1], len(seg))
+	if bounds[len(bounds)-1] != len(seg) || len(bounds)-1 != 13 {
+		t.Fatalf("WAL framing: %d records ending at %d of %d bytes, want 13", len(bounds)-1, bounds[len(bounds)-1], len(seg))
 	}
 
 	for k, end := range bounds {

@@ -104,8 +104,7 @@ type Config struct {
 	// expired prepared 2PC transactions.
 	SweepInterval time.Duration
 	// HeartbeatInterval, when > 0, starts a background loop that pings
-	// every peer and feeds the failure detector, and re-drives any
-	// outstanding escrow obligations (crash recovery settles lazily).
+	// every peer and feeds the failure detector.
 	HeartbeatInterval time.Duration
 	// SuspectAfter is how long a peer may fail consecutively before the
 	// detector suspects it even below the failure-count threshold
@@ -117,14 +116,6 @@ type Config struct {
 	// FlushBackoff, when BaseDelay > 0, skips peers whose flushes keep
 	// failing for an exponentially growing window (backlog is retained).
 	FlushBackoff failure.Policy
-	// EscrowTransfers makes remote AV grants escrowed two-phase transfers
-	// that a crash can only shrink, never mint. Off by default; the
-	// healthy-path experiments are byte-identical without it.
-	EscrowTransfers bool
-	// XferSalt, when non-zero, makes escrow transfer ids deterministic
-	// instead of wall-clock seeded (see core.Config.XferSalt). It must
-	// differ across restarts of the same site.
-	XferSalt uint64
 	// TxnObserver, when non-nil, receives every locally applied 2PC
 	// outcome (see twopc.Options.Observer). The simulator's atomicity
 	// oracle hangs off this.
@@ -272,9 +263,7 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 		DisableGossip:  cfg.DisableGossip,
 		Tracer:         cfg.Tracer,
 		Detector:       s.det,
-		Escrow:         cfg.EscrowTransfers,
 		Clock:          cfg.Clock,
-		XferSalt:       cfg.XferSalt,
 		OnCommit:       cfg.UpdateObserver,
 	}, s.avt, s.tm, s.iu, s.repl)
 
@@ -345,10 +334,8 @@ func nextIncarnation(eng *storage.Engine) (uint64, error) {
 // Reopen restarts a durable site from its on-disk state (snapshot +
 // WAL) after a crash or clean shutdown. It is Open with the durability
 // requirement made explicit: the storage engine replays its WAL, the AV
-// store rebuilds balances, pending escrows and unsettled obligations
-// from the engine's AV rows, and the replicator resumes from its
-// durable cursor. Outstanding escrow obligations are then re-driven
-// lazily by the heartbeat loop (or an explicit Reconcile call).
+// store rebuilds balances from the engine's AV rows, and the replicator
+// resumes from its durable cursor.
 func Reopen(cfg Config, network transport.Network) (*Site, error) {
 	if cfg.StorageDir == "" {
 		return nil, fmt.Errorf("site: Reopen requires StorageDir (nothing to recover from)")
@@ -383,12 +370,6 @@ func (s *Site) handle(ctx context.Context, from wire.SiteID, msg wire.Message) w
 		return s.handleRouteUpdate(ctx, from, m)
 	case *wire.AVRequest:
 		return s.accel.HandleAVRequest(ctx, from, m)
-	case *wire.AVSettle:
-		ack, err := s.accel.HandleSettle(ctx, from, m)
-		if err != nil {
-			return nil
-		}
-		return ack
 	case *wire.Ping:
 		return &wire.Pong{}
 	case *wire.IUPrepare:
@@ -435,9 +416,7 @@ func (s *Site) flushLoop() {
 }
 
 // heartbeatLoop probes every peer each interval, feeding the failure
-// detector so AV gathering fails over away from dead peers, and
-// re-drives outstanding escrow obligations left by failed transfers or
-// a restart.
+// detector so AV gathering fails over away from dead peers.
 func (s *Site) heartbeatLoop() {
 	defer s.wg.Done()
 	for {
@@ -453,9 +432,9 @@ func (s *Site) heartbeatLoop() {
 }
 
 // Heartbeat performs one round of what heartbeatLoop does periodically:
-// ping every peer (reporting each outcome to the failure detector) and,
-// when escrow obligations are outstanding, try to settle them. Exposed
-// so deterministic tests and clusters can step liveness explicitly.
+// ping every peer, reporting each outcome to the failure detector.
+// Exposed so deterministic tests and clusters can step liveness
+// explicitly.
 func (s *Site) Heartbeat(ctx context.Context) {
 	for _, p := range s.cfg.Peers {
 		if _, err := s.node.Call(ctx, p, &wire.Ping{}); err != nil {
@@ -464,18 +443,6 @@ func (s *Site) Heartbeat(ctx context.Context) {
 			s.det.ReportSuccess(p)
 		}
 	}
-	if len(s.accel.Obligations()) > 0 {
-		if _, err := s.accel.Reconcile(ctx); err != nil {
-			s.event("reconcile.failed", "", "err=%v", err)
-		}
-	}
-}
-
-// Reconcile re-drives this site's outstanding escrow obligations
-// (settle credits it holds, cancel grants that never arrived) and
-// returns how many remain unresolved.
-func (s *Site) Reconcile(ctx context.Context) (int, error) {
-	return s.accel.Reconcile(ctx)
 }
 
 // Detector returns the site's failure detector.

@@ -557,17 +557,15 @@ func TestHeartbeatSuspectsDeadPeer(t *testing.T) {
 	}
 }
 
-func TestReopenReconcilesEscrowObligations(t *testing.T) {
-	// An escrowed AV transfer leaves a durable settle obligation at the
-	// requester and a durable escrow at the granter. Both sites restart
-	// before settling; Reconcile after Reopen must resolve the transfer
-	// and conserve the global allowable volume.
+func TestReopenConservesPlainGrant(t *testing.T) {
+	// An AV transfer leaves a durable debit at the granter and a durable
+	// credit, committed with the spend, at the requester. Both sites
+	// restart; the global allowable volume must survive unchanged.
 	dirA, dirB := t.TempDir(), t.TempDir()
 	mk := func(id, peer wire.SiteID, dir string) Config {
 		return Config{
 			ID: id, Base: 0, Peers: []wire.SiteID{peer},
 			StorageDir: dir, PersistAV: true, NoSync: true,
-			EscrowTransfers: true,
 		}
 	}
 	net1 := memnet.New(memnet.Options{})
@@ -587,16 +585,14 @@ func TestReopenReconcilesEscrowObligations(t *testing.T) {
 	a.DefineAV("k", 400)
 	b.DefineAV("k", 0)
 
-	if _, err := b.Update(bg(), "k", -100); err != nil {
+	res, err := b.Update(bg(), "k", -100)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(b.Accelerator().Obligations()); got != 1 {
-		t.Fatalf("requester obligations = %d, want 1 (settle pending)", got)
+	if res.Transferred == 0 {
+		t.Fatal("update took no grant")
 	}
-	esc := a.AV().Escrowed("k")
-	if esc <= 0 {
-		t.Fatalf("granter escrow = %d, want > 0", esc)
-	}
+	totalA, totalB := a.AV().Total("k"), b.AV().Total("k")
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -616,26 +612,14 @@ func TestReopenReconcilesEscrowObligations(t *testing.T) {
 	}
 	t.Cleanup(func() { b2.Close() })
 
-	if got := a2.AV().Escrowed("k"); got != esc {
-		t.Fatalf("escrow after restart = %d, want %d", got, esc)
+	if a2.AV().Total("k") != totalA || b2.AV().Total("k") != totalB {
+		t.Fatalf("AV after restart = %d + %d, want %d + %d",
+			a2.AV().Total("k"), b2.AV().Total("k"), totalA, totalB)
 	}
-	if got := len(b2.Accelerator().Obligations()); got != 1 {
-		t.Fatalf("obligations after restart = %d, want 1", got)
-	}
-	remaining, err := b2.Reconcile(bg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if remaining != 0 {
-		t.Fatalf("reconcile left %d obligations", remaining)
-	}
-	if got := a2.AV().Escrowed("k"); got != 0 {
-		t.Fatalf("escrow after reconcile = %d", got)
-	}
-	// The update itself consumed 100 of the initial 400; settling the
-	// escrow must neither mint nor lose anything beyond that.
-	if sum := a2.AV().Total("k") + b2.AV().Total("k"); sum != 300 {
-		t.Fatalf("global AV = %d, want 300 (escrow settle minted or lost volume)", sum)
+	// The update itself consumed 100 of the initial 400; the grant must
+	// neither mint nor lose anything beyond that.
+	if sum := totalA + totalB; sum != 300 {
+		t.Fatalf("global AV = %d, want 300 (the grant minted or lost volume)", sum)
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 //
 // The cache is a bounded FIFO per sender. Retransmission windows are
 // short (a Call's lifetime), so a duplicate arriving after its entry
-// was evicted is possible only far outside that window; the protocol
-// layers above additionally tolerate re-execution (escrowed AV
-// transfers, 2PC decision cache) for exactly that reason.
+// was evicted is possible only far outside that window. The layers
+// above tolerate re-execution for exactly that reason: a re-run AV
+// grant debits again and loses that slack with its unread reply, never
+// minting any, and 2PC answers from its decision cache.
 type Deduper struct {
 	mu      sync.Mutex
 	perFrom map[wire.SiteID]*dedupQueue

@@ -25,11 +25,9 @@ func fuzzSeeds() []*Envelope {
 		&Read{Key: "product-0004"},
 		&ReadReply{OK: true, Value: 1234},
 		&SyncPull{},
-		&AVRequest{Key: "product-0001", Amount: 25, Xfer: 0x700000001},
+		&AVRequest{Key: "product-0001", Amount: 25},
 		&Ping{},
 		&Pong{},
-		&AVSettle{Xfer: 0x700000001, Cancel: true},
-		&AVSettleAck{Xfer: 0x700000001, Amount: 10},
 		&DeltaSync{Origin: 1, FirstSeq: 7, Deltas: []Delta{{Seq: 9, Key: "a", Amount: -3}}, WindowTop: 11},
 		&RouteUpdate{MapVersion: 1, Key: "product-0005", Delta: -4},
 		&RouteReply{Status: RouteNotReplica, Reason: "not hosted"},

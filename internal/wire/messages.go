@@ -45,10 +45,11 @@ const (
 	KindPing
 	KindPong
 
-	// Escrowed AV transfer resolution: the requester settles (keeps) or
-	// cancels (returns) a grant the granter parked in escrow.
-	KindAVSettle
-	KindAVSettleAck
+	// Retired (16, 17): av.settle and av.settle.ack of the escrowed AV
+	// transfer protocol. The slots stay reserved so later kinds keep
+	// their numbers; decoding either fails as an unknown kind.
+	_
+	_
 
 	// Partitioned routing: an update forwarded to a replica of the key's
 	// partition, and its outcome.
@@ -72,8 +73,6 @@ var kindNames = map[Kind]string{
 	KindSyncPull:      "sync.pull",
 	KindPing:          "ping",
 	KindPong:          "pong",
-	KindAVSettle:      "av.settle",
-	KindAVSettleAck:   "av.settle.ack",
 	KindRouteUpdate:   "route.update",
 	KindRouteReply:    "route.reply",
 }
@@ -107,17 +106,9 @@ type AVInfo struct {
 
 // AVRequest asks the receiver to transfer AV for Key. Amount is the
 // shortage the requester still needs (the SODA'99 "deciding" output).
-//
-// Xfer, when nonzero, is a requester-unique transfer ID asking the
-// granter to park the grant in escrow until the requester settles or
-// cancels it (AVSettle) — the recoverable-transfer protocol that keeps
-// the AV sum conserved when replies are lost. Zero keeps the original
-// fire-and-forget transfer and encodes byte-identically to the legacy
-// format.
 type AVRequest struct {
 	Key    string
 	Amount int64
-	Xfer   uint64
 }
 
 // Kind implements Message.
@@ -125,18 +116,14 @@ func (*AVRequest) Kind() Kind { return KindAVRequest }
 
 func (m *AVRequest) encode(b []byte) []byte {
 	b = appendString(b, m.Key)
-	b = appendVarint(b, m.Amount)
-	return appendOptUvarint(b, m.Xfer)
+	return appendVarint(b, m.Amount)
 }
 
 func (m *AVRequest) decode(r *reader) (err error) {
 	if m.Key, err = r.str(); err != nil {
 		return err
 	}
-	if m.Amount, err = r.varint(); err != nil {
-		return err
-	}
-	m.Xfer, err = r.optUvarint()
+	m.Amount, err = r.varint()
 	return err
 }
 
@@ -527,56 +514,6 @@ func (m *Pong) encode(b []byte) []byte { return b }
 
 func (m *Pong) decode(r *reader) error { return nil }
 
-// AVSettle resolves an escrowed AV transfer identified by Xfer. With
-// Cancel false the requester acknowledges it received (and credited)
-// the grant, so the granter destroys its escrow ledger entry; with
-// Cancel true the requester never saw the grant, so the granter
-// refunds the escrow back into its own available volume.
-type AVSettle struct {
-	Xfer   uint64
-	Cancel bool
-}
-
-// Kind implements Message.
-func (*AVSettle) Kind() Kind { return KindAVSettle }
-
-func (m *AVSettle) encode(b []byte) []byte {
-	b = appendUvarint(b, m.Xfer)
-	return appendBool(b, m.Cancel)
-}
-
-func (m *AVSettle) decode(r *reader) (err error) {
-	if m.Xfer, err = r.uvarint(); err != nil {
-		return err
-	}
-	m.Cancel, err = r.boolean()
-	return err
-}
-
-// AVSettleAck confirms an AVSettle. Amount is the escrowed volume the
-// granter resolved (0 when the transfer was unknown — e.g. already
-// settled by an earlier duplicate).
-type AVSettleAck struct {
-	Xfer   uint64
-	Amount int64
-}
-
-// Kind implements Message.
-func (*AVSettleAck) Kind() Kind { return KindAVSettleAck }
-
-func (m *AVSettleAck) encode(b []byte) []byte {
-	b = appendUvarint(b, m.Xfer)
-	return appendVarint(b, m.Amount)
-}
-
-func (m *AVSettleAck) decode(r *reader) (err error) {
-	if m.Xfer, err = r.uvarint(); err != nil {
-		return err
-	}
-	m.Amount, err = r.varint()
-	return err
-}
-
 // RouteUpdate forwards an update to a site hosting the key's partition
 // (normally the owner). MapVersion is the sender's partition-map
 // version; maps are static, so it is always 1 and receivers ignore it.
@@ -720,10 +657,6 @@ func newMessage(k Kind) (Message, error) {
 		return &Ping{}, nil
 	case KindPong:
 		return &Pong{}, nil
-	case KindAVSettle:
-		return &AVSettle{}, nil
-	case KindAVSettleAck:
-		return &AVSettleAck{}, nil
 	case KindRouteUpdate:
 		return &RouteUpdate{}, nil
 	case KindRouteReply:

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -43,14 +44,8 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&CentralReply{OK: false, NewValue: 0, Reason: "would go negative"},
 		&Read{Key: "k"},
 		&ReadReply{OK: true, Value: 314},
-		&AVRequest{Key: "p17", Amount: -42, Xfer: 1},
-		&AVRequest{Key: "p17", Amount: 7, Xfer: 0xABCDEF0123},
 		&Ping{},
 		&Pong{},
-		&AVSettle{Xfer: 42, Cancel: false},
-		&AVSettle{Xfer: 0xABCDEF0123, Cancel: true},
-		&AVSettleAck{Xfer: 42, Amount: 0},
-		&AVSettleAck{Xfer: 1, Amount: 99},
 		&DeltaSync{Origin: 3, FirstSeq: 10, Deltas: []Delta{{Seq: 12, Key: "a", Amount: -3}}, WindowTop: 15},
 		&DeltaSync{Origin: 3, FirstSeq: 10, Deltas: nil, WindowTop: 11},
 		&RouteUpdate{MapVersion: 1, Key: "p42", Delta: -9},
@@ -69,21 +64,23 @@ func TestRoundTripAllMessages(t *testing.T) {
 	}
 }
 
-// TestAVRequestXferOptionalField pins the compatibility contract of the
-// trailing Xfer field: a zero Xfer encodes byte-identically to the
-// legacy format (so healthy-path traffic is unchanged), and an
-// explicitly-encoded zero is rejected as non-canonical.
-func TestAVRequestXferOptionalField(t *testing.T) {
-	legacy := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3,
-		Msg: &AVRequest{Key: "p17", Amount: -42}})
-	withZero := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3,
-		Msg: &AVRequest{Key: "p17", Amount: -42, Xfer: 0}})
-	if !reflect.DeepEqual(legacy, withZero) {
-		t.Fatalf("zero Xfer changed the encoding:\nlegacy %x\n  zero %x", legacy, withZero)
+// TestRetiredSettleKinds pins the retirement of the escrowed transfer
+// messages: kinds 16 and 17 (av.settle, av.settle.ack) decode as
+// unknown kinds while the kinds after them keep their numbers, and an
+// av.request carrying the old trailing transfer id is rejected.
+func TestRetiredSettleKinds(t *testing.T) {
+	if KindRouteUpdate != 18 || KindRouteReply != 19 {
+		t.Fatalf("route kinds renumbered: %d, %d", KindRouteUpdate, KindRouteReply)
 	}
-	// Hand-append an explicit zero varint for Xfer: must be rejected.
-	if _, err := DecodeEnvelope(append(append([]byte{}, legacy...), 0x00)); err == nil {
-		t.Fatal("explicit zero Xfer accepted")
+	for _, k := range []byte{16, 17} {
+		frame := []byte{0, 0, 0, 0, k, 42, 1} // old payload: xfer 42, then a flag or amount
+		if _, err := DecodeEnvelope(frame); !errors.Is(err, ErrBadKind) {
+			t.Errorf("kind %d: err = %v, want ErrBadKind", k, err)
+		}
+	}
+	req := EncodeEnvelope(&Envelope{From: 1, To: 2, Seq: 3, Msg: &AVRequest{Key: "p17", Amount: -42}})
+	if _, err := DecodeEnvelope(appendUvarint(append([]byte{}, req...), 0x700000001)); err == nil {
+		t.Fatal("av.request with a trailing transfer id accepted")
 	}
 }
 
