@@ -121,6 +121,7 @@ type Result struct {
 	SiteEvents []uint64 // per-site event totals
 	Ops        int
 	Commits    int // operations applied (nil error)
+	Transfers  int // commits that needed an AV transfer (core.PathDelayTransfer)
 	Aborts     int
 	Unknown    int // ErrCompletionUnknown and kin: maybe applied
 	Rejected   int // ErrInsufficientAV, unreachable, timeout: not applied
@@ -279,12 +280,17 @@ func Run(cfg Config) (Result, error) {
 		// deterministic.
 		epochInterval = 2 * time.Millisecond
 	}
+	// All AV starts at each key's owner (AVAllAtBase), so every other
+	// site must ask for a transfer before it can spend: the oracles check
+	// the transfer path, and the slack a lost grant reply takes is what
+	// the conservation oracle bounds.
 	ccfg := cluster.Config{
 		Sites:              cfg.Sites,
 		Items:              cfg.Items,
 		InitialAmount:      cfg.InitialAmount,
 		NonRegularFraction: cfg.NonRegularFraction,
 		Seed:               cfg.Seed,
+		AVAllAtBase:        true,
 		Dir:                dir,
 		Partitions:         cfg.Partitions,
 		RF:                 cfg.RF,
@@ -401,6 +407,9 @@ func (h *harness) run(steps []chaos.Step) (Result, error) {
 			switch out {
 			case opCommit:
 				res.Commits++
+				if opRes.Path == core.PathDelayTransfer {
+					res.Transfers++
+				}
 			case opAbort:
 				res.Aborts++
 			case opUnknown:

@@ -55,16 +55,18 @@ func TestSimBitReproducible(t *testing.T) {
 // TestSimTraceHashesPinned pins the trace hash of three schedules —
 // full replication, epoch commit, and the sharded acceptance
 // configuration — so a change that moves the observable schedule fails
-// here, and re-baselining is an explicit edit of these values.
+// here, and re-baselining is an explicit edit of these values. Each
+// schedule must also cross the AV transfer path, so the oracles it
+// passes cover transfers.
 func TestSimTraceHashesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want uint64
 	}{
-		{"seed 17", Config{Seed: 17}, 0xf1155d122abd3992},
-		{"seed 17 epochs", Config{Seed: 17, Epochs: true}, 0x2907a0f1c61f2ee4},
-		{"sharded seed 7", shardedCfg(7, 120), 0xeb64615f6ea56537},
+		{"seed 17", Config{Seed: 17}, 0x78fdb2ae30035c57},
+		{"seed 17 epochs", Config{Seed: 17, Epochs: true}, 0x61bda59fa84c9afd},
+		{"sharded seed 7", shardedCfg(7, 120), 0x8be46a6f3a58598f},
 	} {
 		res, err := Run(tc.cfg)
 		if err != nil {
@@ -73,6 +75,10 @@ func TestSimTraceHashesPinned(t *testing.T) {
 		if res.Violation != nil {
 			t.Errorf("%s: unexpected violation: %v", tc.name, res.Violation)
 		}
+		if res.Transfers == 0 {
+			t.Errorf("%s: no update needed an AV transfer", tc.name)
+		}
+		t.Logf("%s: %d commits, %d with a transfer", tc.name, res.Commits, res.Transfers)
 		if res.TraceHash != tc.want {
 			t.Errorf("%s: trace hash %#x, pinned %#x", tc.name, res.TraceHash, tc.want)
 		}
