@@ -241,12 +241,6 @@ func (s *Store) Debit(key string, n int64) (int64, error) {
 		}
 	}
 	s.mu.Unlock()
-	return granted(taken, w, err)
-}
-
-// granted reports taken once its row is durable, and zero on any
-// failure.
-func granted(taken int64, w func() error, err error) (int64, error) {
 	if err == nil && taken > 0 {
 		err = w()
 	}

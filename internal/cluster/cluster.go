@@ -349,15 +349,19 @@ func (c *Cluster) CrashSite(idx int) error {
 	}
 	c.down[idx] = true
 	c.mu.Unlock()
+	// What the dying incarnation can take with it: the AV its in-flight
+	// updates hold, and its grants sent but not received. Received is
+	// read with the holds, so a grant credited while the site goes down
+	// counts as lost; granted is read once nothing more can be debited.
 	s := c.Sites[idx]
-	held := int64(0)
+	st := s.Accelerator().Stats()
+	lost := -st.ReceivedUnits.Load()
 	for _, key := range c.RegularKeys {
-		held += s.AV().Held(key)
+		lost += s.AV().Held(key)
 	}
 	err := s.Close()
-	st := s.Accelerator().Stats()
 	c.mu.Lock()
-	c.lost += held + st.GrantedUnits.Load() - st.ReceivedUnits.Load()
+	c.lost += lost + st.GrantedUnits.Load()
 	c.mu.Unlock()
 	return err
 }

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"avdb/internal/core"
+	"avdb/internal/transport"
 	"avdb/internal/twopc"
+	"avdb/internal/wire"
 )
 
 func bg() context.Context { return context.Background() }
@@ -259,6 +261,46 @@ func TestAVAllAtBase(t *testing.T) {
 	c.FlushAll(bg())
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dropGrants drops every AV grant reply: the granter debits and the
+// requester never credits.
+type dropGrants struct{}
+
+func (dropGrants) Intercept(from, to wire.SiteID, isReply bool, kind wire.Kind) transport.Fault {
+	return transport.Fault{Drop: isReply && kind == wire.KindAVReply}
+}
+
+// TestLostGrantWithinSlackBound: a grant whose reply is lost leaves the
+// AV sum short of the stock by exactly LostSlackBound, which
+// CheckInvariants accepts; a unit missing beyond the bound it rejects.
+func TestLostGrantWithinSlackBound(t *testing.T) {
+	c := newCluster(t, Config{Sites: 2, Items: 1, InitialAmount: 600, AVAllAtBase: true,
+		Interceptor: dropGrants{}, CallTimeout: 100 * time.Millisecond, RequestTimeout: 50 * time.Millisecond})
+	key := c.RegularKeys[0]
+	if _, err := c.Update(bg(), 1, key, -50); !errors.Is(err, core.ErrInsufficientAV) {
+		t.Fatalf("err = %v, want ErrInsufficientAV", err)
+	}
+	// SODA99 grants half the base's 600.
+	if lost := c.LostSlackBound(); lost != 300 {
+		t.Fatalf("LostSlackBound = %d, want 300", lost)
+	}
+	if sum := c.Sites[0].AV().Total(key) + c.Sites[1].AV().Total(key); sum != 300 {
+		t.Fatalf("AV sum = %d, want 300", sum)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// One more unit gone with no lost grant or crash to explain it.
+	if ok, err := c.Sites[0].AV().Acquire(key, 1); !ok || err != nil {
+		t.Fatalf("Acquire = %v, %v", ok, err)
+	}
+	if err := c.Sites[0].AV().Spend(key, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("slack lost beyond the bound passed CheckInvariants")
 	}
 }
 
