@@ -14,18 +14,17 @@
 // gauges (wal_fsync_total, wal_records_synced_total, the
 // wal_group_commit_size and wal_sync_wait histograms): when
 // wal_records_synced_total outruns wal_fsync_total, group commit is
-// amortizing fsyncs across concurrent durable operations. With
-// -readplane (the default) the dump also carries the readplane_*
-// counters — events applied/stale, per-model read counts, RYW
-// waits/timeouts/violations — and the readplane_lag and
-// readplane_ryw_wait histograms. When the node runs with -epoch, stats
-// follows the dump with a derived summary of the epoch commit pipeline:
-// current/durable epoch, mean commits per epoch (the live fsync
-// amortization factor), early closes, and acknowledgement-wait
-// percentiles.
+// amortizing fsyncs across concurrent durable operations. The dump
+// also carries the read plane's readplane_* counters (the plane exists
+// whenever the admin server does) — per-view read counts and RYW
+// waits/timeouts — and the readplane_ryw_wait histogram. When the node
+// runs with -epoch, stats follows the dump with a derived summary of
+// the epoch commit pipeline: current/durable epoch, mean commits per
+// epoch (the live fsync amortization factor), early closes, and
+// acknowledgement-wait percentiles.
 //
-// `watch` streams one of the read plane's materialized models
-// (ndjson, one snapshot per line) from /read/watch until interrupted.
+// `watch` streams one of the read plane's views (ndjson, one read per
+// line) from /read/watch until interrupted.
 package main
 
 import (

@@ -12,11 +12,16 @@
 //
 // Client protocol (one command per line):
 //
-//	UPDATE <key> <delta>   -> OK <path> token=<site:lsn> | ERR <reason>
+//	UPDATE <key> <delta>   -> OK <path> [token=<site:lsn>] | ERR <reason>
 //	READ <key>             -> OK <value> | ERR <reason>
 //	AV <key>               -> OK <avail>
 //	SYNC                   -> OK
 //	QUIT                   -> closes the connection
+//
+// An UPDATE reply carries a read-your-writes token only with -admin:
+// the read plane exists only where its /read/* endpoints are served,
+// on the admin server, and a token is redeemed there
+// (/read/stock?key=K&token=S:L).
 package main
 
 import (
@@ -67,14 +72,12 @@ func main() {
 		avShare  = flag.Int64("seed-av", 0, "this site's initial AV per product (0 = initial / the product's replica count)")
 		nonReg   = flag.Float64("seed-nonregular", 0, "fraction of products without AV")
 		flushMS  = flag.Int("flush-ms", 500, "anti-entropy interval in milliseconds")
-		admin    = flag.String("admin", "", "admin HTTP listen address for /healthz, /metrics, /trace (empty = disabled)")
+		admin    = flag.String("admin", "", "admin HTTP listen address for /healthz, /metrics, /trace, /read/* (empty = disabled)")
 		traceBuf = flag.Int("trace-buf", trace.DefaultCapacity, "finished spans kept for /trace (with -admin)")
 
 		heartbeatMS  = flag.Int("heartbeat-ms", 1000, "peer liveness probe interval in milliseconds (0 = off)")
 		suspectMS    = flag.Int("suspect-after-ms", 0, "consecutive-failure duration before a peer is suspected (0 = default)")
 		flushPeerMS  = flag.Int("flush-peer-ms", 2000, "per-peer deadline within one anti-entropy flush (0 = unbounded)")
-		readPlane    = flag.Bool("readplane", true, "materialize read models and serve /read/* on the admin server")
-		readTopK     = flag.Int("read-topk", 0, "hot-key view size (0 = default)")
 		retransmitMS = flag.Int("retransmit-ms", 0, "inter-site RPC retransmission interval in milliseconds (0 = off; receivers dedup)")
 		syncDelayUS  = flag.Int("wal-sync-delay-us", 0, "group-commit leader stall in microseconds to widen fsync batches (0 = commit immediately)")
 		epochOn      = flag.Bool("epoch", false, "acknowledge durable commits at epoch boundaries (one fsync per epoch) instead of per group-commit round")
@@ -157,8 +160,7 @@ func main() {
 		SuspectAfter:      time.Duration(*suspectMS) * time.Millisecond,
 		FlushPeerTimeout:  time.Duration(*flushPeerMS) * time.Millisecond,
 		FlushBackoff:      flushBackoff,
-		ReadPlane:         *readPlane,
-		ReadPlaneTopK:     *readTopK,
+		ReadPlane:         *admin != "",
 		WALMaxSyncDelay:   time.Duration(*syncDelayUS) * time.Microsecond,
 		WALStats:          walStats,
 		EpochInterval:     epochInterval(*epochOn, *epochUS),
@@ -208,22 +210,16 @@ func main() {
 		srv.RegisterSizeHistogram("epoch_commits_per_epoch", epochStats.CommitsPerEpoch)
 		srv.RegisterHistogram("epoch_close_latency", epochStats.CloseLatency)
 		srv.RegisterHistogram("epoch_ack_wait", epochStats.AckWait)
-		// Read-plane counters and the /read/* endpoints: how far the
-		// materialized models trail the engine and how read traffic splits
-		// across them.
-		if p := s.ReadPlane(); p != nil {
-			srv.Handle("GET /read/", p.HTTPHandler())
-			srv.RegisterCounter("readplane_events_applied", func() int64 { return p.Stats().EventsApplied })
-			srv.RegisterCounter("readplane_events_stale", func() int64 { return p.Stats().EventsStale })
-			srv.RegisterCounter("readplane_reads_stock", func() int64 { return p.Stats().ReadsStock })
-			srv.RegisterCounter("readplane_reads_global", func() int64 { return p.Stats().ReadsGlobal })
-			srv.RegisterCounter("readplane_reads_hot", func() int64 { return p.Stats().ReadsHot })
-			srv.RegisterCounter("readplane_ryw_waits", func() int64 { return p.Stats().RYWWaits })
-			srv.RegisterCounter("readplane_ryw_timeouts", func() int64 { return p.Stats().RYWTimeouts })
-			srv.RegisterCounter("readplane_ryw_violations", func() int64 { return p.Stats().RYWViolations })
-			srv.RegisterHistogram("readplane_lag", p.LagHistogram())
-			srv.RegisterHistogram("readplane_ryw_wait", p.WaitHistogram())
-		}
+		// The /read/* endpoints and their counters: how read traffic
+		// splits across the views and how often RYW tokens waited.
+		p := s.ReadPlane()
+		srv.Handle("GET /read/", p.HTTPHandler())
+		srv.RegisterCounter("readplane_reads_stock", func() int64 { return p.Stats().ReadsStock })
+		srv.RegisterCounter("readplane_reads_global", func() int64 { return p.Stats().ReadsGlobal })
+		srv.RegisterCounter("readplane_reads_hot", func() int64 { return p.Stats().ReadsHot })
+		srv.RegisterCounter("readplane_ryw_waits", func() int64 { return p.Stats().RYWWaits })
+		srv.RegisterCounter("readplane_ryw_timeouts", func() int64 { return p.Stats().RYWTimeouts })
+		srv.RegisterHistogram("readplane_ryw_wait", p.WaitHistogram())
 		// Routing counters and the /partitions inspection endpoint (a
 		// full-replication node hosts its one partition and routes nothing).
 		srv.RegisterCounter("partition_route_forwarded", func() int64 { return int64(s.RouteStats().Forwarded) })
@@ -403,9 +399,8 @@ func serveClient(s *site.Site, conn net.Conn, updateLatency *metrics.Histogram) 
 				break
 			}
 			// The token lets the client demand read-your-writes from the
-			// read plane (/read/*?token=...) — pointless to advertise when
-			// the plane is disabled.
-			if tok := s.Token(res); s.ReadPlane() != nil && !tok.IsZero() {
+			// read plane (/read/*?token=...); Token mints none without one.
+			if tok := s.Token(res); !tok.IsZero() {
 				reply("OK %s token=%s", res.Path, tok)
 			} else {
 				reply("OK %s", res.Path)

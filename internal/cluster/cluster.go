@@ -100,9 +100,9 @@ type Config struct {
 	// TxnObserver, when non-nil, receives every locally applied 2PC
 	// outcome cluster-wide.
 	TxnObserver func(twopc.Outcome)
-	// ReadPlane gives every site an event-sourced read plane (see
+	// ReadPlane gives every site a read plane (see
 	// site.Config.ReadPlane). The simulator enables it so its oracles
-	// can prove read-model convergence and RYW-token safety.
+	// can check what a client of /read/* sees and RYW-token safety.
 	ReadPlane bool
 	// Partitions, when > 0, shards the catalog over that many virtual
 	// partitions with replication factor RF: each key lives only on its

@@ -3,6 +3,7 @@ package readplane
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -27,14 +28,13 @@ func seedKeys(tb testing.TB, eng *storage.Engine, n int, amount int64) []string 
 
 // stockTotal is the sum of every amount in the snapshot.
 func stockTotal(s *StockSnapshot) (total int64) {
-	s.scan(func(_ string, v int64) bool {
+	for _, v := range s.Amounts {
 		total += v
-		return true
-	})
+	}
 	return total
 }
 
-// checkEqualsEngine compares the published view with the engine's own
+// checkEqualsEngine compares a catalog read with the engine's own
 // consistent pair once the writers are done.
 func checkEqualsEngine(t *testing.T, h *harness) {
 	t.Helper()
@@ -42,27 +42,19 @@ func checkEqualsEngine(t *testing.T, h *harness) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := h.plane.Stock()
+	s := stock(t, h.plane)
 	if s.AppliedLSN != lsn || lsn != h.eng.LastLSN() {
-		t.Fatalf("watermark %d, snapshot cursor %d, engine %d", s.AppliedLSN, lsn, h.eng.LastLSN())
+		t.Fatalf("stamp %d, snapshot cursor %d, engine %d", s.AppliedLSN, lsn, h.eng.LastLSN())
 	}
-	if s.Len() != len(amounts) {
-		t.Fatalf("view holds %d keys, engine %d", s.Len(), len(amounts))
-	}
-	for k, want := range amounts {
-		if got, ok := s.Amount(k); !ok || got != want {
-			t.Fatalf("%s = %d %v, engine %d", k, got, ok, want)
-		}
-	}
-	if n := h.parked(); n != 0 {
-		t.Fatalf("%d batches still parked with every writer done", n)
+	if !reflect.DeepEqual(s.Amounts, amounts) {
+		t.Fatalf("catalog read %v, engine %v", s.Amounts, amounts)
 	}
 }
 
-// Committers on disjoint and on shared stripes fold their own batches
-// in, racing each other into Apply. Every batch moves the catalog total
-// by exactly -1, so a snapshot at watermark w must total seed - (w -
-// seedLSN): it holds every batch up to w and nothing above it.
+// Committers on disjoint and on shared stripes race each other. Every
+// batch moves the catalog total by exactly -1, so a catalog read
+// stamped w must total seed - (w - seedLSN): it holds every batch up to
+// w and nothing above it.
 func TestConcurrentCommittersKeepWatermarkContiguous(t *testing.T) {
 	const (
 		writers = 8
@@ -85,8 +77,8 @@ func TestConcurrentCommittersKeepWatermarkContiguous(t *testing.T) {
 			defer waits.Done()
 			if err := h.plane.WaitFor(ctx, Token{Site: 1, LSN: lsn}); err != nil {
 				waitErr <- fmt.Errorf("token %d: %w", lsn, err)
-			} else if got := h.plane.Stock().AppliedLSN; got < lsn {
-				waitErr <- fmt.Errorf("token %d satisfied at watermark %d", lsn, got)
+			} else if s, err := h.plane.Stock(); err != nil || s.AppliedLSN < lsn {
+				waitErr <- fmt.Errorf("token %d satisfied, then a read stamped %d (%v)", lsn, s.AppliedLSN, err)
 			}
 		}()
 	}
@@ -103,24 +95,20 @@ func TestConcurrentCommittersKeepWatermarkContiguous(t *testing.T) {
 				stopped = true // one more look, at the final state
 			default:
 			}
-			s := h.plane.Stock()
+			s, err := h.plane.Stock()
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			if s.AppliedLSN < last {
-				t.Errorf("watermark regressed: %d after %d", s.AppliedLSN, last)
+				t.Errorf("stamp regressed: %d after %d", s.AppliedLSN, last)
 				return
 			}
 			last = s.AppliedLSN
 			if got, want := stockTotal(s), seedTotal-int64(s.AppliedLSN-seedLSN); got != want {
-				t.Errorf("snapshot at LSN %d totals %d, want %d: not exactly the batches up to it", s.AppliedLSN, got, want)
+				t.Errorf("catalog read stamped %d totals %d, want %d: not exactly the batches up to it", s.AppliedLSN, got, want)
 				return
 			}
-			// Parked batches are strictly beyond the next one due.
-			h.plane.mu.Lock()
-			for l := range h.plane.st.pending {
-				if l <= h.plane.st.applied+1 {
-					t.Errorf("LSN %d parked at watermark %d", l, h.plane.st.applied)
-				}
-			}
-			h.plane.mu.Unlock()
 		}
 	}()
 
@@ -159,79 +147,12 @@ func TestConcurrentCommittersKeepWatermarkContiguous(t *testing.T) {
 		t.Fatalf("engine at LSN %d, want %d", h.eng.LastLSN(), finalLSN)
 	}
 	checkEqualsEngine(t, h)
-	if st := h.plane.Stats(); st.EventsApplied != writers*iters+1 || st.EventsStale != 0 || st.RYWViolations != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
 }
 
-// Writers are already committing when the plane bootstraps: every batch
-// is either inside Start's snapshot (parked, then discarded as stale)
-// or applied after it. None is lost, none is applied twice.
-func TestWritersDuringBootstrapLoseNoBatch(t *testing.T) {
-	const (
-		writers = 4
-		iters   = 500
-	)
-	eng, err := storage.Open(storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	keys := seedKeys(t, eng, writers, 1<<20)
-	seedLSN := eng.LastLSN()
-
-	plane := New(Config{Site: 1, Engine: eng})
-	defer plane.Close()
-	eng.SetApplyObserver(plane.Apply)
-	h := &harness{eng: eng, plane: plane}
-
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				if _, err := eng.ApplyDelta(keys[w], -1); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	for eng.LastLSN() < seedLSN+writers*iters/4 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	if plane.Stock() != nil || h.parked() == 0 {
-		t.Fatalf("before Start: snapshot %v, %d parked", plane.Stock(), h.parked())
-	}
-	// Start's snapshot needs every stripe's read lock while committers
-	// sit in Apply under their stripe's write lock: holding the plane
-	// mutex across the snapshot would stop both sides here.
-	started := make(chan error, 1)
-	go func() { started <- plane.Start() }()
-	select {
-	case err := <-started:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Start is deadlocked against the committers")
-	}
-	boot := plane.Stock().AppliedLSN
-	wg.Wait()
-
-	checkEqualsEngine(t, h)
-	st := plane.Stats()
-	if st.EventsStale+st.EventsApplied != writers*iters {
-		t.Fatalf("%d stale + %d applied, want %d batches accounted for", st.EventsStale, st.EventsApplied, writers*iters)
-	}
-	t.Logf("bootstrapped at LSN %d of %d: %d parked batches were already in the snapshot", boot, eng.LastLSN(), st.EventsStale)
-}
-
-// Apply runs under the committer's stripe write locks and
-// SnapshotAmounts takes every stripe's read lock: a plane that took the
-// snapshot inside Apply, or under the mutex Apply waits for, would stop
-// here for good.
+// The plane's observer runs under the committer's stripe write locks
+// and SnapshotAmounts takes every stripe's read lock: an observer that
+// read the engine, or waited on a catalog reader, would stop here for
+// good.
 func TestApplyDoesNotDeadlockWithSnapshotAmounts(t *testing.T) {
 	const (
 		writers = 64
@@ -260,7 +181,7 @@ func TestApplyDoesNotDeadlockWithSnapshotAmounts(t *testing.T) {
 				}
 			}
 		}()
-		go func() { // a session reader parked on the newest commit
+		go func() { // a session reader parked on the next commit
 			defer side.Done()
 			for {
 				select {
@@ -268,7 +189,7 @@ func TestApplyDoesNotDeadlockWithSnapshotAmounts(t *testing.T) {
 					return
 				default:
 					ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-					h.plane.WaitCaughtUp(ctx) //nolint:errcheck // only its locking matters here
+					h.plane.WaitFor(ctx, Mint(1, h.eng.LastLSN()+1)) //nolint:errcheck // only its locking matters here
 					cancel()
 				}
 			}

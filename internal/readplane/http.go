@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -17,10 +18,12 @@ import (
 //	GET /read/watch?model=stock|global|hot        — streaming (one JSON
 //	    [&interval_ms=N]                            line per tick)
 //
-// A token query demands read-your-writes: the request blocks (up to
-// wait_ms, default 1000) until the model has applied the token's LSN,
-// answering 504 when the deadline expires first. Mount the handler on
-// a mux that routes the /read/ subtree here (paths are absolute).
+// Every answer is read from the engine when the request is served and
+// carries its stamp as applied_lsn (see the package doc). A token query
+// demands read-your-writes: the request blocks (up to wait_ms, default
+// 1000, at most maxWaitMS) until the engine has reached the token's
+// LSN, answering 504 when the deadline expires first. Mount the handler
+// on a mux that routes the /read/ subtree here (paths are absolute).
 func (p *Plane) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /read/stock", p.handleStock)
@@ -53,6 +56,10 @@ func (p *Plane) freshnessOf(appliedLSN uint64, asOf time.Time) freshness {
 	}
 }
 
+// maxWaitMS caps a request's wait_ms: a read-your-writes wait parks
+// the handler's goroutine for as long as the client asks.
+const maxWaitMS = 10_000
+
 // awaitToken applies a request's RYW barrier, answering the error
 // itself. It reports whether the handler should continue.
 func (p *Plane) awaitToken(w http.ResponseWriter, r *http.Request) bool {
@@ -68,8 +75,8 @@ func (p *Plane) awaitToken(w http.ResponseWriter, r *http.Request) bool {
 	waitMS := 1000
 	if q := r.URL.Query().Get("wait_ms"); q != "" {
 		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			http.Error(w, "bad wait_ms parameter", http.StatusBadRequest)
+		if err != nil || v < 0 || v > maxWaitMS {
+			http.Error(w, fmt.Sprintf("bad wait_ms parameter (0 to %d)", maxWaitMS), http.StatusBadRequest)
 			return false
 		}
 		waitMS = v
@@ -82,14 +89,18 @@ func (p *Plane) awaitToken(w http.ResponseWriter, r *http.Request) bool {
 	case errors.Is(err, ErrWrongSite):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "read-your-writes deadline expired before the model caught up", http.StatusGatewayTimeout)
+		http.Error(w, "read-your-writes deadline expired before the engine reached the token", http.StatusGatewayTimeout)
 	default:
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	}
 	return false
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -104,24 +115,30 @@ type stockResponse struct {
 	Amounts map[string]int64 `json:"amounts,omitempty"`
 }
 
+// stockBody answers one key from the engine directly, or the whole
+// catalog when key is empty.
+func (p *Plane) stockBody(key string) (any, error) {
+	if key == "" {
+		s, err := p.Stock()
+		if err != nil {
+			return nil, err
+		}
+		return stockResponse{freshness: p.freshnessOf(s.AppliedLSN, s.AsOf), Amounts: s.Amounts}, nil
+	}
+	p.readsStock.Add(1)
+	amount, found, stamp, err := p.cfg.Engine.StampedAmount(key)
+	if err != nil {
+		return nil, err
+	}
+	return stockResponse{freshness: p.freshnessOf(stamp, p.cfg.Now()), Key: key, Amount: &amount, Found: &found}, nil
+}
+
 func (p *Plane) handleStock(w http.ResponseWriter, r *http.Request) {
 	if !p.awaitToken(w, r) {
 		return
 	}
-	s := p.Stock()
-	resp := stockResponse{freshness: p.freshnessOf(s.AppliedLSN, s.AsOf)}
-	if key := r.URL.Query().Get("key"); key != "" {
-		amount, found := s.Amount(key)
-		resp.Key, resp.Amount, resp.Found = key, &amount, &found
-	} else {
-		// Unordered on purpose: the JSON encoder sorts map keys itself.
-		resp.Amounts = make(map[string]int64, s.Len())
-		s.scan(func(k string, v int64) bool {
-			resp.Amounts[k] = v
-			return true
-		})
-	}
-	writeJSON(w, resp)
+	body, err := p.stockBody(r.URL.Query().Get("key"))
+	writeJSON(w, body, err)
 }
 
 type globalRow struct {
@@ -152,25 +169,27 @@ func globalRowOf(k *GlobalKey) globalRow {
 	return row
 }
 
+// globalBody answers the position view, one row when key is set.
+func (p *Plane) globalBody(key string) (any, error) {
+	g, err := p.Global()
+	if err != nil {
+		return nil, err
+	}
+	resp := globalResponse{freshness: p.freshnessOf(g.AppliedLSN, g.AsOf), Keys: []globalRow{}}
+	for i := range g.Keys {
+		if key == "" || g.Keys[i].Key == key {
+			resp.Keys = append(resp.Keys, globalRowOf(&g.Keys[i]))
+		}
+	}
+	return resp, nil
+}
+
 func (p *Plane) handleGlobal(w http.ResponseWriter, r *http.Request) {
 	if !p.awaitToken(w, r) {
 		return
 	}
-	g := p.Global()
-	resp := globalResponse{freshness: p.freshnessOf(g.AppliedLSN, g.AsOf)}
-	if key := r.URL.Query().Get("key"); key != "" {
-		if row := g.Key(key); row != nil {
-			resp.Keys = []globalRow{globalRowOf(row)}
-		} else {
-			resp.Keys = []globalRow{}
-		}
-	} else {
-		resp.Keys = make([]globalRow, 0, len(g.Keys))
-		for i := range g.Keys {
-			resp.Keys = append(resp.Keys, globalRowOf(&g.Keys[i]))
-		}
-	}
-	writeJSON(w, resp)
+	body, err := p.globalBody(r.URL.Query().Get("key"))
+	writeJSON(w, body, err)
 }
 
 type hotRow struct {
@@ -184,40 +203,47 @@ type hotResponse struct {
 	Top []hotRow `json:"top"`
 }
 
+// defaultTopK is the hot view's size when a request names no k.
+const defaultTopK = 10
+
+func (p *Plane) hotBody(k int) (any, error) {
+	h := p.Hot(k)
+	resp := hotResponse{freshness: p.freshnessOf(h.AppliedLSN, h.AsOf), Top: make([]hotRow, 0, len(h.Top))}
+	for _, hk := range h.Top {
+		resp.Top = append(resp.Top, hotRow{Key: hk.Key, Updates: hk.Updates, Volume: hk.Volume})
+	}
+	return resp, nil
+}
+
 func (p *Plane) handleHot(w http.ResponseWriter, r *http.Request) {
 	if !p.awaitToken(w, r) {
 		return
 	}
-	h := p.Hot()
-	top := h.Top
+	k := defaultTopK
 	if q := r.URL.Query().Get("k"); q != "" {
-		k, err := strconv.Atoi(q)
-		if err != nil || k < 1 {
+		v, err := strconv.Atoi(q)
+		if err != nil || v < 1 {
 			http.Error(w, "bad k parameter", http.StatusBadRequest)
 			return
 		}
-		if k < len(top) {
-			top = top[:k]
-		}
+		k = v
 	}
-	resp := hotResponse{freshness: p.freshnessOf(h.AppliedLSN, h.AsOf)}
-	resp.Top = make([]hotRow, 0, len(top))
-	for _, hk := range top {
-		resp.Top = append(resp.Top, hotRow{Key: hk.Key, Updates: hk.Updates, Volume: hk.Volume})
-	}
-	writeJSON(w, resp)
+	body, err := p.hotBody(k)
+	writeJSON(w, body, err)
 }
 
 // handleWatch streams the chosen model: one compact JSON line per
 // tick, flushed, until the client disconnects or the plane closes.
 // avctl watch is the intended consumer.
 func (p *Plane) handleWatch(w http.ResponseWriter, r *http.Request) {
-	model := r.URL.Query().Get("model")
-	if model == "" {
-		model = "stock"
-	}
-	switch model {
-	case "stock", "global", "hot":
+	var read func() (any, error)
+	switch model := r.URL.Query().Get("model"); model {
+	case "", "stock":
+		read = func() (any, error) { return p.stockBody("") }
+	case "global":
+		read = func() (any, error) { return p.globalBody("") }
+	case "hot":
+		read = func() (any, error) { return p.hotBody(defaultTopK) }
 	default:
 		http.Error(w, "bad model parameter (want stock, global, or hot)", http.StatusBadRequest)
 		return
@@ -238,33 +264,9 @@ func (p *Plane) handleWatch(w http.ResponseWriter, r *http.Request) {
 	tick := time.NewTicker(time.Duration(intervalMS) * time.Millisecond)
 	defer tick.Stop()
 	for {
-		var v any
-		switch model {
-		case "stock":
-			s := p.Stock()
-			resp := stockResponse{freshness: p.freshnessOf(s.AppliedLSN, s.AsOf)}
-			resp.Amounts = make(map[string]int64, s.Len())
-			s.Each(func(k string, n int64) bool {
-				resp.Amounts[k] = n
-				return true
-			})
-			v = resp
-		case "global":
-			g := p.Global()
-			resp := globalResponse{freshness: p.freshnessOf(g.AppliedLSN, g.AsOf)}
-			resp.Keys = make([]globalRow, 0, len(g.Keys))
-			for i := range g.Keys {
-				resp.Keys = append(resp.Keys, globalRowOf(&g.Keys[i]))
-			}
-			v = resp
-		case "hot":
-			h := p.Hot()
-			resp := hotResponse{freshness: p.freshnessOf(h.AppliedLSN, h.AsOf)}
-			resp.Top = make([]hotRow, 0, len(h.Top))
-			for _, hk := range h.Top {
-				resp.Top = append(resp.Top, hotRow{Key: hk.Key, Updates: hk.Updates, Volume: hk.Volume})
-			}
-			v = resp
+		v, err := read()
+		if err != nil {
+			return
 		}
 		if err := enc.Encode(v); err != nil {
 			return

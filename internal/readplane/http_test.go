@@ -2,11 +2,14 @@ package readplane
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"avdb/internal/storage"
 )
@@ -39,9 +42,6 @@ func TestHTTPStockEndpoint(t *testing.T) {
 	if err := h.eng.Put(storage.Record{Key: "a", Amount: 11}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
 	var all struct {
 		Site       uint32           `json:"site"`
 		AppliedLSN uint64           `json:"applied_lsn"`
@@ -70,26 +70,62 @@ func TestHTTPStockEndpoint(t *testing.T) {
 	}
 }
 
+// The token rule over HTTP: the token a commit returns is satisfied
+// with zero wait and its read is stamped at or above it; a token above
+// LastLSN ends in 504 at its deadline, not before; malformed and
+// wrong-site tokens and a wait_ms above the ceiling are client errors.
 func TestHTTPTokenWaitAndTimeout(t *testing.T) {
 	h, srv := newHTTPHarness(t)
-	if err := h.eng.Put(storage.Record{Key: "a", Amount: 1}); err != nil {
+	if err := h.eng.Put(storage.Record{Key: "a", Amount: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.eng.ApplyDelta("a", -4); err != nil {
 		t.Fatal(err)
 	}
 	tok := Mint(1, h.eng.LastLSN())
-	if resp := getJSON(t, srv.URL+"/read/stock?token="+tok.String(), nil); resp.StatusCode != 200 {
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := h.plane.WaitFor(done, tok); err != nil {
+		t.Fatalf("commit token needed a wait: %v", err)
+	}
+	var body struct {
+		AppliedLSN uint64 `json:"applied_lsn"`
+		Amount     int64  `json:"amount"`
+	}
+	if resp := getJSON(t, srv.URL+"/read/stock?key=a&wait_ms=0&token="+tok.String(), &body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("satisfiable token: status = %d", resp.StatusCode)
 	}
-	// A future LSN with a tiny deadline answers 504.
-	future := Mint(1, h.eng.LastLSN()+100)
-	if resp := getJSON(t, srv.URL+"/read/stock?token="+future.String()+"&wait_ms=20", nil); resp.StatusCode != http.StatusGatewayTimeout {
+	if body.AppliedLSN < tok.LSN || body.Amount != 6 {
+		t.Fatalf("read stamped %d shows %d, want a stamp >= %d showing 6", body.AppliedLSN, body.Amount, tok.LSN)
+	}
+
+	const waitMS = 30
+	start := time.Now()
+	future := Mint(1, h.eng.LastLSN()+1)
+	if resp := getJSON(t, fmt.Sprintf("%s/read/stock?key=a&token=%s&wait_ms=%d", srv.URL, future, waitMS), nil); resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("expired deadline: status = %d, want 504", resp.StatusCode)
 	}
-	// Malformed tokens and foreign sites are client errors.
-	if resp := getJSON(t, srv.URL+"/read/stock?token=garbage", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad token: status = %d", resp.StatusCode)
+	if d := time.Since(start); d < waitMS*time.Millisecond {
+		t.Fatalf("504 after %v, before its %d ms deadline", d, waitMS)
 	}
-	if resp := getJSON(t, srv.URL+"/read/stock?token=9:1", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("foreign token: status = %d", resp.StatusCode)
+	if n := h.plane.Stats().RYWTimeouts; n != 1 {
+		t.Fatalf("timeouts = %d, want 1", n)
+	}
+
+	for _, q := range []string{
+		"token=garbage",
+		"token=9:1",
+		"token=" + Mint(2, h.eng.LastLSN()+100).String(),
+		fmt.Sprintf("token=%s&wait_ms=%d", tok, maxWaitMS+1),
+		fmt.Sprintf("token=%s&wait_ms=%d", tok, 1<<40),
+		fmt.Sprintf("token=%s&wait_ms=-1", tok),
+	} {
+		if resp := getJSON(t, srv.URL+"/read/stock?"+q, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", q, resp.StatusCode)
+		}
+	}
+	if resp := getJSON(t, fmt.Sprintf("%s/read/stock?token=%s&wait_ms=%d", srv.URL, tok, maxWaitMS), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("wait_ms at the ceiling: status = %d", resp.StatusCode)
 	}
 }
 
@@ -105,9 +141,6 @@ func TestHTTPHotAndGlobalEndpoints(t *testing.T) {
 		if _, err := h.eng.ApplyDelta("b", -1); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
-		t.Fatal(err)
 	}
 	var hot struct {
 		Top []struct {
@@ -141,9 +174,6 @@ func TestHTTPHotAndGlobalEndpoints(t *testing.T) {
 func TestHTTPWatchStreams(t *testing.T) {
 	h, srv := newHTTPHarness(t)
 	if err := h.eng.Put(storage.Record{Key: "a", Amount: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(srv.URL + "/read/watch?model=stock&interval_ms=10")

@@ -14,24 +14,17 @@ import (
 	"avdb/internal/wire"
 )
 
-// harness is an engine with a plane installed as its apply observer,
-// the way a site wires the pair.
+// harness is an engine with a plane over it, the way a site wires the
+// pair.
 type harness struct {
 	eng   *storage.Engine
 	plane *Plane
 }
 
-// attach builds a plane over eng in a site's order: observer first,
-// then the bootstrap snapshot.
-func attach(tb testing.TB, eng *storage.Engine, cfg Config) *Plane {
-	tb.Helper()
+// attach builds a plane over eng.
+func attach(eng *storage.Engine, cfg Config) *Plane {
 	cfg.Engine = eng
-	plane := New(cfg)
-	eng.SetApplyObserver(plane.Apply)
-	if err := plane.Start(); err != nil {
-		tb.Fatal(err)
-	}
-	return plane
+	return New(cfg)
 }
 
 func newHarness(tb testing.TB, site wire.SiteID, opts storage.Options, cfg Config) *harness {
@@ -42,9 +35,19 @@ func newHarness(tb testing.TB, site wire.SiteID, opts storage.Options, cfg Confi
 	}
 	tb.Cleanup(func() { eng.Close() })
 	cfg.Site = site
-	plane := attach(tb, eng, cfg)
+	plane := attach(eng, cfg)
 	tb.Cleanup(plane.Close)
 	return &harness{eng: eng, plane: plane}
+}
+
+// stock is a catalog read that must succeed.
+func stock(tb testing.TB, p *Plane) *StockSnapshot {
+	tb.Helper()
+	s, err := p.Stock()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }
 
 func waitCtx(t *testing.T) context.Context {
@@ -65,10 +68,7 @@ func TestStockFollowsApplies(t *testing.T) {
 	if err := h.eng.Put(storage.Record{Key: "b", Amount: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	s := h.plane.Stock()
+	s := stock(t, h.plane)
 	if s.AppliedLSN != h.eng.LastLSN() {
 		t.Fatalf("watermark %d, engine %d", s.AppliedLSN, h.eng.LastLSN())
 	}
@@ -92,80 +92,19 @@ func TestBootstrapCoversPreexistingState(t *testing.T) {
 	if err := eng.Put(storage.Record{Key: "seeded", Amount: 42}); err != nil {
 		t.Fatal(err)
 	}
-	plane := attach(t, eng, Config{Site: 3})
+	plane := attach(eng, Config{Site: 3})
 	defer plane.Close()
-	s := plane.Stock()
+	s := stock(t, plane)
 	if v, ok := s.Amount("seeded"); !ok || v != 42 {
 		t.Fatalf("seeded = %d %v", v, ok)
 	}
 	if s.AppliedLSN != eng.LastLSN() {
-		t.Fatalf("bootstrap watermark %d, engine %d", s.AppliedLSN, eng.LastLSN())
+		t.Fatalf("stamp %d, engine %d", s.AppliedLSN, eng.LastLSN())
 	}
-}
-
-func TestOutOfOrderEventsApplyInLSNOrder(t *testing.T) {
-	h := newHarness(t, 1, storage.Options{}, Config{})
-	// LSN 2 (a delta) arrives before LSN 1 (the put it depends on).
-	h.plane.Apply(2, []storage.Op{storage.DeltaOp("k", -4)})
-	if got := h.plane.Stock().AppliedLSN; got != 0 {
-		t.Fatalf("watermark %d with LSN 1 missing", got)
-	}
-	h.plane.Apply(1, []storage.Op{storage.PutOp(storage.Record{Key: "k", Amount: 10})})
-	if err := h.plane.WaitFor(waitCtx(t), Token{Site: 1, LSN: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := h.plane.Stock().Amount("k"); !ok || v != 6 {
-		t.Fatalf("k = %d %v, want 6", v, ok)
-	}
-}
-
-// A parked batch is a copy: the caller's slice is the caller's again
-// the moment Apply returns, and what it does to it afterwards must not
-// reach the models. 3, 2, 1 also drains two parked successors at once.
-func TestParkedBatchIsCopied(t *testing.T) {
-	h := newHarness(t, 1, storage.Options{}, Config{})
-	ops3 := []storage.Op{storage.DeltaOp("k", -3)}
-	h.plane.Apply(3, ops3)
-	ops3[0] = storage.DeltaOp("k", -1000)
-	ops2 := []storage.Op{storage.DeltaOp("k", -2), storage.PutOp(storage.Record{Key: "j", Amount: 5})}
-	h.plane.Apply(2, ops2)
-	ops2[0], ops2[1] = storage.DeleteOp("k"), storage.DeleteOp("j")
-	if n := h.parked(); n != 2 {
-		t.Fatalf("parked %d batches, want 2", n)
-	}
-	if s := h.plane.Stock(); s.AppliedLSN != 0 || s.Len() != 0 {
-		t.Fatalf("published LSN %d with %d keys before LSN 1 arrived", s.AppliedLSN, s.Len())
-	}
-	h.plane.Apply(1, []storage.Op{storage.PutOp(storage.Record{Key: "k", Amount: 10})})
-	s := h.plane.Stock()
-	if s.AppliedLSN != 3 || h.parked() != 0 {
-		t.Fatalf("watermark %d, %d still parked", s.AppliedLSN, h.parked())
-	}
-	if v, ok := s.Amount("k"); !ok || v != 5 {
-		t.Fatalf("k = %d %v, want 10-2-3 = 5", v, ok)
-	}
-	if v, ok := s.Amount("j"); !ok || v != 5 {
-		t.Fatalf("j = %d %v, want 5", v, ok)
-	}
-	// A replay of something the watermark covers changes nothing.
-	h.plane.Apply(2, []storage.Op{storage.DeltaOp("k", -2)})
-	if st := h.plane.Stats(); st.EventsApplied != 3 || st.EventsStale != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if v, _ := h.plane.Stock().Amount("k"); v != 5 {
-		t.Fatalf("k = %d after a stale replay", v)
-	}
-}
-
-// parked is how many batches wait for a predecessor.
-func (h *harness) parked() int {
-	h.plane.mu.Lock()
-	defer h.plane.mu.Unlock()
-	return len(h.plane.st.pending)
 }
 
 func TestHotViewRanksTopK(t *testing.T) {
-	h := newHarness(t, 1, storage.Options{}, Config{TopK: 2})
+	h := newHarness(t, 1, storage.Options{}, Config{})
 	for _, k := range []string{"cold", "warm", "hot"} {
 		if err := h.eng.Put(storage.Record{Key: k, Amount: 100}); err != nil {
 			t.Fatal(err)
@@ -181,10 +120,7 @@ func TestHotViewRanksTopK(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	hot := h.plane.Hot()
+	hot := h.plane.Hot(2)
 	if len(hot.Top) != 2 {
 		t.Fatalf("topK = %d entries", len(hot.Top))
 	}
@@ -228,10 +164,10 @@ func TestGlobalViewJoinsAVAndPeers(t *testing.T) {
 	if err := h.eng.Put(storage.Record{Key: "k", Amount: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
+	g, err := h.plane.Global()
+	if err != nil {
 		t.Fatal(err)
 	}
-	g := h.plane.Global()
 	row := g.Key("k")
 	if row == nil {
 		t.Fatal("k missing from global view")
@@ -271,7 +207,7 @@ func TestMonotonicWatermark(t *testing.T) {
 		}
 	}()
 	for {
-		s := h.plane.Stock()
+		s := stock(t, h.plane)
 		if s.AppliedLSN < last {
 			t.Errorf("watermark regressed: %d after %d", s.AppliedLSN, last)
 			break
@@ -305,18 +241,16 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s := h.plane.Stock()
-				s.Amount("k")
-				h.plane.Hot()
-				h.plane.Global()
+				stock(t, h.plane).Amount("k")
+				h.plane.Hot(defaultTopK)
+				if _, err := h.plane.Global(); err != nil {
+					t.Error(err)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := h.plane.Stock().Amount("k"); v != 400 {
+	if v, _ := stock(t, h.plane).Amount("k"); v != 400 {
 		t.Fatalf("k = %d, want 400", v)
 	}
 }
@@ -330,9 +264,6 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 func TestRYWTokenAroundAbortedTxn(t *testing.T) {
 	h := newHarness(t, 1, storage.Options{}, Config{})
 	if err := h.eng.Put(storage.Record{Key: "k", Amount: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
 		t.Fatal(err)
 	}
 	before := h.eng.LastLSN()
@@ -355,7 +286,7 @@ func TestRYWTokenAroundAbortedTxn(t *testing.T) {
 	if err := h.plane.WaitFor(ctx, tok); err != nil {
 		t.Fatalf("pre-abort token not satisfied: %v", err)
 	}
-	if v, _ := h.plane.Stock().Amount("k"); v != 10 {
+	if v, _ := stock(t, h.plane).Amount("k"); v != 10 {
 		t.Fatalf("k = %d, aborted delta leaked into the model", v)
 	}
 }
@@ -386,9 +317,6 @@ func TestRYWTokenFutureLSNExpires(t *testing.T) {
 	if err := h.plane.WaitFor(waitCtx(t), future); err != nil {
 		t.Fatalf("token still unsatisfied after the writes: %v", err)
 	}
-	if h.plane.Stats().RYWViolations != 0 {
-		t.Fatalf("violations = %d", h.plane.Stats().RYWViolations)
-	}
 }
 
 // A token survives a site restart: the durable engine recovers the
@@ -401,7 +329,7 @@ func TestRYWTokenReplayAfterRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng, attach(t, eng, Config{Site: 1})
+		return eng, attach(eng, Config{Site: 1})
 	}
 	eng, plane := open()
 	if err := eng.Put(storage.Record{Key: "k", Amount: 7}); err != nil {
@@ -424,7 +352,7 @@ func TestRYWTokenReplayAfterRestart(t *testing.T) {
 	if err := plane2.WaitFor(ctx, tok); err != nil {
 		t.Fatalf("replayed token not satisfied after restart: %v", err)
 	}
-	if v, ok := plane2.Stock().Amount("k"); !ok || v != 7 {
+	if v, ok := stock(t, plane2).Amount("k"); !ok || v != 7 {
 		t.Fatalf("k = %d %v after restart", v, ok)
 	}
 }
@@ -435,7 +363,7 @@ func TestWaitForOnClosedPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	plane := attach(t, eng, Config{Site: 1})
+	plane := attach(eng, Config{Site: 1})
 	done := make(chan error, 1)
 	go func() {
 		done <- plane.WaitFor(context.Background(), Token{Site: 1, LSN: 100})
@@ -474,24 +402,28 @@ func TestTokenStringParseRoundTrip(t *testing.T) {
 }
 
 func TestAccessorsAndStalenessAge(t *testing.T) {
-	h := newHarness(t, 7, storage.Options{}, Config{})
+	now := time.Date(2000, 1, 2, 3, 4, 5, 0, time.UTC)
+	h := newHarness(t, 7, storage.Options{}, Config{Now: func() time.Time { return now }})
 	if got := h.plane.Site(); got != 7 {
 		t.Fatalf("Site() = %d, want 7", got)
 	}
-	if h.plane.LagHistogram() == nil || h.plane.WaitHistogram() == nil {
-		t.Fatal("histograms must exist from New")
+	if h.plane.WaitHistogram() == nil {
+		t.Fatal("wait histogram must exist from New")
 	}
 	if err := h.eng.Put(storage.Record{Key: "a", Amount: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.plane.WaitCaughtUp(waitCtx(t)); err != nil {
-		t.Fatal(err)
+	s := stock(t, h.plane)
+	if !s.AsOf.Equal(now) || s.Site != 7 {
+		t.Fatalf("snapshot site %d as of %v, want 7 as of the injected clock %v", s.Site, s.AsOf, now)
 	}
-	s := h.plane.Stock()
 	if age := s.Age(s.AsOf.Add(3 * time.Second)); age != 3*time.Second {
 		t.Fatalf("Age = %v, want 3s", age)
 	}
-	if h.plane.LagHistogram().Snapshot().Count == 0 {
-		t.Fatal("publish recorded no lag sample")
+	if err := h.plane.WaitFor(waitCtx(t), Mint(7, h.eng.LastLSN())); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.plane.Stats(); st.ReadsStock != 1 || st.RYWWaits != 1 || h.plane.WaitHistogram().Snapshot().Count != 1 {
+		t.Fatalf("stats %+v, %d wait samples", st, h.plane.WaitHistogram().Snapshot().Count)
 	}
 }

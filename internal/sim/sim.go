@@ -12,9 +12,13 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"runtime"
 	"sort"
@@ -26,6 +30,7 @@ import (
 	"avdb/internal/cluster"
 	"avdb/internal/core"
 	"avdb/internal/eventlog"
+	"avdb/internal/readplane"
 	"avdb/internal/rng"
 	"avdb/internal/transport"
 	"avdb/internal/twopc"
@@ -431,7 +436,7 @@ func (h *harness) run(steps []chaos.Step) (Result, error) {
 				}
 			}
 			if res.Violation == nil && out == opCommit {
-				res.Violation = h.checkRYW(idx, opRes)
+				res.Violation = h.checkRYW(idx, key, opRes)
 			}
 			if res.Violation != nil {
 				break
@@ -673,85 +678,106 @@ func (h *harness) checkNoMint() *Violation {
 	return nil
 }
 
+// stockReply is the body of a /read/stock answer.
+type stockReply struct {
+	AppliedLSN uint64           `json:"applied_lsn"`
+	Amount     int64            `json:"amount"`
+	Found      bool             `json:"found"`
+	Amounts    map[string]int64 `json:"amounts"`
+}
+
+// readStock asks a site's read API what a client of /read/stock sees:
+// one key (with an optional RYW token), or the whole catalog when key is
+// empty.
+func readStock(p *readplane.Plane, key string, tok readplane.Token) (*stockReply, error) {
+	q := url.Values{}
+	if key != "" {
+		q.Set("key", key)
+	}
+	if !tok.IsZero() {
+		q.Set("token", tok.String())
+		q.Set("wait_ms", "10000")
+	}
+	rec := httptest.NewRecorder()
+	p.HTTPHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/read/stock?"+q.Encode(), nil))
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("/read/stock?%s: status %d: %s", q.Encode(), rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
+	}
+	var r stockReply
+	if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
 // checkRYW asserts read-your-writes after a committed operation: the
-// token minted by the commit must be satisfiable at the read plane of
-// the site that applied it — the origin for local commits, the remote
-// owner for routed updates (the token carries the applying site's ID).
-// The plane applied the batch on the goroutine that committed it, so
-// unless a lower-LSN batch on another stripe is still on its way into
-// the plane the token is satisfied without waiting. The deadline is
-// real time on purpose: the plane is not part of the hashed trace, and
-// registering a virtual-clock timer here would perturb
-// bit-reproducibility.
-func (h *harness) checkRYW(idx int, opRes core.Result) *Violation {
+// written key, read through the /read/stock handler of the site that
+// applied it (the origin for local commits, the remote owner for routed
+// updates; the token carries the applying site's ID) with the commit's
+// token, must come back stamped at or above the token's LSN. The token
+// is satisfied at once, since it is minted after its batch applied; the
+// handler's deadline is real time, and the plane is not part of the
+// hashed trace.
+func (h *harness) checkRYW(idx int, key string, opRes core.Result) *Violation {
 	s := h.c.Sites[idx]
 	if opRes.Site != wire.SiteID(idx) && int(opRes.Site) < len(h.c.Sites) {
 		s = h.c.Sites[int(opRes.Site)]
 	}
-	p := s.ReadPlane()
-	if p == nil || opRes.LSN == 0 {
+	p, tok := s.ReadPlane(), s.Token(opRes)
+	if p == nil || tok.IsZero() {
 		return nil
 	}
-	wctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := p.WaitFor(wctx, s.Token(opRes)); err != nil {
+	r, err := readStock(p, key, tok)
+	switch {
+	case err != nil:
 		return &Violation{Oracle: "read-plane",
-			Detail: fmt.Sprintf("site %d: RYW token %v unsatisfied after commit: %v", idx, s.Token(opRes), err)}
-	}
-	if n := p.Stats().RYWViolations; n != 0 {
+			Detail: fmt.Sprintf("site %d: RYW read of %s with token %v: %v", idx, key, tok, err)}
+	case r.AppliedLSN < tok.LSN || !r.Found:
 		return &Violation{Oracle: "read-plane",
-			Detail: fmt.Sprintf("site %d: %d RYW waits woke before the model applied their LSN", idx, n)}
+			Detail: fmt.Sprintf("site %d: RYW read of %s with token %v stamped %d, found %v", idx, key, tok, r.AppliedLSN, r.Found)}
 	}
 	return nil
 }
 
-// checkReadPlane is the post-quiescence read-plane oracle: every
-// materialized stock view must converge to exactly its authoritative
-// engine's state (no stale, phantom, or missing keys), and no
-// read-your-writes wait may ever have been satisfied by a model that
-// had not applied the token's LSN. Deadlines are real time for the
-// same reason as checkRYW.
+// checkReadPlane is the post-quiescence read-plane oracle: what a
+// client of every site's /read/stock sees, key by key and as the whole
+// catalog, must equal the site's engine (no stale, phantom, or missing
+// keys), stamped at the engine's LSN.
 func (h *harness) checkReadPlane() *Violation {
 	for i, s := range h.c.Sites {
 		p := s.ReadPlane()
 		if p == nil {
 			continue
 		}
-		wctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		err := p.WaitCaughtUp(wctx)
-		cancel()
-		if err != nil {
-			return &Violation{Oracle: "read-plane",
-				Detail: fmt.Sprintf("site %d: stock view never caught up to its engine: %v", i, err)}
+		fail := func(format string, args ...any) *Violation {
+			return &Violation{Oracle: "read-plane", Detail: fmt.Sprintf("site %d: ", i) + fmt.Sprintf(format, args...)}
 		}
 		amounts, lsn, err := s.Engine().SnapshotAmounts()
 		if err != nil {
-			return &Violation{Oracle: "read-plane",
-				Detail: fmt.Sprintf("site %d: engine snapshot: %v", i, err)}
+			return fail("engine snapshot: %v", err)
 		}
-		snap := p.Stock()
-		if snap.AppliedLSN < lsn {
-			return &Violation{Oracle: "read-plane",
-				Detail: fmt.Sprintf("site %d: watermark %d behind engine LSN %d after catch-up", i, snap.AppliedLSN, lsn)}
+		all, err := readStock(p, "", readplane.Token{})
+		switch {
+		case err != nil:
+			return fail("catalog read: %v", err)
+		case all.AppliedLSN != lsn:
+			return fail("catalog read stamped %d, engine at %d", all.AppliedLSN, lsn)
+		case len(all.Amounts) != len(amounts):
+			return fail("catalog read has %d keys, engine %d", len(all.Amounts), len(amounts))
 		}
 		for k, want := range amounts {
-			got, ok := snap.Amount(k)
-			if !ok {
-				return &Violation{Oracle: "read-plane",
-					Detail: fmt.Sprintf("site %d: key %s missing from stock view (engine holds %d)", i, k, want)}
+			if got, ok := all.Amounts[k]; !ok || got != want {
+				return fail("key %s: catalog read %d (present %v), engine %d", k, got, ok, want)
 			}
-			if got != want {
-				return &Violation{Oracle: "read-plane",
-					Detail: fmt.Sprintf("site %d: key %s stock view %d, engine %d", i, k, got, want)}
+			r, err := readStock(p, k, readplane.Token{})
+			switch {
+			case err != nil:
+				return fail("read of %s: %v", k, err)
+			case !r.Found || r.Amount != want:
+				return fail("key %s: read %v (found %v), engine %d", k, r.Amount, r.Found, want)
+			case r.AppliedLSN != lsn:
+				return fail("read of %s stamped %d, engine at %d", k, r.AppliedLSN, lsn)
 			}
-		}
-		if snap.Len() != len(amounts) {
-			return &Violation{Oracle: "read-plane",
-				Detail: fmt.Sprintf("site %d: stock view has %d keys, engine %d (phantom rows)", i, snap.Len(), len(amounts))}
-		}
-		if n := p.Stats().RYWViolations; n != 0 {
-			return &Violation{Oracle: "read-plane",
-				Detail: fmt.Sprintf("site %d: %d RYW waits woke before the model applied their LSN", i, n)}
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package site
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -178,8 +179,8 @@ func TestOldAndNewRecordsReopenTogether(t *testing.T) {
 }
 
 // TestReadPlaneSeesDurableUpdate: a durable site's Delay Update commits
-// its stock change as a logged delta, which the read plane folds like
-// any delta, so a read-your-writes read of /read/stock sees it.
+// its stock change as a logged delta, and a read-your-writes read of
+// /read/stock, answered from the engine, sees it.
 func TestReadPlaneSeesDurableUpdate(t *testing.T) {
 	s, err := Open(Config{ID: 0, StorageDir: t.TempDir(), PersistAV: true, NoSync: true, ReadPlane: true},
 		memnet.New(memnet.Options{}))
@@ -205,5 +206,38 @@ func TestReadPlaneSeesDurableUpdate(t *testing.T) {
 	}
 	if body.Amount != 70 {
 		t.Fatalf("/read/stock amount = %d after the update, want 70", body.Amount)
+	}
+}
+
+// A site mints read-your-writes tokens only when it has a plane to
+// redeem them at: without one every update gets the zero token, with
+// one a committed update gets site:lsn.
+func TestTokenNeedsAPlane(t *testing.T) {
+	for _, plane := range []bool{false, true} {
+		s, err := Open(Config{ID: 3, Base: 3, ReadPlane: plane}, memnet.New(memnet.Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Seed(storage.Record{Key: "k", Amount: 100, Class: storage.Regular}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DefineAV("k", 100); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Update(bg(), "k", -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LSN == 0 {
+			t.Fatalf("plane=%v: the commit carried no LSN", plane)
+		}
+		tok := s.Token(res)
+		if want := fmt.Sprintf("3:%d", res.LSN); plane && tok.String() != want {
+			t.Fatalf("with a plane: token %v, want %s", tok, want)
+		}
+		if !plane && !tok.IsZero() {
+			t.Fatalf("without a plane: token %v, want the zero token", tok)
+		}
 	}
 }

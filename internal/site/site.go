@@ -120,15 +120,12 @@ type Config struct {
 	// outcome (see twopc.Options.Observer). The simulator's atomicity
 	// oracle hangs off this.
 	TxnObserver func(twopc.Outcome)
-	// ReadPlane materializes the event-sourced read models (per-site
-	// stock, cross-site global position, top-K hot keys) off the
-	// storage apply stream, with read-your-writes session tokens. The
-	// plane is the engine's apply observer and folds every batch in on
-	// the committing goroutine; it never touches Events, so enabling it
-	// never perturbs recorded protocol traces.
+	// ReadPlane builds the site's read API (per-site stock, cross-site
+	// global position, top-K hot keys), answered from the engine, and
+	// makes Token mint read-your-writes tokens. It adds only the hot
+	// view's per-key counters to a commit; it never touches Events, so
+	// enabling it never perturbs recorded protocol traces.
 	ReadPlane bool
-	// ReadPlaneTopK bounds the hot view (default 10).
-	ReadPlaneTopK int
 	// Partitions shards the key space: this site hosts (stores,
 	// anti-entropies, gossips, accounts AV for) only the partitions the
 	// map assigns it, and forwards updates for foreign keys to the owning
@@ -275,15 +272,7 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 			View:   s.accel.View(),
 			Peers:  cfg.Peers,
 			Now:    cfg.Clock.Now,
-			TopK:   cfg.ReadPlaneTopK,
 		})
-		// Observer before snapshot: a batch applied from here on is
-		// either in Start's snapshot or parked in the plane.
-		eng.SetApplyObserver(s.plane.Apply)
-		if err := s.plane.Start(); err != nil {
-			eng.Close()
-			return nil, err
-		}
 	}
 
 	node, err := network.Open(cfg.ID, s.handle)
@@ -597,12 +586,13 @@ func (s *Site) TwoPC() *twopc.Engine { return s.iu }
 func (s *Site) ReadPlane() *readplane.Plane { return s.plane }
 
 // Token mints a read-your-writes session token from an update result.
-// The token names the site whose plane applied the commit — this site
-// for local results, the serving replica for forwarded ones — because
-// WaitFor rejects tokens minted against any other site's plane. The
-// zero token (failed update) satisfies trivially.
+// The token names the site that applied the commit — this site for
+// local results, the serving replica for forwarded ones — because
+// WaitFor rejects tokens minted against any other site's plane. A site
+// without a plane has nothing to redeem one at, so it mints the zero
+// token, as a failed update does; the zero token satisfies trivially.
 func (s *Site) Token(res core.Result) readplane.Token {
-	if res.LSN == 0 {
+	if s.plane == nil || res.LSN == 0 {
 		return readplane.Token{}
 	}
 	return readplane.Mint(res.Site, res.LSN)

@@ -694,7 +694,9 @@ func TestEpochModeSiteEndToEnd(t *testing.T) {
 	if err := sites[1].ReadPlane().WaitFor(ctx, sites[1].Token(res)); err != nil {
 		t.Fatalf("RYW token not satisfied under epoch commit: %v", err)
 	}
-	if v, ok := sites[1].ReadPlane().Stock().Amount("reg"); !ok || v != 560 {
+	if snap, err := sites[1].ReadPlane().Stock(); err != nil {
+		t.Fatal(err)
+	} else if v, ok := snap.Amount("reg"); !ok || v != 560 {
 		t.Fatalf("read plane stock = %d/%v, want 560", v, ok)
 	}
 

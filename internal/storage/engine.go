@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -91,10 +92,11 @@ type Engine struct {
 	epochs  *epoch.Manager // nil unless EpochInterval > 0 on a durable engine
 	closed  bool           // guarded by holding all stripe locks to set, any one to read
 
-	// lastLSN is the highest LSN whose batch has been applied to the
-	// table. Durable engines take LSNs from the WAL; in-memory engines
-	// mint dense virtual LSNs from this counter so downstream consumers
-	// (the read plane) see a uniform cursor either way.
+	// lastLSN is the highest LSN given to a batch; the batch applies
+	// under the stripe locks it got the LSN under (see StampedAmount).
+	// Durable engines take LSNs from the WAL; in-memory engines mint
+	// dense virtual LSNs from this counter so readers (the read plane's
+	// stamps and tokens) see a uniform cursor either way.
 	lastLSN atomic.Uint64
 	// observer, when set, is called for every applied batch while the
 	// batch's stripe locks are still held (so observation order for
@@ -331,11 +333,31 @@ func (e *Engine) Scan(fn func(rec Record) bool) error {
 	return decodeErr
 }
 
+// StampedAmount returns key's amount, whether the row exists, and a
+// stamp: an LSN such that every batch with LSN <= stamp that touched
+// key is reflected in the amount (later batches may be too). The stamp
+// is LastLSN loaded *before* the key's stripe read lock is taken. That
+// holds because every batch gets its LSN (log.Append, or lastLSN.Add in
+// memory) and applies its ops under the write locks of its stripes: a
+// batch whose LSN the stamp covers had its LSN, and so held its stripe
+// locks, before the load, and the read lock waits until it has applied.
+func (e *Engine) StampedAmount(key string) (amount int64, found bool, stamp uint64, err error) {
+	stamp = e.lastLSN.Load()
+	rec, err := e.Get(key)
+	switch {
+	case errors.Is(err, ErrNotFound):
+		return 0, false, stamp, nil
+	case err != nil:
+		return 0, false, 0, err
+	}
+	return rec.Amount, true, stamp, nil
+}
+
 // SnapshotAmounts returns every user row's amount together with the
 // LSN of the last applied batch, as one consistent pair: all stripe
-// read locks are held for the scan, so every batch with LSN <= the
-// returned cursor is fully reflected in the map and no later batch is.
-// The read plane bootstraps (and resynchronizes) from this.
+// read locks are held for the scan, so no batch is between getting its
+// LSN and applying it, every batch with LSN <= the returned cursor is
+// fully reflected in the map and no later batch is.
 func (e *Engine) SnapshotAmounts() (map[string]int64, uint64, error) {
 	e.rlockAll()
 	defer e.runlockAll()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -726,4 +727,159 @@ func TestApplyDurableBeforeAck(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stampWorkload runs writers that each decrement a key of their own,
+// on a stripe of its own, while readers sample, and records every
+// batch's LSN per key through the apply observer (which runs under the
+// batch's stripe locks, so each key's list is written by one stripe at
+// a time). sample is called by the readers until the writers are done;
+// the returned lists are complete once stampWorkload returns.
+func stampWorkload(t *testing.T, e *Engine, sample func(keys []string)) (initial int64, lsns map[string]*[]uint64) {
+	const (
+		writers = 4
+		iters   = 400
+		readers = 2
+	)
+	initial = 1 << 20
+	var keys []string
+	used := map[int]bool{}
+	for i := 0; len(keys) < writers; i++ {
+		k := fmt.Sprintf("stamp-%d", i)
+		if !used[stripeOf(k)] {
+			used[stripeOf(k)] = true
+			keys = append(keys, k)
+		}
+	}
+	lsns = make(map[string]*[]uint64, len(keys))
+	for _, k := range keys {
+		if err := e.Put(Record{Key: k, Amount: initial}); err != nil {
+			t.Fatal(err)
+		}
+		lsns[k] = new([]uint64)
+	}
+	e.SetApplyObserver(func(lsn uint64, ops []Op) {
+		l := lsns[ops[0].Key]
+		*l = append(*l, lsn)
+	})
+	done := make(chan struct{})
+	var rd, wr sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rd.Add(1)
+		go func() {
+			defer rd.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					sample(keys)
+				}
+			}
+		}()
+	}
+	for _, k := range keys {
+		wr.Add(1)
+		go func() {
+			defer wr.Done()
+			for i := 0; i < iters; i++ {
+				if _, err := e.ApplyDelta(k, -1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wr.Wait()
+	close(done)
+	rd.Wait()
+	return initial, lsns
+}
+
+// upTo counts the LSNs in lsns at or below l.
+func upTo(lsns []uint64, l uint64) (n int64) {
+	for _, x := range lsns {
+		if x <= l {
+			n++
+		}
+	}
+	return n
+}
+
+// stampEngines runs fn on an in-memory engine (LSNs from lastLSN.Add)
+// and on a durable one (LSNs from the WAL, published by max-CAS, so
+// batches on disjoint stripes can publish out of order).
+func stampEngines(t *testing.T, fn func(t *testing.T, e *Engine)) {
+	t.Run("memory", func(t *testing.T) { fn(t, memEngine(t)) })
+	t.Run("durable", func(t *testing.T) {
+		e := diskEngine(t, t.TempDir())
+		t.Cleanup(func() { e.Close() })
+		fn(t, e)
+	})
+}
+
+// A per-key read stamped L shows every batch with LSN <= L that touched
+// the key: the key's amount has moved by at least that many decrements.
+func TestStampPerKeyReadCoversEveryBatchAtOrBelow(t *testing.T) {
+	stampEngines(t, func(t *testing.T, e *Engine) {
+		type read struct {
+			key    string
+			amount int64
+			stamp  uint64
+		}
+		var mu sync.Mutex
+		var reads []read
+		initial, lsns := stampWorkload(t, e, func(keys []string) {
+			for _, k := range keys {
+				amount, found, stamp, err := e.StampedAmount(k)
+				if err != nil || !found {
+					t.Errorf("%s: found %v, err %v", k, found, err)
+					return
+				}
+				mu.Lock()
+				reads = append(reads, read{k, amount, stamp})
+				mu.Unlock()
+			}
+		})
+		for _, r := range reads {
+			if applied, want := initial-r.amount, upTo(*lsns[r.key], r.stamp); applied < want {
+				t.Fatalf("%s read at stamp %d shows %d batches, %d of its batches have LSN <= the stamp", r.key, r.stamp, applied, want)
+			}
+		}
+		if _, found, stamp, err := e.StampedAmount("absent"); err != nil || found || stamp != e.LastLSN() {
+			t.Fatalf("absent key: found %v, stamp %d (engine %d), err %v", found, stamp, e.LastLSN(), err)
+		}
+		t.Logf("%d stamped reads checked", len(reads))
+	})
+}
+
+// SnapshotAmounts' cursor is a contiguous watermark: for every key the
+// snapshot holds exactly the batches with LSN <= the cursor, no more.
+func TestStampSnapshotCursorIsContiguous(t *testing.T) {
+	stampEngines(t, func(t *testing.T, e *Engine) {
+		type snap struct {
+			amounts map[string]int64
+			cursor  uint64
+		}
+		var mu sync.Mutex
+		var snaps []snap
+		initial, lsns := stampWorkload(t, e, func([]string) {
+			amounts, cursor, err := e.SnapshotAmounts()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			snaps = append(snaps, snap{amounts, cursor})
+			mu.Unlock()
+		})
+		for _, s := range snaps {
+			for k, l := range lsns {
+				if applied, want := initial-s.amounts[k], upTo(*l, s.cursor); applied != want {
+					t.Fatalf("%s in the snapshot at cursor %d shows %d batches, want exactly the %d at or below it", k, s.cursor, applied, want)
+				}
+			}
+		}
+		t.Logf("%d snapshots checked", len(snaps))
+	})
 }
