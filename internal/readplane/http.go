@@ -206,13 +206,13 @@ type hotResponse struct {
 // defaultTopK is the hot view's size when a request names no k.
 const defaultTopK = 10
 
-func (p *Plane) hotBody(k int) (any, error) {
+func (p *Plane) hotBody(k int) hotResponse {
 	h := p.Hot(k)
 	resp := hotResponse{freshness: p.freshnessOf(h.AppliedLSN, h.AsOf), Top: make([]hotRow, 0, len(h.Top))}
 	for _, hk := range h.Top {
 		resp.Top = append(resp.Top, hotRow{Key: hk.Key, Updates: hk.Updates, Volume: hk.Volume})
 	}
-	return resp, nil
+	return resp
 }
 
 func (p *Plane) handleHot(w http.ResponseWriter, r *http.Request) {
@@ -228,8 +228,7 @@ func (p *Plane) handleHot(w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
-	body, err := p.hotBody(k)
-	writeJSON(w, body, err)
+	writeJSON(w, p.hotBody(k), nil)
 }
 
 // handleWatch streams the chosen model: one compact JSON line per
@@ -243,7 +242,7 @@ func (p *Plane) handleWatch(w http.ResponseWriter, r *http.Request) {
 	case "global":
 		read = func() (any, error) { return p.globalBody("") }
 	case "hot":
-		read = func() (any, error) { return p.hotBody(defaultTopK) }
+		read = func() (any, error) { return p.hotBody(defaultTopK), nil }
 	default:
 		http.Error(w, "bad model parameter (want stock, global, or hot)", http.StatusBadRequest)
 		return
