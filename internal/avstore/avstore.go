@@ -6,8 +6,10 @@
 // a storage engine — on a site, the engine that holds the stock, so the
 // AV and the stock share one WAL, one LSN space and one checkpoint:
 //
-//	av/<key>  the balance (avail + held), a varint changed only by
-//	          storage.OpMetaAdd
+//	av/<key>  the balance (avail + held), a varint changed by
+//	          storage.OpMetaAdd, or by the storage.OpBalancedDelta of
+//	          a Delay Update whose balance change equals its stock delta
+//	          (storage.BalanceKey names the row)
 //
 // Holds are volatile: an update that did not commit before a crash must
 // not consume AV, so a restart counts its hold as available again. So
@@ -18,9 +20,9 @@
 // cause and its effect. A Delay Update's balance change — the spend net
 // of the grants it received, or an increment's slack — is staged into
 // the update's own transaction (Stage), so it is one WAL record with the
-// stock delta: every durable prefix of the one log holds both or
-// neither, satisfies `AV <= stock`, and a crash can only lose slack,
-// never mint it. A grant the update does not spend gets its balance row
+// stock delta (one op of it when the two are equal): every durable
+// prefix of the one log holds both or neither, satisfies `AV <= stock`,
+// and a crash can only lose slack, never mint it. A grant the update does not spend gets its balance row
 // in a batch of its own before its hold is released, and a granter's
 // debit is durable before the grant leaves the site: a grant lost on
 // the way is slack lost, never volume minted.
@@ -45,7 +47,7 @@ import (
 // obligation prefixes are reserved: no key may balance under them, and
 // a directory that holds such rows is refused (ErrEscrowLayout).
 const (
-	rowPrefix    = "av/"
+	rowPrefix    = storage.BalancePrefix
 	escrowPrefix = rowPrefix + "e/"
 	obligPrefix  = rowPrefix + "o/"
 )
@@ -141,8 +143,7 @@ func (s *Store) load() error {
 	return err
 }
 
-func balanceRow(key string) string              { return rowPrefix + key }
-func addBalance(key string, n int64) storage.Op { return storage.MetaAddOp(balanceRow(key), n) }
+func addBalance(key string, n int64) storage.Op { return storage.MetaAddOp(storage.BalanceKey(key), n) }
 
 // wait runs a durability wait returned by an engine batch, once s.mu is
 // released; a batch that failed to apply has nothing to wait for.
@@ -178,7 +179,7 @@ func (s *Store) DefineAll(defs ...av.Def) error {
 		if d.N < 0 {
 			return av.ErrNegative
 		}
-		if row := balanceRow(d.Key); strings.HasPrefix(row, escrowPrefix) || strings.HasPrefix(row, obligPrefix) {
+		if row := storage.BalanceKey(d.Key); strings.HasPrefix(row, escrowPrefix) || strings.HasPrefix(row, obligPrefix) {
 			return fmt.Errorf("avstore: key %q collides with the reserved escrow and obligation rows", d.Key)
 		}
 		ops[i] = addBalance(d.Key, d.N)
@@ -188,10 +189,14 @@ func (s *Store) DefineAll(defs ...av.Def) error {
 
 // Stage adds the change of key's balance by n to tx, so it commits in
 // the batch of the stock delta it accounts for (see core.AVTable). A
-// zero change writes nothing: a defined key's row already exists.
+// zero change writes nothing: a defined key's row already exists. A
+// change equal to tx's buffered delta of key — every decrement spent
+// from local volume and every increment — rides inside that delta
+// (txn.BalanceDelta), so the update logs one op; any other change, such
+// as a spend net of received grants, is an OpMetaAdd of its own.
 func (s *Store) Stage(tx *txn.Txn, key string, n int64) {
-	if n != 0 {
-		_ = tx.AddMeta(balanceRow(key), n) // fails only on a finished tx, whose commit writes nothing
+	if n != 0 && !tx.BalanceDelta(key, n) {
+		_ = tx.AddMeta(storage.BalanceKey(key), n) // fails only on a finished tx, whose commit writes nothing
 	}
 }
 

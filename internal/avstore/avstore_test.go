@@ -2,11 +2,14 @@ package avstore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -281,8 +284,8 @@ func TestCheckpointIncludesHolds(t *testing.T) {
 // ErrCorrupt instead of rebuilding a wrong table.
 func TestCorruptRowRejected(t *testing.T) {
 	for _, op := range []storage.Op{
-		storage.MetaPutOp(balanceRow("k"), []byte{0x80}),
-		storage.MetaAddOp(balanceRow("k"), -1),
+		storage.MetaPutOp(storage.BalanceKey("k"), []byte{0x80}),
+		storage.MetaAddOp(storage.BalanceKey("k"), -1),
 	} {
 		dir := t.TempDir()
 		eng, err := storage.Open(storage.Options{Dir: dir, NoSync: true})
@@ -331,7 +334,7 @@ func TestEscrowRowsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Apply(storage.MetaAddOp(balanceRow("ghost"), 5), op); err != nil {
+		if err := eng.Apply(storage.MetaAddOp(storage.BalanceKey("ghost"), 5), op); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Open(dir, Options{Engine: eng}); !errors.Is(err, ErrEscrowLayout) {
@@ -735,4 +738,126 @@ func benchmarkDurableDecrement(b *testing.B, run func(body func())) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(st.Fsyncs.Load()-start)/float64(b.N), "fsyncs/op")
+}
+
+// TestFoldedUpdatesRaceGrants: Delay Updates whose balance change rides
+// inside their logged stock delta (one OpBalancedDelta each) race grants
+// (Debit batches) on the same key's balance row. Both lock the row's
+// stripe, so no change is lost: at the end the row equals the table's
+// total, live and after a reopen, and the stock moved by exactly the
+// updates' deltas.
+func TestFoldedUpdatesRaceGrants(t *testing.T) {
+	const key, initial, rounds = "k", 1 << 20, 200
+	dir := t.TempDir()
+	s, eng := openOn(t, storage.Options{Dir: dir, NoSync: true})
+	if err := eng.Put(storage.Record{Key: key, Amount: initial}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Define(key, initial); err != nil {
+		t.Fatal(err)
+	}
+	var folded atomic.Int64
+	eng.SetApplyObserver(func(_ uint64, ops []storage.Op) {
+		for i := range ops {
+			if ops[i].Kind == storage.OpBalancedDelta {
+				folded.Add(1)
+			}
+		}
+	})
+	tm := txn.NewManager(eng, lockmgr.Options{})
+	var seq atomic.Uint64
+	// update runs one local Delay Update of delta as the accelerator
+	// does: hold, validate under the lock, spend, stage, log, commit.
+	update := func(delta int64) error {
+		if delta < 0 {
+			if ok, err := s.Acquire(key, -delta); err != nil || !ok {
+				return fmt.Errorf("acquire %d: %v %v", -delta, ok, err)
+			}
+		}
+		tx := tm.Begin()
+		if _, err := tx.ApplyDelta(context.Background(), key, delta); err != nil {
+			tx.Abort()
+			return err
+		}
+		if delta < 0 {
+			if err := s.Spend(key, -delta); err != nil {
+				tx.Abort()
+				return err
+			}
+		}
+		s.Stage(tx, key, delta)
+		if err := tx.LogDelta(key, delta, seq.Add(1)); err != nil {
+			tx.Abort()
+			return err
+		}
+		if err := tx.Commit(); err != nil {
+			return err
+		}
+		if delta > 0 {
+			return s.Fund(key, delta)
+		}
+		return nil
+	}
+	var stock, granted atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 2; w++ {
+		wg.Add(2)
+		go func() { // updater: decrements and increments, all folded
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				delta := int64(-3)
+				if i%3 == 0 {
+					delta = 2
+				}
+				if err := update(delta); err != nil {
+					errs <- err
+					return
+				}
+				stock.Add(delta)
+			}
+		}()
+		go func() { // granter: outbound transfers from the same row
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				n, err := s.Debit(key, 1)
+				if err != nil {
+					errs <- err
+					return
+				}
+				granted.Add(n)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := folded.Load(); got != 2*rounds {
+		t.Fatalf("%d of %d updates committed one balanced-delta op", got, 2*rounds)
+	}
+	want := initial + stock.Load() - granted.Load()
+	row := func(eng *storage.Engine) int64 {
+		v, ok, err := eng.GetMeta(storage.BalanceKey(key))
+		n, _ := binary.Varint(v)
+		if err != nil || !ok {
+			t.Fatalf("balance row: found %v, %v", ok, err)
+		}
+		return n
+	}
+	if got, total := row(eng), s.Total(key); got != want || total != want {
+		t.Fatalf("live: balance row %d, table total %d, want %d", got, total, want)
+	}
+	if v, _ := eng.Amount(key); v != initial+stock.Load() {
+		t.Fatalf("live stock %d, want %d", v, initial+stock.Load())
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, eng2 := openOn(t, storage.Options{Dir: dir, NoSync: true})
+	defer eng2.Close()
+	if got, total := row(eng2), s2.Total(key); got != want || total != want {
+		t.Fatalf("reopened: balance row %d, table total %d, want %d", got, total, want)
+	}
 }

@@ -144,7 +144,7 @@ func (p *Plane) observe(_ uint64, ops []storage.Op) {
 		switch op := &ops[i]; op.Kind {
 		case storage.OpPut:
 			p.count(op.Key, 0)
-		case storage.OpDelta, storage.OpLoggedDelta:
+		case storage.OpDelta, storage.OpLoggedDelta, storage.OpBalancedDelta:
 			p.count(op.Key, op.Delta)
 		}
 	}

@@ -33,7 +33,8 @@ import (
 // Metadata keys used by durable replicators (stored through the
 // engine's meta namespace, atomically with the data they describe).
 // The outbound log's rows, storage.LogKey(seq), are written by the
-// storage.OpLoggedDelta that commits each entry's delta.
+// storage.OpLoggedDelta (or OpBalancedDelta) that commits each entry's
+// delta.
 const (
 	metaAppliedPrefix = "repl/applied/"
 	metaFloorKey      = "repl/floor"

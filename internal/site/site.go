@@ -494,9 +494,12 @@ func (s *Site) updateLocal(ctx context.Context, key string, delta int64) (core.R
 		sp.SetAttr("path", res.Path.String())
 		sp.Finish(err)
 	}
-	if err != nil {
+	switch {
+	case s.cfg.Events == nil:
+		// No log: skip building the event's type and boxing its fields.
+	case err != nil:
 		s.event("update.failed", key, "delta=%d err=%v", delta, err)
-	} else {
+	default:
 		s.event("update."+res.Path.String(), key, "delta=%d rounds=%d transferred=%d",
 			delta, res.Rounds, res.Transferred)
 	}

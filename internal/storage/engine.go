@@ -29,14 +29,25 @@ const (
 // stripe.
 const numStripes = 32
 
-// stripeOf hashes a key (FNV-1a) to its stripe index.
-func stripeOf(key string) int {
-	h := uint32(2166136261)
+// fnvOffset is the FNV-1a offset basis: the hash of no bytes.
+const fnvOffset = 2166136261
+
+// fnv1a continues the FNV-1a hash h over key's bytes.
+func fnv1a[K string | []byte](h uint32, key K) uint32 {
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return int(h & (numStripes - 1))
+	return h
+}
+
+// stripeOf hashes a table key (FNV-1a) to its stripe index.
+func stripeOf[K string | []byte](key K) int { return int(fnv1a(fnvOffset, key) & (numStripes - 1)) }
+
+// balanceStripe is stripeOf(MetaPrefix+BalanceKey(key)), without
+// building the row's name.
+func balanceStripe(key string) int {
+	return int(fnv1a(fnv1a(fnvOffset, MetaPrefix+BalancePrefix), key) & (numStripes - 1))
 }
 
 // Options configure an Engine.
@@ -201,13 +212,19 @@ func (e *Engine) unlockStripes(idx []int) {
 }
 
 // stripesFor returns the sorted, deduplicated stripe indices a batch
-// touches: an OpLoggedDelta touches its row's and its log row's.
+// touches: an OpLoggedDelta touches its row's and its log row's, an
+// OpBalancedDelta its balance row's as well.
 func stripesFor(ops []Op) []int {
 	var mask uint32
 	for i := range ops {
-		mask |= 1 << uint(stripeOf(storageKey(&ops[i])))
-		if ops[i].Kind == OpLoggedDelta {
-			mask |= 1 << uint(stripeOf(MetaPrefix+LogKey(ops[i].Seq)))
+		op := &ops[i]
+		mask |= 1 << uint(stripeOf(storageKey(op)))
+		if op.Kind == OpLoggedDelta || op.Kind == OpBalancedDelta {
+			row := logRow(op.Seq)
+			mask |= 1 << uint(stripeOf(row[:]))
+		}
+		if op.Kind == OpBalancedDelta {
+			mask |= 1 << uint(balanceStripe(op.Key))
 		}
 	}
 	idx := make([]int, 0, numStripes)
@@ -492,7 +509,7 @@ func (e *Engine) applyBatch(ops []Op) (uint64, error) {
 		case OpDelete:
 			deleted[op.Key] = true
 			delete(created, op.Key)
-		case OpDelta, OpLoggedDelta:
+		case OpDelta, OpLoggedDelta, OpBalancedDelta:
 			if deleted[op.Key] {
 				return 0, fmt.Errorf("storage: delta to key %q deleted earlier in batch: %w", op.Key, ErrNotFound)
 			}
@@ -540,22 +557,22 @@ func (e *Engine) applyBatch(ops []Op) (uint64, error) {
 func (e *Engine) applyOps(ops []Op) {
 	for i := range ops {
 		op := &ops[i]
-		s := &e.stripes[stripeOf(storageKey(op))]
 		switch op.Kind {
 		case OpPut:
 			rec := op.Rec
 			rec.Key = op.Key
-			s.mem.Put(op.Key, encodeValue(&rec))
+			e.stripes[stripeOf(op.Key)].mem.Put(op.Key, encodeValue(&rec))
 		case OpDelete:
-			s.mem.Delete(op.Key)
-		case OpDelta, OpLoggedDelta:
-			if op.Kind == OpLoggedDelta {
-				row := MetaPrefix + LogKey(op.Seq)
-				ls := &e.stripes[stripeOf(row)]
-				if !ls.mem.Put(row, encodeLogValue(op.Key, op.Delta)) {
-					ls.metaCount++
-				}
+			e.stripes[stripeOf(op.Key)].mem.Delete(op.Key)
+		case OpDelta, OpLoggedDelta, OpBalancedDelta:
+			if op.Kind != OpDelta {
+				row := logRow(op.Seq)
+				e.putMeta(string(row[:]), encodeLogValue(op.Key, op.Delta))
 			}
+			if op.Kind == OpBalancedDelta {
+				e.addMeta(MetaPrefix+BalanceKey(op.Key), op.Delta)
+			}
+			s := &e.stripes[stripeOf(op.Key)]
 			v, ok := s.mem.Get(op.Key)
 			if !ok {
 				// Replay may delta rows that a later snapshot-era op
@@ -569,24 +586,35 @@ func (e *Engine) applyOps(ops []Op) {
 			rec.Amount += op.Delta
 			s.mem.Put(op.Key, encodeValue(&rec))
 		case OpMetaPut:
-			if !s.mem.Put(MetaPrefix+op.Key, append([]byte(nil), op.Value...)) {
-				s.metaCount++
-			}
+			e.putMeta(MetaPrefix+op.Key, append([]byte(nil), op.Value...))
 		case OpMetaDelete:
+			s := &e.stripes[stripeOf(MetaPrefix+op.Key)]
 			if s.mem.Delete(MetaPrefix + op.Key) {
 				s.metaCount--
 			}
 		case OpMetaAdd:
-			full := MetaPrefix + op.Key
-			var cur int64
-			if v, ok := s.mem.Get(full); ok {
-				cur, _ = binary.Varint(v)
-			}
-			if !s.mem.Put(full, binary.AppendVarint(nil, cur+op.Delta)) {
-				s.metaCount++
-			}
+			e.addMeta(MetaPrefix+op.Key, op.Delta)
 		}
 	}
+}
+
+// putMeta stores v under the metadata row full (a table key under
+// MetaPrefix). The caller holds the row's stripe write lock.
+func (e *Engine) putMeta(full string, v []byte) {
+	s := &e.stripes[stripeOf(full)]
+	if !s.mem.Put(full, v) {
+		s.metaCount++
+	}
+}
+
+// addMeta adds delta to the varint metadata row full (a missing row
+// counts as 0 and is created). The caller holds its stripe write lock.
+func (e *Engine) addMeta(full string, delta int64) {
+	var cur int64
+	if v, ok := e.stripes[stripeOf(full)].mem.Get(full); ok {
+		cur, _ = binary.Varint(v)
+	}
+	e.putMeta(full, binary.AppendVarint(nil, cur+delta))
 }
 
 // GetMeta returns the raw metadata value stored under key.

@@ -23,6 +23,9 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(encodeBatch([]Op{LoggedDeltaOp("product-0001", -7, 1)}))
 	f.Add(encodeBatch([]Op{LoggedDeltaOp("product-0001", 5, 1<<20), MetaAddOp("av/product-0001", 5)}))
 	f.Add(encodeBatch([]Op{LoggedDeltaOp("αβ", -1<<40, 1<<63), MetaAddOp("av/αβ", 1<<40-1)}))
+	f.Add(encodeBatch([]Op{BalancedDeltaOp("product-0001", -1, 1)}))
+	f.Add(encodeBatch([]Op{BalancedDeltaOp("product-0001", 5, 1<<20), MetaAddOp("av/product-0001", 3)}))
+	f.Add(encodeBatch([]Op{BalancedDeltaOp("αβ", -1<<62, 1<<64-1), LoggedDeltaOp("αβ", 1<<62, 0)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := decodeBatch(data)

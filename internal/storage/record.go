@@ -100,8 +100,16 @@ const (
 	// OpLoggedDelta is an OpDelta that is also outbound replication entry
 	// Seq: applying it adds Delta to the row and writes the entry's
 	// LogKey(Seq) metadata row (the OpMetaPut an older WAL carries beside
-	// a plain OpDelta), so the key and delta are logged once.
+	// a plain OpDelta), so the key and delta are logged once. It leaves
+	// the key's balance row alone: a WAL that carries it beside an
+	// OpMetaAdd of BalanceKey(Key) replays both, as written.
 	OpLoggedDelta
+	// OpBalancedDelta is an OpLoggedDelta whose Delta is also the change
+	// of the key's AV balance: applying it adds Delta to the row, writes
+	// LogKey(Seq) and adds Delta to the BalanceKey(Key) metadata row (the
+	// OpMetaAdd an older WAL carries beside an OpLoggedDelta), so a Delay
+	// Update's stock, log entry and balance change are one op.
+	OpBalancedDelta
 )
 
 // MetaPrefix namespaces internal metadata rows (replication watermarks,
@@ -116,7 +124,9 @@ const MetaPrefix = "\x00m\x00"
 // Delta is added to the existing row's Amount; OpDelete removes the
 // row; OpMetaPut/OpMetaDelete store or remove a raw metadata value
 // under MetaPrefix+Key; OpMetaAdd adds Delta to a varint metadata
-// value there; OpLoggedDelta is OpDelta plus replication entry Seq.
+// value there; OpLoggedDelta is OpDelta plus replication entry Seq;
+// OpBalancedDelta is OpLoggedDelta plus the same Delta to the key's
+// balance row.
 type Op struct {
 	Kind  OpKind
 	Key   string
@@ -149,14 +159,47 @@ func LoggedDeltaOp(key string, delta int64, seq uint64) Op {
 	return Op{Kind: OpLoggedDelta, Key: key, Delta: delta, Seq: seq}
 }
 
+// BalancedDeltaOp builds an OpBalancedDelta.
+func BalancedDeltaOp(key string, delta int64, seq uint64) Op {
+	return Op{Kind: OpBalancedDelta, Key: key, Delta: delta, Seq: seq}
+}
+
+// BalancePrefix namespaces the AV table's balance rows: key's balance
+// (avail + held) is the varint metadata row BalanceKey(key).
+const BalancePrefix = "av/"
+
+// BalanceKey returns the metadata key of key's AV balance row.
+func BalanceKey(key string) string { return BalancePrefix + key }
+
 // LogPrefix namespaces a site's outbound replication log: entry seq is
 // the metadata row LogKey(seq), holding the key and delta the entry
 // replicates, and the rows sort in sequence order.
 const LogPrefix = "repl/log/"
 
+// logDigits is the width a log row's sequence is zero-padded to: the
+// decimal digits of the largest uint64.
+const logDigits = 20
+
+// logRowLen is the length of a log row's table key, MetaPrefix+LogKey.
+const logRowLen = len(MetaPrefix) + len(LogPrefix) + logDigits
+
+// logRow spells replication entry seq's table key, MetaPrefix +
+// LogKey(seq), into an array, so finding its stripe allocates nothing.
+func logRow(seq uint64) (row [logRowLen]byte) {
+	n := copy(row[:], MetaPrefix+LogPrefix)
+	for i := logRowLen - 1; i >= n; i-- {
+		row[i] = '0' + byte(seq%10)
+		seq /= 10
+	}
+	return row
+}
+
 // LogKey returns the metadata key of replication entry seq (the
 // sequence zero-padded to 20 digits).
-func LogKey(seq uint64) string { return fmt.Sprintf("%s%020d", LogPrefix, seq) }
+func LogKey(seq uint64) string {
+	row := logRow(seq)
+	return string(row[len(MetaPrefix):])
+}
 
 // encodeLogValue serializes a replication entry's (key, delta).
 func encodeLogValue(key string, delta int64) []byte {
@@ -191,9 +234,9 @@ func encodeBatch(ops []Op) []byte {
 			val := encodeValue(&op.Rec)
 			b = binary.AppendUvarint(b, uint64(len(val)))
 			b = append(b, val...)
-		case OpDelta, OpMetaAdd, OpLoggedDelta:
+		case OpDelta, OpMetaAdd, OpLoggedDelta, OpBalancedDelta:
 			b = binary.AppendVarint(b, op.Delta)
-			if op.Kind == OpLoggedDelta {
+			if op.Kind == OpLoggedDelta || op.Kind == OpBalancedDelta {
 				b = binary.AppendUvarint(b, op.Seq)
 			}
 		case OpMetaPut:
@@ -240,14 +283,14 @@ func decodeBatch(b []byte) ([]Op, error) {
 				return nil, err
 			}
 			b = b[n+int(valLen):]
-		case OpDelta, OpMetaAdd, OpLoggedDelta:
+		case OpDelta, OpMetaAdd, OpLoggedDelta, OpBalancedDelta:
 			delta, n := binary.Varint(b)
 			if n <= 0 {
 				return nil, ErrCorrupt
 			}
 			op.Delta = delta
 			b = b[n:]
-			if kind == OpLoggedDelta {
+			if kind == OpLoggedDelta || kind == OpBalancedDelta {
 				seq, n := binary.Uvarint(b)
 				if n <= 0 {
 					return nil, ErrCorrupt

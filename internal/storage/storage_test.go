@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -292,7 +294,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 
 // TestQuickBatchCodecRoundTrip: a batch of well-formed ops of every kind
 // decodes back to exactly those ops, every field its kind carries — a
-// logged delta's replication sequence included.
+// logged or balanced delta's replication sequence included.
 func TestQuickBatchCodecRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -300,7 +302,7 @@ func TestQuickBatchCodecRoundTrip(t *testing.T) {
 		for i := range ops {
 			key := fmt.Sprintf("k%d", r.Intn(1000))
 			delta := r.Range(-1<<40, 1<<40)
-			switch OpKind(1 + r.Intn(int(OpLoggedDelta))) {
+			switch OpKind(1 + r.Intn(int(OpBalancedDelta))) {
 			case OpPut:
 				ops[i] = PutOp(Record{Key: key, Name: "n" + key, Amount: delta, Class: Class(r.Intn(2))})
 			case OpDelete:
@@ -315,6 +317,8 @@ func TestQuickBatchCodecRoundTrip(t *testing.T) {
 				ops[i] = MetaAddOp(key, delta)
 			case OpLoggedDelta:
 				ops[i] = LoggedDeltaOp(key, delta, r.Uint64())
+			case OpBalancedDelta:
+				ops[i] = BalancedDeltaOp(key, delta, r.Uint64())
 			}
 		}
 		got, err := decodeBatch(encodeBatch(ops))
@@ -322,6 +326,81 @@ func TestQuickBatchCodecRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLogKeyFormat: LogKey spells the sequence zero-padded to 20 digits
+// exactly as the fmt-built keys of older WALs and snapshots did, so
+// their log rows keep their names and order; ParseLogRow reads it back;
+// and the stripe hashes over a row spelled in place match the stripe of
+// the row's name.
+func TestLogKeyFormat(t *testing.T) {
+	for _, seq := range []uint64{0, 1, 1e19, math.MaxUint64} {
+		k := LogKey(seq)
+		if old := fmt.Sprintf("%s%020d", LogPrefix, seq); k != old {
+			t.Fatalf("LogKey(%d) = %q, want %q", seq, k, old)
+		}
+		got, key, delta, err := ParseLogRow(k, encodeLogValue("product-0001", -7))
+		if err != nil || got != seq || key != "product-0001" || delta != -7 {
+			t.Fatalf("ParseLogRow(LogKey(%d)) = %d %q %d %v", seq, got, key, delta, err)
+		}
+		if row := logRow(seq); stripeOf(row[:]) != stripeOf(MetaPrefix+k) {
+			t.Fatalf("seq %d: log row stripe %d, want %d", seq, stripeOf(row[:]), stripeOf(MetaPrefix+k))
+		}
+	}
+	for _, key := range []string{"", "k", "product-0001", "αβ"} {
+		if got, want := balanceStripe(key), stripeOf(MetaPrefix+BalanceKey(key)); got != want {
+			t.Fatalf("balanceStripe(%q) = %d, want %d", key, got, want)
+		}
+	}
+}
+
+// TestBalancedDeltaIsLoggedDeltaPlusBalance: an OpBalancedDelta leaves
+// the table, live and recovered, exactly as the OpLoggedDelta plus
+// OpMetaAdd of BalanceKey it replaces does — the stock, the log row and
+// the balance row — and a missing row refuses it whole.
+func TestBalancedDeltaIsLoggedDeltaPlusBalance(t *testing.T) {
+	dump := func(e *Engine) string {
+		t.Helper()
+		var b strings.Builder
+		e.Scan(func(r Record) bool { fmt.Fprintf(&b, "%s=%d ", r.Key, r.Amount); return true })
+		e.ScanMeta("", func(k string, v []byte) bool { fmt.Fprintf(&b, "%q=%x ", k, v); return true })
+		return b.String()
+	}
+	build := func(dir string, batches [][]Op) *Engine {
+		e := diskEngine(t, dir)
+		if err := e.Apply(PutOp(Record{Key: "k", Amount: 10}), MetaAddOp(BalanceKey("k"), 10)); err != nil {
+			t.Fatal(err)
+		}
+		for _, ops := range batches {
+			if err := e.Apply(ops...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	oldDir, newDir := t.TempDir(), t.TempDir()
+	old := build(oldDir, [][]Op{
+		{LoggedDeltaOp("k", -3, 7), MetaAddOp(BalanceKey("k"), -3)},
+		{LoggedDeltaOp("k", 5, 8), MetaAddOp(BalanceKey("k"), 5)},
+	})
+	cur := build(newDir, [][]Op{{BalancedDeltaOp("k", -3, 7)}, {BalancedDeltaOp("k", 5, 8)}})
+	if err := cur.Apply(BalancedDeltaOp("ghost", -3, 9)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("balanced delta to a missing row: err = %v, want ErrNotFound", err)
+	}
+	want := dump(old)
+	if !strings.Contains(want, `"av/k"=18`) || !strings.Contains(want, "k=12") {
+		t.Fatalf("reference table %s lacks stock 12 and balance 12", want)
+	}
+	if got := dump(cur); got != want {
+		t.Fatalf("live: %s, want %s", got, want)
+	}
+	old.Close()
+	cur.Close()
+	cur = diskEngine(t, newDir)
+	defer cur.Close()
+	if got := dump(cur); got != want {
+		t.Fatalf("recovered: %s, want %s", got, want)
 	}
 }
 

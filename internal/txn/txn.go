@@ -60,6 +60,9 @@ type Txn struct {
 	writes []storage.Op
 	delta  int64
 	done   bool
+	// balanced is 1 + the index in writes of the unlogged delta that
+	// also carries its key's AV balance change (BalanceDelta); 0 if none.
+	balanced int
 }
 
 // ID returns the transaction's lock-owner identity.
@@ -99,19 +102,45 @@ func (t *Txn) AddMeta(key string, delta int64) error {
 }
 
 // LogDelta makes the transaction's last buffered delta of delta to key
-// outbound replication entry seq (storage.OpLoggedDelta), so the entry's
-// log row commits in the same op as the data it describes.
+// outbound replication entry seq (storage.OpLoggedDelta, or
+// storage.OpBalancedDelta if BalanceDelta marked it), so the entry's log
+// row commits in the same op as the data it describes.
 func (t *Txn) LogDelta(key string, delta int64, seq uint64) error {
 	if t.done {
 		return ErrDone
 	}
 	for i := len(t.writes) - 1; i >= 0; i-- {
 		if w := &t.writes[i]; w.Kind == storage.OpDelta && w.Key == key && w.Delta == delta {
-			*w = storage.LoggedDeltaOp(key, delta, seq)
+			if t.balanced == i+1 {
+				*w, t.balanced = storage.BalancedDeltaOp(key, delta, seq), 0
+			} else {
+				*w = storage.LoggedDeltaOp(key, delta, seq)
+			}
 			return nil
 		}
 	}
 	return fmt.Errorf("txn: no buffered delta of %d to %q to log", delta, key)
+}
+
+// BalanceDelta makes the transaction's last buffered delta of delta to
+// key carry the same change of key's AV balance row
+// (storage.BalanceKey), so one op commits both: storage.OpBalancedDelta
+// once LogDelta logs it; a commit without LogDelta writes the delta and
+// an OpMetaAdd of the row. It reports whether it did: a finished
+// transaction, a delta never buffered, or a second call (one unlogged
+// delta per transaction carries the change) is refused, and the caller
+// stages the change with AddMeta instead.
+func (t *Txn) BalanceDelta(key string, delta int64) bool {
+	if t.done || t.balanced != 0 {
+		return false
+	}
+	for i := len(t.writes) - 1; i >= 0; i-- {
+		if w := &t.writes[i]; w.Kind == storage.OpDelta && w.Key == key && w.Delta == delta {
+			t.balanced = i + 1
+			return true
+		}
+	}
+	return false
 }
 
 // Commit atomically applies the buffered writes and releases all locks.
@@ -123,6 +152,10 @@ func (t *Txn) Commit() error {
 	defer t.m.locks.ReleaseAll(t.id)
 	if len(t.writes) == 0 {
 		return nil
+	}
+	if t.balanced != 0 {
+		w := &t.writes[t.balanced-1]
+		t.writes = append(t.writes, storage.MetaAddOp(storage.BalanceKey(w.Key), w.Delta))
 	}
 	return t.m.eng.Apply(t.writes...)
 }

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"sync"
@@ -122,6 +123,9 @@ func TestFinishedTxnRejectsOps(t *testing.T) {
 	if err := tx.LogDelta("x", 1, 1); !errors.Is(err, ErrDone) {
 		t.Fatalf("LogDelta after commit: %v", err)
 	}
+	if tx.BalanceDelta("x", 1) {
+		t.Fatal("BalanceDelta after commit succeeded")
+	}
 	if err := tx.Commit(); !errors.Is(err, ErrDone) {
 		t.Fatalf("double commit: %v", err)
 	}
@@ -163,6 +167,54 @@ func TestLogDeltaCommitsOneOp(t *testing.T) {
 	}
 	if _, ok, _ := m.Engine().GetMeta(storage.LogKey(9)); !ok {
 		t.Fatal("no replication log row for entry 9")
+	}
+}
+
+// TestBalanceDeltaRidesTheDelta: a delta marked by BalanceDelta
+// commits its balance change in the same op once logged, and as the
+// delta plus an OpMetaAdd of the balance row when not; a delta never
+// buffered, or a second mark, is refused.
+func TestBalanceDeltaRidesTheDelta(t *testing.T) {
+	m := newMgr(t)
+	if err := m.Engine().Put(storage.Record{Key: "p", Amount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	var batch []storage.Op
+	m.Engine().SetApplyObserver(func(_ uint64, ops []storage.Op) { batch = ops })
+	for _, logged := range []bool{true, false} {
+		tx := m.Begin()
+		if _, err := tx.ApplyDelta(bg(), "p", -40); err != nil {
+			t.Fatal(err)
+		}
+		if tx.BalanceDelta("p", -41) {
+			t.Fatal("BalanceDelta of a delta never buffered succeeded")
+		}
+		if !tx.BalanceDelta("p", -40) {
+			t.Fatal("BalanceDelta of the buffered delta refused")
+		}
+		if tx.BalanceDelta("p", -40) {
+			t.Fatal("a second BalanceDelta of one delta succeeded")
+		}
+		want := []storage.Op{storage.DeltaOp("p", -40), storage.MetaAddOp(storage.BalanceKey("p"), -40)}
+		if logged {
+			if err := tx.LogDelta("p", -40, 9); err != nil {
+				t.Fatal(err)
+			}
+			want = []storage.Op{storage.BalancedDeltaOp("p", -40, 9)}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(batch, want) {
+			t.Fatalf("logged=%v: committed batch %v, want %v", logged, batch, want)
+		}
+	}
+	v, ok, _ := m.Engine().GetMeta(storage.BalanceKey("p"))
+	if bal, _ := binary.Varint(v); !ok || bal != -80 {
+		t.Fatalf("balance row = %d (found %v), want -80", bal, ok)
+	}
+	if n, _ := m.Engine().Amount("p"); n != 20 {
+		t.Fatalf("amount = %d, want 20", n)
 	}
 }
 
