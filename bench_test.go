@@ -137,17 +137,19 @@ func BenchmarkAblationSelecting(b *testing.B) {
 }
 
 // BenchmarkAblationGossip (A7) measures what the piggybacked AV view
-// buys the max-known selector.
+// buys the max-known selector: "off" asks peers by site ID, ignoring it.
 func BenchmarkAblationGossip(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "on"
-		if disable {
-			name = "off"
-		}
-		b.Run("gossip="+name, func(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		policy strategy.Policy
+	}{
+		{"on", strategy.SODA99()},
+		{"off", strategy.Policy{Selector: strategy.ByID{}, Decider: strategy.GrantHalf{}}},
+	} {
+		b.Run("gossip="+c.name, func(b *testing.B) {
 			cfg := benchCfg()
 			cfg.Updates = 3000
-			cfg.DisableGossip = disable
+			cfg.Policy = c.policy
 			for i := 0; i < b.N; i++ {
 				res, err := experiment.RunProposed(cfg)
 				if err != nil {

@@ -95,6 +95,9 @@ func main() {
 	}
 }
 
+// scalingTitle heads the A3 table.
+const scalingTitle = "A3 — scaling the number of sites (constant per-site load)"
+
 func run(exp string, cfg experiment.Config, csvPath string) error {
 	if axis, ok := strings.CutPrefix(exp, "sweep-"); ok {
 		return runSweep(axis, cfg, csvPath)
@@ -121,7 +124,7 @@ func run(exp string, cfg experiment.Config, csvPath string) error {
 		if err != nil {
 			return err
 		}
-		return emit(experiment.AblationTable("A3 — scaling the number of sites (constant per-site load)", rows), csvPath)
+		return emit(experiment.AblationTable(scalingTitle, rows), csvPath)
 	case "mix":
 		rows, err := experiment.RunMix(cfg, []float64{0, 0.25, 0.5, 0.75, 1})
 		if err != nil {

@@ -3,8 +3,9 @@
 // adopts. A bank's branches share a float of electronic money; customer
 // withdrawals must be instant (Delay Updates funded by each branch's
 // allowable volume), deposits mint local capacity, and the float
-// migrates between branches on demand — with a demand-aware branch
-// policy that keeps a cushion for its own expected withdrawals.
+// migrates between branches on demand. A donor branch grants the larger
+// of the request and half its allowance (strategy.GrantGenerous), so a
+// short branch is always covered when the donor can afford it.
 package main
 
 import (
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"avdb/internal/cluster"
-	"avdb/internal/core"
 	"avdb/internal/metrics"
 	"avdb/internal/rng"
 	"avdb/internal/strategy"
@@ -33,13 +33,7 @@ func main() {
 		Registry:      reg,
 		Seed:          9,
 		CallTimeout:   2 * time.Second,
-		PolicyFor: func(site int) (strategy.Policy, core.DemandObserver) {
-			m := strategy.NewMeter(0.3)
-			return strategy.Policy{
-				Selector: strategy.MaxKnown{},
-				Decider:  strategy.GrantDemandAware{Meter: m, Horizon: 6},
-			}, m
-		},
+		Policy:        strategy.Policy{Selector: strategy.MaxKnown{}, Decider: strategy.GrantGenerous{}},
 	})
 	if err != nil {
 		log.Fatal(err)

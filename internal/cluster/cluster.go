@@ -48,12 +48,6 @@ type Config struct {
 	Policy strategy.Policy
 	Passes int
 	Seed   uint64
-	// PolicyFor, when non-nil, supplies each site its own policy and
-	// optional demand observer (stateful policies such as
-	// strategy.GrantDemandAware must not be shared between sites).
-	PolicyFor func(site int) (strategy.Policy, core.DemandObserver)
-	// DisableGossip turns off AV-view piggybacking everywhere (A7).
-	DisableGossip bool
 	// Registry counts messages; nil creates a fresh one.
 	Registry *metrics.Registry
 	// Tracer, when non-nil, records distributed-tracing spans for every
@@ -292,20 +286,13 @@ func (c *Cluster) siteConfig(id int) site.Config {
 			peers = append(peers, wire.SiteID(p))
 		}
 	}
-	policy := cfg.Policy
-	var demand core.DemandObserver
-	if cfg.PolicyFor != nil {
-		policy, demand = cfg.PolicyFor(id)
-	}
 	sc := site.Config{
 		ID:                wire.SiteID(id),
 		Base:              0,
 		Peers:             peers,
-		Policy:            policy,
+		Policy:            cfg.Policy,
 		Passes:            cfg.Passes,
 		Seed:              cfg.Seed + uint64(id)*7919,
-		Demand:            demand,
-		DisableGossip:     cfg.DisableGossip,
 		Tracer:            cfg.Tracer,
 		Clock:             cfg.Clock,
 		TxnObserver:       cfg.TxnObserver,

@@ -76,14 +76,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Seed feeds the policy's randomness.
 	Seed uint64
-	// Demand, when non-nil, is fed the volume of every local decrement
-	// so demand-aware deciding policies can forecast the site's own
-	// needs (see strategy.GrantDemandAware).
-	Demand DemandObserver
-	// DisableGossip drops the AV-view piggyback on replies and ignores
-	// received views — the A7 ablation isolating the value of the
-	// paper's "information collected at the necessary communication".
-	DisableGossip bool
 	// Tracer records protocol spans (nil disables tracing).
 	Tracer *trace.Tracer
 	// Detector, when non-nil, feeds AV transfer outcomes into a failure
@@ -93,12 +85,6 @@ type Config struct {
 	Detector *failure.Detector
 	// Clock drives AV transfer call timeouts (nil means the real clock).
 	Clock clock.Clock
-}
-
-// DemandObserver receives the site's own consumption stream.
-type DemandObserver interface {
-	// Observe records that a local decrement consumed n units of key.
-	Observe(key string, n int64)
 }
 
 // Stats counts accelerator outcomes; all fields are atomically updated.
@@ -269,9 +255,6 @@ func (a *Accelerator) delayUpdate(ctx context.Context, key string, delta int64) 
 	}
 
 	need := -delta
-	if a.cfg.Demand != nil {
-		a.cfg.Demand.Observe(key, need)
-	}
 	got, err := a.avt.AcquireUpTo(key, need)
 	if err != nil {
 		return Result{}, err
@@ -394,9 +377,7 @@ func (a *Accelerator) gatherAV(ctx context.Context, key string, need, got int64)
 			if !ok {
 				continue
 			}
-			if !a.cfg.DisableGossip {
-				a.view.ObserveAll(avr.View)
-			}
+			a.view.ObserveAll(avr.View)
 			if avr.Granted > 0 {
 				if err := a.avt.CreditHeld(key, avr.Granted); err != nil {
 					return got, rounds, transferred, err
@@ -453,19 +434,12 @@ func (a *Accelerator) HandleAVRequest(ctx context.Context, from wire.SiteID, req
 		sp.SetAttr("key", req.Key)
 		defer sp.EndSpan()
 	}
-	decider := a.cfg.Policy.Decider
-	if kd, ok := decider.(strategy.KeyedDecider); ok {
-		decider = kd.ForKey(req.Key)
-	}
-	want := decider.Grant(a.avt.Avail(req.Key), req.Amount)
+	want := a.cfg.Policy.Decider.Grant(a.avt.Avail(req.Key), req.Amount)
 	granted, err := a.avt.Debit(req.Key, want)
 	if err != nil {
 		granted = 0
 	}
 	a.stats.GrantedUnits.Add(granted)
-	if a.cfg.DisableGossip {
-		return &wire.AVReply{Key: req.Key, Granted: granted}
-	}
 	// The requester asked because it is short; remember that.
 	a.view.Observe(from, req.Key, 0)
 	infos := []wire.AVInfo{{Site: a.cfg.Site, Key: req.Key, Avail: a.avt.Avail(req.Key)}}

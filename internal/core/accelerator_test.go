@@ -277,59 +277,6 @@ func TestPathString(t *testing.T) {
 	}
 }
 
-func TestDisableGossipSuppressesView(t *testing.T) {
-	sites := buildSites(t, 3, 1000, 0, strategy.SODA99())
-	for _, s := range sites {
-		s.avt.Fund("k", 300)
-	}
-	// Rebuild site 1's accelerator with gossip off (direct construction
-	// keeps the same components).
-	acc := sites[1].acc
-	acc.cfg.DisableGossip = true
-	reply := acc.HandleAVRequest(context.Background(), 2, &wire.AVRequest{Key: "k", Amount: 10})
-	if len(reply.View) != 0 {
-		t.Fatalf("gossip-off reply carries a view: %+v", reply.View)
-	}
-	if reply.Granted != 150 {
-		t.Fatalf("granted = %d", reply.Granted)
-	}
-	// And received views are ignored on the request path.
-	if _, err := acc.Update(context.Background(), "k", -400); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := acc.View().Known(0, "k"); ok {
-		t.Fatal("gossip-off accelerator learned from replies")
-	}
-}
-
-type captureDemand struct {
-	mu  sync.Mutex
-	obs []int64
-}
-
-func (c *captureDemand) Observe(key string, n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.obs = append(c.obs, n)
-}
-
-func TestDemandObserverFed(t *testing.T) {
-	sites := buildSites(t, 2, 1000, 500, strategy.SODA99())
-	cap := &captureDemand{}
-	sites[0].acc.cfg.Demand = cap
-	if _, err := sites[0].acc.Update(context.Background(), "k", -30); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sites[0].acc.Update(context.Background(), "k", 10); err != nil {
-		t.Fatal(err) // increments are not demand
-	}
-	cap.mu.Lock()
-	defer cap.mu.Unlock()
-	if len(cap.obs) != 1 || cap.obs[0] != 30 {
-		t.Fatalf("observations = %v", cap.obs)
-	}
-}
-
 // replyDropper drops every AV reply, so the requester times out after
 // the granter has already debited the grant.
 type replyDropper struct{}

@@ -61,94 +61,20 @@ func RunDecidingAblation(cfg Config) ([]AblationRow, error) {
 		}
 		rows = append(rows, row)
 	}
-	demand, err := RunDemandAwareRow(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, demand)
 	return rows, nil
 }
 
-// RunDemandAwareRow runs the demand-aware deciding extension: every
-// site gets its own consumption meter feeding a GrantDemandAware donor.
-func RunDemandAwareRow(cfg Config) (AblationRow, error) {
-	cfg = cfg.withDefaults()
-	reg := metrics.NewRegistry()
-	c, err := cluster.New(cluster.Config{
-		Sites:         cfg.Sites,
-		Items:         cfg.Items,
-		InitialAmount: cfg.InitialAmount,
-		Seed:          cfg.Seed,
-		Registry:      reg,
-		PolicyFor: func(site int) (strategy.Policy, core.DemandObserver) {
-			m := strategy.NewMeter(0.2)
-			return strategy.Policy{
-				Selector: strategy.MaxKnown{},
-				Decider:  strategy.GrantDemandAware{Meter: m},
-			}, m
-		},
-		CallTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		return AblationRow{}, err
-	}
-	defer c.Close()
-	gen, err := workload.NewSCM(workload.SCMConfig{
-		Sites:         cfg.Sites,
-		Keys:          c.RegularKeys,
-		InitialAmount: cfg.InitialAmount,
-		Seed:          cfg.Seed,
-	})
-	if err != nil {
-		return AblationRow{}, err
-	}
-	ctx := context.Background()
-	failures := 0
-	for i := 0; i < cfg.Updates; i++ {
-		op := gen.Next()
-		if _, err := c.Update(ctx, op.Site, op.Key, op.Delta); err != nil {
-			failures++
-		}
-	}
-	if err := c.FlushAll(ctx); err != nil {
-		return AblationRow{}, err
-	}
-	if err := c.CheckInvariants(); err != nil {
-		return AblationRow{}, err
-	}
-	var local, transfer, rounds int64
-	for _, s := range c.Sites {
-		st := s.Accelerator().Stats()
-		local += st.DelayLocal.Load()
-		transfer += st.DelayTransfer.Load()
-		rounds += st.TransferRounds.Load()
-	}
-	corr := metrics.Correspondences(updateMessages(reg))
-	row := AblationRow{
-		Name:            "decide=demand-aware",
-		Correspondences: corr,
-		PerUpdate:       float64(corr) / float64(cfg.Updates),
-		Failures:        failures,
-		TransferRounds:  rounds,
-	}
-	if local+transfer > 0 {
-		row.LocalFraction = float64(local) / float64(local+transfer)
-	}
-	return row, nil
-}
-
 // RunGossipAblation (A7) isolates the value of the paper's piggybacked
-// AV view: the same max-known selector with gossip on vs. off (with
-// gossip off the selector has no information and degenerates to a fixed
-// order).
+// AV view: the max-known selector, which reads the view, against a
+// selector that ignores it and asks peers in ascending site ID — the
+// fixed order max-known degenerates to when no view is gossiped.
 func RunGossipAblation(cfg Config) ([]AblationRow, error) {
 	on, err := runOnePolicy(cfg, "gossip=on", strategy.SODA99())
 	if err != nil {
 		return nil, err
 	}
-	offCfg := cfg
-	offCfg.DisableGossip = true
-	off, err := runOnePolicy(offCfg, "gossip=off", strategy.SODA99())
+	off, err := runOnePolicy(cfg, "gossip=off",
+		strategy.Policy{Selector: strategy.ByID{}, Decider: strategy.GrantHalf{}})
 	if err != nil {
 		return nil, err
 	}

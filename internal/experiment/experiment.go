@@ -48,8 +48,6 @@ type Config struct {
 	// 20% / 10% workload bounds.
 	MakerIncreaseFrac    float64
 	RetailerDecreaseFrac float64
-	// DisableGossip turns off the AV-view piggyback (ablation A7).
-	DisableGossip bool
 	// Replay, when non-empty, drives this recorded operation sequence
 	// instead of the synthetic SCM generator (see workload.ReadTrace);
 	// Updates is capped at its length.
@@ -171,7 +169,6 @@ func RunProposed(cfg Config) (*ProposedResult, error) {
 		Policy:             cfg.Policy,
 		Passes:             cfg.Passes,
 		Seed:               cfg.Seed,
-		DisableGossip:      cfg.DisableGossip,
 		Registry:           reg,
 		CallTimeout:        5 * time.Second,
 	})

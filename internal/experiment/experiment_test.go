@@ -156,7 +156,7 @@ func TestDecidingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 { // half, exact, all, generous, demand-aware
+	if len(rows) != 4 { // half, exact, all, generous
 		t.Fatalf("rows = %d", len(rows))
 	}
 	byName := map[string]AblationRow{}
@@ -219,8 +219,10 @@ func TestFaultStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DelayOK == 0 {
-		t.Fatal("no delay update survived the partition")
+	// Every Delay Update at the isolated retailer is funded by its own
+	// AV, so the partition must cost it none of them.
+	if res.DelayOK != res.DelayTotal {
+		t.Fatalf("%d of %d delay updates survived the partition, want all", res.DelayOK, res.DelayTotal)
 	}
 	if res.ImmediateOK != 0 {
 		t.Fatalf("%d immediate updates 'succeeded' during the partition", res.ImmediateOK)
@@ -260,22 +262,6 @@ func TestGossipAblation(t *testing.T) {
 	if rows[0].Correspondences > rows[1].Correspondences*3/2 {
 		t.Fatalf("gossip=on (%d) much worse than off (%d)",
 			rows[0].Correspondences, rows[1].Correspondences)
-	}
-}
-
-func TestDemandAwareRow(t *testing.T) {
-	row, err := RunDemandAwareRow(Config{Updates: 900, Items: 10, Checkpoint: 300, InitialAmount: 900})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Name != "decide=demand-aware" {
-		t.Fatalf("row = %+v", row)
-	}
-	if row.Correspondences == 0 {
-		t.Fatal("no traffic recorded")
-	}
-	if row.LocalFraction < 0.5 {
-		t.Fatalf("local fraction = %v", row.LocalFraction)
 	}
 }
 

@@ -75,11 +75,6 @@ type Config struct {
 	Passes int
 	// Seed feeds policy randomness.
 	Seed uint64
-	// Demand optionally feeds a demand-aware deciding policy with the
-	// site's own consumption stream.
-	Demand core.DemandObserver
-	// DisableGossip turns off AV-view piggybacking (ablation A7).
-	DisableGossip bool
 	// Events, when non-nil, receives structured protocol events (inbound
 	// messages and update outcomes) for observability.
 	Events *eventlog.Log
@@ -256,8 +251,6 @@ func Open(cfg Config, network transport.Network) (*Site, error) {
 		Passes:         cfg.Passes,
 		RequestTimeout: cfg.RequestTimeout,
 		Seed:           cfg.Seed,
-		Demand:         cfg.Demand,
-		DisableGossip:  cfg.DisableGossip,
 		Tracer:         cfg.Tracer,
 		Detector:       s.det,
 		Clock:          cfg.Clock,

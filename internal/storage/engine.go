@@ -196,54 +196,46 @@ func storageKey(op *Op) string {
 	return op.Key
 }
 
-// lockStripes write-locks the given stripe set in ascending order.
-// stripesFor output is sorted and deduplicated, so concurrent batches
-// always acquire in the same global order.
-func (e *Engine) lockStripes(idx []int) {
-	for _, i := range idx {
-		e.stripes[i].mu.Lock()
+// allStripes is the stripe set of every stripe. A stripe set is a
+// uint32 mask whose bit i stands for stripe i.
+const allStripes uint32 = 1<<numStripes - 1
+
+// lockStripes write-locks set's stripes in ascending order, so
+// concurrent batches always acquire in the same global order.
+func (e *Engine) lockStripes(set uint32) {
+	for i := 0; i < numStripes; i++ {
+		if set&(1<<i) != 0 {
+			e.stripes[i].mu.Lock()
+		}
 	}
 }
 
-func (e *Engine) unlockStripes(idx []int) {
-	for i := len(idx) - 1; i >= 0; i-- {
-		e.stripes[idx[i]].mu.Unlock()
+func (e *Engine) unlockStripes(set uint32) {
+	for i := numStripes - 1; i >= 0; i-- {
+		if set&(1<<i) != 0 {
+			e.stripes[i].mu.Unlock()
+		}
 	}
 }
 
-// stripesFor returns the sorted, deduplicated stripe indices a batch
-// touches: an OpLoggedDelta touches its row's and its log row's, an
-// OpBalancedDelta its balance row's as well.
-func stripesFor(ops []Op) []int {
-	var mask uint32
+// stripesFor returns the stripes a batch touches: an OpLoggedDelta
+// touches its row's and its log row's, an OpBalancedDelta its balance
+// row's as well.
+func stripesFor(ops []Op) uint32 {
+	var set uint32
 	for i := range ops {
 		op := &ops[i]
-		mask |= 1 << uint(stripeOf(storageKey(op)))
+		set |= 1 << stripeOf(storageKey(op))
 		if op.Kind == OpLoggedDelta || op.Kind == OpBalancedDelta {
 			row := logRow(op.Seq)
-			mask |= 1 << uint(stripeOf(row[:]))
+			set |= 1 << stripeOf(row[:])
 		}
 		if op.Kind == OpBalancedDelta {
-			mask |= 1 << uint(balanceStripe(op.Key))
+			set |= 1 << balanceStripe(op.Key)
 		}
 	}
-	idx := make([]int, 0, numStripes)
-	for i := 0; i < numStripes; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			idx = append(idx, i)
-		}
-	}
-	return idx
+	return set
 }
-
-// allStripes is the full ascending stripe index set.
-var allStripes = func() []int {
-	idx := make([]int, numStripes)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}()
 
 // lockAll / unlockAll bracket whole-table operations.
 func (e *Engine) lockAll()   { e.lockStripes(allStripes) }
@@ -483,9 +475,9 @@ func (e *Engine) ApplyDirect(ops ...Op) error {
 // locks, returning the batch's WAL LSN (0 when the engine is
 // in-memory). Durability is the caller's job.
 func (e *Engine) applyBatch(ops []Op) (uint64, error) {
-	idx := stripesFor(ops)
-	e.lockStripes(idx)
-	defer e.unlockStripes(idx)
+	set := stripesFor(ops)
+	e.lockStripes(set)
+	defer e.unlockStripes(set)
 	if e.closed {
 		return 0, ErrClosed
 	}

@@ -79,6 +79,19 @@ func (MaxKnown) Order(cands []Candidate, r *rng.Rand) []Candidate {
 	return cands
 }
 
+// ByID asks peers in ascending site ID and ignores the view — what
+// MaxKnown degenerates to when no AV view is gossiped (A7's "off" row).
+type ByID struct{}
+
+// Name implements Selector.
+func (ByID) Name() string { return "by-id" }
+
+// Order implements Selector.
+func (ByID) Order(cands []Candidate, r *rng.Rand) []Candidate {
+	sort.Slice(cands, func(i, j int) bool { return cands[i].Site < cands[j].Site })
+	return cands
+}
+
 // RandomSelect asks peers in uniformly random order.
 type RandomSelect struct{}
 

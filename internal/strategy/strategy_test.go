@@ -31,6 +31,22 @@ func TestMaxKnownOrdering(t *testing.T) {
 	}
 }
 
+func TestByIDIgnoresKnown(t *testing.T) {
+	cands := []Candidate{
+		{Site: 3, Known: 10},
+		{Site: 1, Known: 0},
+		{Site: 2, Known: 500},
+		{Site: 0, Known: 0},
+	}
+	got := sites(ByID{}.Order(cands, rng.New(1)))
+	want := []wire.SiteID{0, 1, 2, 3}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestRandomSelectPermutes(t *testing.T) {
 	base := []Candidate{{Site: 0}, {Site: 1}, {Site: 2}, {Site: 3}, {Site: 4}}
 	r := rng.New(7)
