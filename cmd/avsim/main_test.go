@@ -96,7 +96,7 @@ func runMain(t *testing.T, args ...string) []byte {
 // case's command line, e.g. `go run ./cmd/avsim -experiment mix
 // -updates 3000 > cmd/avsim/testdata/mix.golden`, and say why.
 //
-// A3 at 17 sites takes ~12 s, so its case runs only when
+// A3 at 17 sites takes ~15 s, so its case runs only when
 // AVDB_NIGHTLY_GOLDENS is set (the nightly job sets it); tier-1 checks
 // the first three site counts through experiment.RunScaling instead.
 func TestPaperOutputsMatchGolden(t *testing.T) {
@@ -115,7 +115,7 @@ func TestPaperOutputsMatchGolden(t *testing.T) {
 		{golden: "mix", args: []string{"-experiment", "mix", "-updates", "3000"}},
 		{golden: "sweep-decrease", args: []string{"-experiment", "sweep-decrease", "-updates", "5000"}},
 		{golden: "scaling-3-5-9", out: func(t *testing.T) []byte {
-			rows, err := experiment.RunScaling(experiment.Config{Updates: 3000, Checkpoint: 1000}, []int{3, 5, 9})
+			rows, err := experiment.RunScaling(experiment.Config{Updates: 3000}, []int{3, 5, 9})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,7 @@
 // from information "collected at the necessary communication for AV
 // management", i.e. piggybacked on AV replies and possibly stale.
 //
-// Each policy is pluggable so the ablation experiments (DESIGN.md A1/A2)
+// Each policy is pluggable so the ablation experiments (DESIGN.md A1/A2/A7)
 // can quantify what the SODA'99 choices contribute.
 package strategy
 
@@ -119,7 +119,7 @@ func (rr *RoundRobin) Order(cands []Candidate, r *rng.Rand) []Candidate {
 	if len(cands) == 0 {
 		return cands
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Site < cands[j].Site })
+	cands = ByID{}.Order(cands, r)
 	rr.mu.Lock()
 	start := rr.next % len(cands)
 	rr.next++
