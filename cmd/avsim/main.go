@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -32,117 +34,113 @@ import (
 )
 
 func main() {
-	var (
-		exp     = flag.String("experiment", "fig6", "fig6 | table1 | ablation-decide | ablation-select | ablation-gossip | scaling | mix | fault | latency | all | sweep-sites | sweep-items | sweep-initial | sweep-decrease | sweep-passes | trace | sim")
-		sites   = flag.Int("sites", 3, "number of sites (site 0 is the maker/base)")
-		items   = flag.Int("items", 100, "products in each local DB")
-		initial = flag.Int64("initial", 1000, "initial stock per product")
-		updates = flag.Int("updates", 10000, "total updates to drive")
-		chkpt   = flag.Int("checkpoint", 1000, "checkpoint interval for series")
-		seed    = flag.Uint64("seed", 1, "workload seed")
-		passes  = flag.Int("passes", 0, "AV gathering passes (0 = default 3)")
-		atBase  = flag.Bool("av-at-base", false, "concentrate initial AV at site 0")
-		flushEv = flag.Int("flush-every", 0, "anti-entropy every N updates (0 = end only)")
-		bcast   = flag.Bool("conventional-broadcast", false, "baseline maintains replicas synchronously")
-		csvPath = flag.String("csv", "", "also write the primary table as CSV to this file")
-		traceIn = flag.String("trace-in", "", "replay a recorded op trace instead of the synthetic workload")
-
-		simSeed  = flag.Uint64("sim-seed", 0, "sim: seed to run (reproduces a sweep failure exactly)")
-		simSeeds = flag.Int("sim-seeds", 0, "sim: sweep this many consecutive seeds starting at -sim-seed")
-		simTicks = flag.Int("sim-ticks", 0, "sim: workload operations per run (0 = default)")
-	)
-	flag.Parse()
-
-	if *exp == "sim" {
-		if err := runSim(*simSeed, *simSeeds, *simTicks); err != nil {
-			fmt.Fprintln(os.Stderr, "avsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	cfg := experiment.Config{
-		Sites:                 *sites,
-		Items:                 *items,
-		InitialAmount:         *initial,
-		Updates:               *updates,
-		Checkpoint:            *chkpt,
-		Seed:                  *seed,
-		Passes:                *passes,
-		AVAllAtBase:           *atBase,
-		FlushEvery:            *flushEv,
-		ConventionalBroadcast: *bcast,
-	}
-
-	if *traceIn != "" {
-		f, err := os.Open(*traceIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "avsim:", err)
-			os.Exit(1)
-		}
-		ops, err := workload.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "avsim:", err)
-			os.Exit(1)
-		}
-		cfg.Replay = ops
-	}
-
-	if err := run(*exp, cfg, *csvPath); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "avsim:", err)
 		os.Exit(1)
 	}
 }
 
+// run is avsim with its command line and its output as arguments.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("avsim", flag.ContinueOnError)
+	var (
+		exp     = fs.String("experiment", "fig6", "fig6 | table1 | ablation-decide | ablation-select | ablation-gossip | scaling | mix | fault | latency | all | sweep-sites | sweep-items | sweep-initial | sweep-decrease | sweep-passes | trace | sim")
+		sites   = fs.Int("sites", 3, "number of sites (site 0 is the maker/base)")
+		items   = fs.Int("items", 100, "products in each local DB")
+		initial = fs.Int64("initial", 1000, "initial stock per product")
+		updates = fs.Int("updates", 10000, "total updates to drive")
+		chkpt   = fs.Int("checkpoint", 1000, "checkpoint interval for series")
+		seed    = fs.Uint64("seed", 1, "workload seed")
+		passes  = fs.Int("passes", 0, "AV gathering passes (0 = default 3)")
+		atBase  = fs.Bool("av-at-base", false, "concentrate initial AV at site 0")
+		flushEv = fs.Int("flush-every", 0, "anti-entropy every N updates (0 = end only)")
+		csvPath = fs.String("csv", "", "also write the primary table as CSV to this file")
+		traceIn = fs.String("trace-in", "", "replay a recorded op trace instead of the synthetic workload")
+
+		simSeed  = fs.Uint64("sim-seed", 0, "sim: seed to run (reproduces a sweep failure exactly)")
+		simSeeds = fs.Int("sim-seeds", 0, "sim: sweep this many consecutive seeds starting at -sim-seed")
+		simTicks = fs.Int("sim-ticks", 0, "sim: workload operations per run (0 = default)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *exp == "sim" {
+		return runSim(w, *simSeed, *simSeeds, *simTicks)
+	}
+	cfg := experiment.Config{
+		Sites:         *sites,
+		Items:         *items,
+		InitialAmount: *initial,
+		Updates:       *updates,
+		Checkpoint:    *chkpt,
+		Seed:          *seed,
+		Passes:        *passes,
+		AVAllAtBase:   *atBase,
+		FlushEvery:    *flushEv,
+	}
+	if *traceIn != "" {
+		f, err := os.Open(*traceIn)
+		if err != nil {
+			return err
+		}
+		ops, err := workload.ReadTrace(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		cfg.Replay = ops
+	}
+	return runExperiment(w, *exp, cfg, *csvPath)
+}
+
 // scalingTitle heads the A3 table.
 const scalingTitle = "A3 — scaling the number of sites (constant per-site load)"
 
-func run(exp string, cfg experiment.Config, csvPath string) error {
+func runExperiment(w io.Writer, exp string, cfg experiment.Config, csvPath string) error {
 	if axis, ok := strings.CutPrefix(exp, "sweep-"); ok {
-		return runSweep(axis, cfg, csvPath)
+		return runSweep(w, axis, cfg, csvPath)
 	}
 	switch exp {
 	case "fig6":
-		return runFig6(cfg, csvPath)
+		return runFig6(w, cfg, csvPath)
 	case "table1":
-		return runTable1(cfg, csvPath)
+		return runTable1(w, cfg, csvPath)
 	case "ablation-decide":
 		rows, err := experiment.RunDecidingAblation(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(experiment.AblationTable("A1 — deciding-policy ablation (how much should a donor grant?)", rows), csvPath)
+		return emit(w, experiment.AblationTable("A1 — deciding-policy ablation (how much should a donor grant?)", rows), csvPath)
 	case "ablation-select":
 		rows, err := experiment.RunSelectingAblation(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(experiment.AblationTable("A2 — selecting-policy ablation (whom to ask for AV?)", rows), csvPath)
+		return emit(w, experiment.AblationTable("A2 — selecting-policy ablation (whom to ask for AV?)", rows), csvPath)
 	case "scaling":
 		rows, err := experiment.RunScaling(cfg, []int{3, 5, 9, 17})
 		if err != nil {
 			return err
 		}
-		return emit(experiment.AblationTable(scalingTitle, rows), csvPath)
+		return emit(w, experiment.AblationTable(scalingTitle, rows), csvPath)
 	case "mix":
 		rows, err := experiment.RunMix(cfg, []float64{0, 0.25, 0.5, 0.75, 1})
 		if err != nil {
 			return err
 		}
-		return emit(experiment.AblationTable("A5 — cost of the non-regular (Immediate Update) share", rows), csvPath)
+		return emit(w, experiment.AblationTable("A5 — cost of the non-regular (Immediate Update) share", rows), csvPath)
 	case "fault":
 		res, err := experiment.RunFault(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(experiment.FaultTable(res), csvPath)
+		return emit(w, experiment.FaultTable(res), csvPath)
 	case "latency":
 		res, err := experiment.RunLatency(experiment.LatencyConfig{Config: cfg})
 		if err != nil {
 			return err
 		}
-		return emit(experiment.LatencyTable(res), csvPath)
+		return emit(w, experiment.LatencyTable(res), csvPath)
 	case "trace":
 		// Emit the synthetic workload the other experiments would drive,
 		// for editing or replaying with -trace-in.
@@ -159,19 +157,19 @@ func run(exp string, cfg experiment.Config, csvPath string) error {
 		for i := range ops {
 			ops[i] = gen.Next()
 		}
-		return workload.WriteTrace(os.Stdout, ops)
+		return workload.WriteTrace(w, ops)
 	case "ablation-gossip":
 		rows, err := experiment.RunGossipAblation(cfg)
 		if err != nil {
 			return err
 		}
-		return emit(experiment.AblationTable("A7 — value of the piggybacked AV view (gossip)", rows), csvPath)
+		return emit(w, experiment.AblationTable("A7 — value of the piggybacked AV view (gossip)", rows), csvPath)
 	case "all":
 		for _, e := range []string{"fig6", "table1", "ablation-decide", "ablation-select", "ablation-gossip", "scaling", "mix", "fault", "latency"} {
-			if err := run(e, cfg, ""); err != nil {
+			if err := runExperiment(w, e, cfg, ""); err != nil {
 				return fmt.Errorf("%s: %w", e, err)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	default:
@@ -179,7 +177,7 @@ func run(exp string, cfg experiment.Config, csvPath string) error {
 	}
 }
 
-func runFig6(cfg experiment.Config, csvPath string) error {
+func runFig6(w io.Writer, cfg experiment.Config, csvPath string) error {
 	res, err := experiment.RunFig6(cfg)
 	if err != nil {
 		return err
@@ -188,30 +186,30 @@ func runFig6(cfg experiment.Config, csvPath string) error {
 	if err != nil {
 		return err
 	}
-	if err := emit(tab, csvPath); err != nil {
+	if err := emit(w, tab, csvPath); err != nil {
 		return err
 	}
-	fmt.Printf("\nreduction vs conventional: %.1f%% (paper reports ~75%%)\n", res.ReductionPct)
-	fmt.Printf("delay updates completed locally: %.1f%%\n", 100*res.Proposed.LocalFraction)
-	fmt.Printf("AV transfer round trips: %d; failures (insufficient AV): %d\n",
+	fmt.Fprintf(w, "\nreduction vs conventional: %.1f%% (paper reports ~75%%)\n", res.ReductionPct)
+	fmt.Fprintf(w, "delay updates completed locally: %.1f%%\n", 100*res.Proposed.LocalFraction)
+	fmt.Fprintf(w, "AV transfer round trips: %d; failures (insufficient AV): %d\n",
 		res.Proposed.TransferRounds, res.Proposed.Failures)
-	fmt.Printf("background sync messages (not in the curves): %d\n", res.Proposed.SyncMessages)
+	fmt.Fprintf(w, "background sync messages (not in the curves): %d\n", res.Proposed.SyncMessages)
 	return nil
 }
 
-func runTable1(cfg experiment.Config, csvPath string) error {
+func runTable1(w io.Writer, cfg experiment.Config, csvPath string) error {
 	res, err := experiment.RunTable1(cfg)
 	if err != nil {
 		return err
 	}
 	tab := experiment.Table1Table(res)
-	if err := emit(tab, csvPath); err != nil {
+	if err := emit(w, tab, csvPath); err != nil {
 		return err
 	}
 	if len(res.PerSite) >= 3 {
 		s1, s2 := res.PerSite[1].Last(), res.PerSite[2].Last()
-		fmt.Printf("\nretailer fairness (site1 vs site2 at horizon): %d vs %d\n", s1, s2)
-		fmt.Printf("Jain fairness index over retailers: %.4f (1.0 = perfectly fair)\n",
+		fmt.Fprintf(w, "\nretailer fairness (site1 vs site2 at horizon): %d vs %d\n", s1, s2)
+		fmt.Fprintf(w, "Jain fairness index over retailers: %.4f (1.0 = perfectly fair)\n",
 			experiment.Fairness(res))
 	}
 	return nil
@@ -220,7 +218,7 @@ func runTable1(cfg experiment.Config, csvPath string) error {
 // runSweep varies one parameter of cfg over a fixed set of values and
 // prints, per value, both systems' correspondences at the horizon: one
 // row per configuration, for plotting beyond the paper's single setting.
-func runSweep(axis string, cfg experiment.Config, csvPath string) error {
+func runSweep(w io.Writer, axis string, cfg experiment.Config, csvPath string) error {
 	type point struct {
 		label string
 		cfg   experiment.Config
@@ -275,11 +273,11 @@ func runSweep(axis string, cfg experiment.Config, csvPath string) error {
 			fmt.Sprintf("%.1f", res.ReductionPct), fmt.Sprintf("%.3f", p.LocalFraction),
 			fmt.Sprint(p.Failures), fmt.Sprint(p.TransferRounds))
 	}
-	return emit(tab, csvPath)
+	return emit(w, tab, csvPath)
 }
 
-func emit(tab *metrics.Table, csvPath string) error {
-	if err := tab.WriteText(os.Stdout); err != nil {
+func emit(w io.Writer, tab *metrics.Table, csvPath string) error {
+	if err := tab.WriteText(w); err != nil {
 		return err
 	}
 	if csvPath == "" {
@@ -296,24 +294,24 @@ func emit(tab *metrics.Table, csvPath string) error {
 // runSim drives the deterministic whole-cluster simulation: a single
 // seed reproduction (the command a sweep failure report prints), or a
 // sweep of consecutive seeds with automatic schedule minimization.
-func runSim(seed uint64, seeds, ticks int) error {
+func runSim(w io.Writer, seed uint64, seeds, ticks int) error {
 	cfg := sim.Config{Seed: seed, Ticks: ticks}
 	if seeds > 0 {
-		failures, err := sim.Sweep(cfg, seed, seeds, os.Stdout)
+		failures, err := sim.Sweep(cfg, seed, seeds, w)
 		if err != nil {
 			return err
 		}
 		if len(failures) > 0 {
 			return fmt.Errorf("sim: %d of %d seeds violated an invariant", len(failures), seeds)
 		}
-		fmt.Printf("sim: %d seeds clean starting at %d\n", seeds, seed)
+		fmt.Fprintf(w, "sim: %d seeds clean starting at %d\n", seeds, seed)
 		return nil
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sim: seed %d: %d ops (%d commit / %d abort / %d unknown / %d rejected), %d fault steps, trace hash %016x\n",
+	fmt.Fprintf(w, "sim: seed %d: %d ops (%d commit / %d abort / %d unknown / %d rejected), %d fault steps, trace hash %016x\n",
 		res.Seed, res.Ops, res.Commits, res.Aborts, res.Unknown, res.Rejected, len(res.Script), res.TraceHash)
 	if res.Violation == nil {
 		return nil
@@ -322,6 +320,6 @@ func runSim(seed uint64, seeds, ticks int) error {
 	if merr != nil {
 		minimized, mres = res.Script, res
 	}
-	fmt.Print(sim.FormatFailure(seed, mres, minimized, len(res.Script)))
+	fmt.Fprint(w, sim.FormatFailure(seed, mres, minimized, len(res.Script)))
 	return fmt.Errorf("sim: seed %d violated an invariant", seed)
 }

@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -20,7 +20,7 @@ func tinyCfg() experiment.Config {
 func runCSV(t *testing.T, exp string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "out.csv")
-	if err := run(exp, tinyCfg(), path); err != nil {
+	if err := runExperiment(io.Discard, exp, tinyCfg(), path); err != nil {
 		t.Fatalf("run(%q): %v", exp, err)
 	}
 	b, err := os.ReadFile(path)
@@ -53,7 +53,7 @@ func TestSweepPassesRows(t *testing.T) {
 
 func TestUnknownExperimentAndAxis(t *testing.T) {
 	for _, exp := range []string{"nope", "sweep-nope"} {
-		err := run(exp, tinyCfg(), "")
+		err := runExperiment(io.Discard, exp, tinyCfg(), "")
 		if err == nil || !strings.HasPrefix(err.Error(), "unknown ") {
 			t.Errorf("run(%q) = %v, want an unknown-… error", exp, err)
 		}
@@ -65,28 +65,6 @@ func TestTable1IsDeterministic(t *testing.T) {
 	if second := runCSV(t, "table1"); first != second || !strings.HasPrefix(first, "site,") {
 		t.Fatalf("same seed, different (or empty) Table 1:\n%s\nvs\n%s", first, second)
 	}
-}
-
-// runMain runs avsim's main with args, exactly as the command line
-// would, and returns what it printed to stdout.
-func runMain(t *testing.T, args ...string) []byte {
-	t.Helper()
-	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	oldArgs, oldFlags, oldStdout := os.Args, flag.CommandLine, os.Stdout
-	defer func() { os.Args, flag.CommandLine, os.Stdout = oldArgs, oldFlags, oldStdout }()
-	os.Args = append([]string{"avsim"}, args...)
-	flag.CommandLine = flag.NewFlagSet("avsim", flag.ContinueOnError)
-	os.Stdout = out
-	main()
-	b, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // TestPaperOutputsMatchGolden is the reproduction check: Fig. 6,
@@ -129,6 +107,7 @@ func TestPaperOutputsMatchGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
+			t.Parallel()
 			if c.nightly && os.Getenv("AVDB_NIGHTLY_GOLDENS") == "" {
 				t.Skip("set AVDB_NIGHTLY_GOLDENS to check this golden")
 			}
@@ -140,7 +119,11 @@ func TestPaperOutputsMatchGolden(t *testing.T) {
 			if c.out != nil {
 				got = c.out(t)
 			} else {
-				got = runMain(t, c.args...)
+				var b bytes.Buffer
+				if err := run(c.args, &b); err != nil {
+					t.Fatal(err)
+				}
+				got = b.Bytes()
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s differs from testdata/%s.golden:\n got:\n%s\nwant:\n%s", c.args, c.golden, got, want)

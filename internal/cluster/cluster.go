@@ -98,16 +98,12 @@ type Config struct {
 	// site.Config.ReadPlane). The simulator enables it so its oracles
 	// can check what a client of /read/* sees and RYW-token safety.
 	ReadPlane bool
-	// Partitions, when > 0, shards the catalog over that many virtual
-	// partitions with replication factor RF: each key lives only on its
-	// partition's replica set (seeded there, AV defined there,
-	// anti-entropied there), and every site routes updates for foreign
-	// keys to the owning replicas. Zero is full replication: one
-	// partition on every site, owned by site 0.
-	Partitions int
-	// RF is the replication factor in sharded mode (default 2, capped
-	// at Sites). Ignored when Partitions is zero.
-	RF int
+	// Map places the catalog: each key lives only on its partition's
+	// replica set (seeded there, AV defined there, anti-entropied there),
+	// and every site routes updates for keys it does not host to their
+	// owner. Nil is full replication: one partition on every site, owned
+	// by site 0.
+	Map *partition.Map
 	// UpdateObserver, when non-nil, fires once per Delay Update
 	// committed anywhere in the cluster, at the applying site (see
 	// site.Config.UpdateObserver).
@@ -126,15 +122,21 @@ type Cluster struct {
 	RegularKeys    []string
 	NonRegularKeys []string
 
-	// pm is the shared partition map (partition.Full when unsharded).
-	pm *partition.Map
-
 	mu   sync.Mutex
 	down map[int]bool // crashed sites (durable clusters only)
 	// lost sums what crashed site incarnations could have taken with
 	// them: their grants sent minus grants received, and the AV their
 	// in-flight updates held when they went down (see LostSlackBound).
 	lost int64
+}
+
+// SiteIDs returns the IDs of an n-site cluster: 0 (the base) to n-1.
+func SiteIDs(n int) []wire.SiteID {
+	ids := make([]wire.SiteID, max(n, 0))
+	for i := range ids {
+		ids[i] = wire.SiteID(i)
+	}
+	return ids
 }
 
 // KeyName returns the catalog key for item i.
@@ -151,28 +153,13 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
-	ids := make([]wire.SiteID, cfg.Sites)
-	for i := range ids {
-		ids[i] = wire.SiteID(i)
-	}
-	var pm *partition.Map
-	var err error
-	if cfg.Partitions > 0 {
-		if cfg.RF <= 0 {
-			cfg.RF = 2
+	if cfg.Map == nil {
+		var err error
+		if cfg.Map, err = partition.Full(0, SiteIDs(cfg.Sites)); err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		if cfg.RF > cfg.Sites {
-			cfg.RF = cfg.Sites
-		}
-		pm, err = partition.New(ids, cfg.Partitions, cfg.RF)
-	} else {
-		pm, err = partition.Full(0, ids)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	c := &Cluster{
-		pm:       pm,
 		Cfg:      cfg,
 		Registry: cfg.Registry,
 		down:     make(map[int]bool),
@@ -214,7 +201,7 @@ func New(cfg Config) (*Cluster, error) {
 		// A site's store holds only the keys of the partitions it hosts.
 		var recs []storage.Record
 		for _, r := range records {
-			if pm.HostsKey(wire.SiteID(id), r.Key) {
+			if cfg.Map.HostsKey(wire.SiteID(id), r.Key) {
 				recs = append(recs, r)
 			}
 		}
@@ -268,7 +255,7 @@ func New(cfg Config) (*Cluster, error) {
 // replica set, owner first (every site, base first, under full
 // replication).
 func (c *Cluster) HostSitesFor(key string) []int {
-	reps := c.pm.ReplicasOf(key)
+	reps := c.Cfg.Map.ReplicasOf(key)
 	out := make([]int, len(reps))
 	for i, r := range reps {
 		out[i] = int(r)
@@ -306,7 +293,7 @@ func (c *Cluster) siteConfig(id int) site.Config {
 		FlushPeerTimeout:  cfg.FlushPeerTimeout,
 		FlushBackoff:      cfg.FlushBackoff,
 		ReadPlane:         cfg.ReadPlane,
-		Partitions:        c.pm,
+		Partitions:        c.Cfg.Map,
 		UpdateObserver:    cfg.UpdateObserver,
 	}
 	if cfg.EventsFor != nil {
@@ -389,13 +376,7 @@ func (c *Cluster) SiteDown(idx int) bool {
 // crash and restart its sites.
 type clusterEnv struct{ c *Cluster }
 
-func (e clusterEnv) Sites() []wire.SiteID {
-	ids := make([]wire.SiteID, len(e.c.Sites))
-	for i := range ids {
-		ids[i] = wire.SiteID(i)
-	}
-	return ids
-}
+func (e clusterEnv) Sites() []wire.SiteID { return SiteIDs(len(e.c.Sites)) }
 
 func (e clusterEnv) Crash(s wire.SiteID) error   { return e.c.CrashSite(int(s)) }
 func (e clusterEnv) Restart(s wire.SiteID) error { return e.c.RestartSite(int(s)) }
@@ -523,10 +504,10 @@ func (c *Cluster) CheckStoreLocality() error {
 		seen := 0
 		err := s.Engine().Scan(func(rec storage.Record) bool {
 			seen++
-			if !c.pm.HostsKey(id, rec.Key) {
+			if !c.Cfg.Map.HostsKey(id, rec.Key) {
 				violation = fmt.Errorf(
 					"cluster: site %d stores %q (partition %d) but does not host it",
-					i, rec.Key, c.pm.PartitionOf(rec.Key))
+					i, rec.Key, c.Cfg.Map.PartitionOf(rec.Key))
 				return false
 			}
 			return true
@@ -539,12 +520,12 @@ func (c *Cluster) CheckStoreLocality() error {
 		}
 		want := 0
 		for _, key := range c.RegularKeys {
-			if c.pm.HostsKey(id, key) {
+			if c.Cfg.Map.HostsKey(id, key) {
 				want++
 			}
 		}
 		for _, key := range c.NonRegularKeys {
-			if c.pm.HostsKey(id, key) {
+			if c.Cfg.Map.HostsKey(id, key) {
 				want++
 			}
 		}

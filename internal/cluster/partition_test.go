@@ -6,8 +6,19 @@ import (
 	"testing"
 
 	"avdb/internal/core"
+	"avdb/internal/partition"
 	"avdb/internal/wire"
 )
+
+// shardedMap spreads sites' keys over parts partitions at rf.
+func shardedMap(t *testing.T, sites, parts, rf int) *partition.Map {
+	t.Helper()
+	pm, err := partition.New(SiteIDs(sites), parts, rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pm
+}
 
 func shardedCluster(t *testing.T, sites, parts, rf int) *Cluster {
 	t.Helper()
@@ -16,8 +27,7 @@ func shardedCluster(t *testing.T, sites, parts, rf int) *Cluster {
 		Items:              40,
 		InitialAmount:      60,
 		NonRegularFraction: 0.2,
-		Partitions:         parts,
-		RF:                 rf,
+		Map:                shardedMap(t, sites, parts, rf),
 		Seed:               7,
 	})
 	if err != nil {
@@ -81,12 +91,12 @@ func TestPartitionStatsCoverHostedPartitions(t *testing.T) {
 	c := shardedCluster(t, 6, 16, 2)
 	for _, s := range c.Sites {
 		infos := s.PartitionStats()
-		hosted := c.pm.Hosted(s.ID())
+		hosted := c.Cfg.Map.Hosted(s.ID())
 		if len(infos) != len(hosted) {
 			t.Fatalf("site %d: %d stat entries, hosts %d partitions", s.ID(), len(infos), len(hosted))
 		}
 		for _, info := range infos {
-			if !c.pm.IsReplica(info.Partition, s.ID()) {
+			if !c.Cfg.Map.IsReplica(info.Partition, s.ID()) {
 				t.Fatalf("site %d reports stats for foreign partition %d", s.ID(), info.Partition)
 			}
 		}
@@ -97,7 +107,7 @@ func TestPartitionStatsCoverHostedPartitions(t *testing.T) {
 // is rejected with RouteNotReplica, counted, and NOT applied anywhere.
 func TestMisroutedUpdateRejectedNotApplied(t *testing.T) {
 	c := shardedCluster(t, 6, 16, 2)
-	pm := c.pm
+	pm := c.Cfg.Map
 
 	// Find a key and a site outside its replica set.
 	key, wrong := "", -1

@@ -87,8 +87,7 @@ func TestRoutedUpdateTokenGatesApplyingSiteStock(t *testing.T) {
 		Sites:         6,
 		Items:         40,
 		InitialAmount: 60,
-		Partitions:    16,
-		RF:            2,
+		Map:           shardedMap(t, 6, 16, 2),
 		Seed:          7,
 		ReadPlane:     true,
 	})

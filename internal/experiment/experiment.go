@@ -7,7 +7,7 @@
 //
 // Counting follows the paper: 2 messages = 1 correspondence, and the
 // metric is "correspondences for update" — AV management, Immediate
-// Update, and baseline update traffic. Background replica convergence
+// Update, and the conventional system's routed updates. Background replica convergence
 // (delta.sync) and read traffic are measured separately, not mixed into
 // the Fig. 6 curves (see DESIGN.md §2 for the rationale).
 package experiment
@@ -17,9 +17,10 @@ import (
 	"fmt"
 	"time"
 
-	"avdb/internal/baseline"
 	"avdb/internal/cluster"
+	"avdb/internal/core"
 	"avdb/internal/metrics"
+	"avdb/internal/partition"
 	"avdb/internal/strategy"
 	"avdb/internal/workload"
 )
@@ -39,8 +40,6 @@ type Config struct {
 	// FlushEvery > 0 runs replica anti-entropy every N updates; 0 only
 	// flushes at the end.
 	FlushEvery int
-	// ConventionalBroadcast makes the baseline also maintain replicas.
-	ConventionalBroadcast bool
 	// NonRegularFraction routes that share of items through Immediate
 	// Update (0 reproduces §4, which simulates the Delay Update).
 	NonRegularFraction float64
@@ -106,14 +105,14 @@ func (c Config) withDefaults() Config {
 // updateKinds are the message kinds charged as "correspondences for
 // update" in the paper's metric.
 var updateKinds = map[string]bool{
-	"av.request":     true,
-	"av.reply":       true,
-	"iu.prepare":     true,
-	"iu.vote":        true,
-	"iu.decision":    true,
-	"iu.ack":         true,
-	"central.update": true,
-	"central.reply":  true,
+	"av.request":   true,
+	"av.reply":     true,
+	"iu.prepare":   true,
+	"iu.vote":      true,
+	"iu.decision":  true,
+	"iu.ack":       true,
+	"route.update": true,
+	"route.reply":  true,
 }
 
 // updateMessages sums the registry's update-traffic messages.
@@ -138,16 +137,22 @@ func updateMessagesBySite(reg *metrics.Registry) map[int]int64 {
 	return out
 }
 
-// ProposedResult is one run of the proposed (AV/accelerator) system.
-type ProposedResult struct {
+// Curves are one system's update traffic over a run.
+type Curves struct {
 	// Total is cumulative update correspondences at each checkpoint.
 	Total *metrics.Series
 	// PerSite is the same, split by initiating site (Table 1).
 	PerSite []*metrics.Series
+	// Failures counts refused updates: insufficient AV, an aborted
+	// Immediate Update, an overdraft at the base. Their traffic counts.
+	Failures int
+}
+
+// ProposedResult is one run of the proposed (AV/accelerator) system.
+type ProposedResult struct {
+	Curves
 	// SyncMessages counts the background delta.sync traffic separately.
 	SyncMessages int64
-	// Failures counts updates refused for insufficient AV.
-	Failures int
 	// LocalFraction is the share of delay updates completed with zero
 	// communication ("most of the update is completed within the local
 	// site").
@@ -156,64 +161,100 @@ type ProposedResult struct {
 	TransferRounds int64
 }
 
-// RunProposed drives the paper's workload through the AV system.
-func RunProposed(cfg Config) (*ProposedResult, error) {
-	cfg = cfg.withDefaults()
-	reg := metrics.NewRegistry()
-	c, err := cluster.New(cluster.Config{
-		Sites:              cfg.Sites,
-		Items:              cfg.Items,
-		InitialAmount:      cfg.InitialAmount,
-		NonRegularFraction: cfg.NonRegularFraction,
-		AVAllAtBase:        cfg.AVAllAtBase,
-		Policy:             cfg.Policy,
-		Passes:             cfg.Passes,
-		Seed:               cfg.Seed,
-		Registry:           reg,
+// proposed is the paper's system: every key replicated on every site,
+// NonRegularFraction of them without AV.
+func (c Config) proposed() cluster.Config {
+	return cluster.Config{
+		Sites:              c.Sites,
+		Items:              c.Items,
+		InitialAmount:      c.InitialAmount,
+		NonRegularFraction: c.NonRegularFraction,
+		AVAllAtBase:        c.AVAllAtBase,
+		Policy:             c.Policy,
+		Passes:             c.Passes,
+		Seed:               c.Seed,
 		CallTimeout:        5 * time.Second,
-	})
-	if err != nil {
-		return nil, err
 	}
-	defer c.Close()
+}
 
+// conventional is the centralized way on the same stack: the base holds
+// the only copy of every key and no key has AV, so an update elsewhere
+// is routed to the base (route.update/route.reply) and committed there.
+func (c Config) conventional() (cluster.Config, error) {
+	pm, err := partition.Central(0, cluster.SiteIDs(c.Sites))
+	return cluster.Config{
+		Sites:              c.Sites,
+		Items:              c.Items,
+		InitialAmount:      c.InitialAmount,
+		NonRegularFraction: 1,
+		Map:                pm,
+		CallTimeout:        5 * time.Second,
+	}, err
+}
+
+// drive runs cfg's workload through c: every accepted update's result
+// and wall time go to observe (when non-nil), replica anti-entropy runs
+// every cfg.FlushEvery updates and once at the end, and the update
+// correspondences are sampled at every checkpoint into curves named
+// name. The cluster must then hold its invariants.
+func drive(c *cluster.Cluster, cfg Config, name string,
+	observe func(op workload.Op, r core.Result, elapsed time.Duration)) (Curves, error) {
 	gen, updates, err := cfg.generator(append(append([]string{}, c.RegularKeys...), c.NonRegularKeys...))
 	if err != nil {
-		return nil, err
+		return Curves{}, err
 	}
-
-	res := &ProposedResult{Total: &metrics.Series{Name: "proposed"}}
+	cur := Curves{Total: &metrics.Series{Name: name}}
 	for i := 0; i < cfg.Sites; i++ {
-		res.PerSite = append(res.PerSite, &metrics.Series{Name: fmt.Sprintf("site%d", i)})
+		cur.PerSite = append(cur.PerSite, &metrics.Series{Name: fmt.Sprintf("site%d", i)})
 	}
 	ctx := context.Background()
 	for i := 1; i <= updates; i++ {
 		op := gen.Next()
-		if _, err := c.Update(ctx, op.Site, op.Key, op.Delta); err != nil {
-			// Insufficient AV (or an aborted immediate update) is a
-			// workload outcome, not a harness error; its traffic counts.
-			res.Failures++
+		start := time.Now()
+		r, err := c.Update(ctx, op.Site, op.Key, op.Delta)
+		if err != nil {
+			// A refusal is a workload outcome, not a harness error; its
+			// traffic counts.
+			cur.Failures++
+		} else if observe != nil {
+			observe(op, r, time.Since(start))
 		}
 		if cfg.FlushEvery > 0 && i%cfg.FlushEvery == 0 {
 			if err := c.FlushAll(ctx); err != nil {
-				return nil, err
+				return Curves{}, err
 			}
 		}
 		if i%cfg.Checkpoint == 0 {
-			res.Total.Append(int64(i), metrics.Correspondences(updateMessages(reg)))
-			bySite := updateMessagesBySite(reg)
-			for s := 0; s < cfg.Sites; s++ {
-				res.PerSite[s].Append(int64(i), metrics.Correspondences(bySite[s]))
+			cur.Total.Append(int64(i), metrics.Correspondences(updateMessages(c.Registry)))
+			bySite := updateMessagesBySite(c.Registry)
+			for s, series := range cur.PerSite {
+				series.Append(int64(i), metrics.Correspondences(bySite[s]))
 			}
 		}
 	}
 	if err := c.FlushAll(ctx); err != nil {
-		return nil, err
+		return Curves{}, err
 	}
 	if err := c.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("experiment: post-run invariant violation: %w", err)
+		return Curves{}, fmt.Errorf("experiment: post-run invariant violation: %w", err)
 	}
-	for kind, n := range reg.MessagesByKind() {
+	return cur, nil
+}
+
+// RunProposed drives the paper's workload through the AV system.
+func RunProposed(cfg Config) (*ProposedResult, error) {
+	cfg = cfg.withDefaults()
+	c, err := cluster.New(cfg.proposed())
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	cur, err := drive(c, cfg, "proposed", nil)
+	if err != nil {
+		return nil, err
+	}
+	res := &ProposedResult{Curves: cur}
+	for kind, n := range c.Registry.MessagesByKind() {
 		if kind == "delta.sync" || kind == "delta.ack" {
 			res.SyncMessages += n
 		}
@@ -231,60 +272,30 @@ func RunProposed(cfg Config) (*ProposedResult, error) {
 	return res, nil
 }
 
-// ConventionalResult is one run of the centralized baseline.
-type ConventionalResult struct {
-	Total   *metrics.Series
-	PerSite []*metrics.Series
-	Rejects int
-}
-
-// RunConventional drives the identical workload through the baseline.
-func RunConventional(cfg Config) (*ConventionalResult, error) {
+// RunConventional drives the identical workload through the
+// conventional centralized shape of the same system.
+func RunConventional(cfg Config) (*Curves, error) {
 	cfg = cfg.withDefaults()
-	reg := metrics.NewRegistry()
-	sys, err := baseline.New(baseline.Config{
-		Sites:         cfg.Sites,
-		Items:         cfg.Items,
-		InitialAmount: cfg.InitialAmount,
-		Broadcast:     cfg.ConventionalBroadcast,
-		Registry:      reg,
-		CallTimeout:   5 * time.Second,
-	})
+	cc, err := cfg.conventional()
 	if err != nil {
 		return nil, err
 	}
-	defer sys.Close()
-
-	gen, updates, err := cfg.generator(sys.Keys)
+	c, err := cluster.New(cc)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &ConventionalResult{Total: &metrics.Series{Name: "conventional"}}
-	for i := 0; i < cfg.Sites; i++ {
-		res.PerSite = append(res.PerSite, &metrics.Series{Name: fmt.Sprintf("site%d", i)})
+	defer c.Close()
+	cur, err := drive(c, cfg, "conventional", nil)
+	if err != nil {
+		return nil, err
 	}
-	ctx := context.Background()
-	for i := 1; i <= updates; i++ {
-		op := gen.Next()
-		if err := sys.Update(ctx, op.Site, op.Key, op.Delta); err != nil {
-			res.Rejects++
-		}
-		if i%cfg.Checkpoint == 0 {
-			res.Total.Append(int64(i), metrics.Correspondences(updateMessages(reg)))
-			bySite := updateMessagesBySite(reg)
-			for s := 0; s < cfg.Sites; s++ {
-				res.PerSite[s].Append(int64(i), metrics.Correspondences(bySite[s]))
-			}
-		}
-	}
-	return res, nil
+	return &cur, nil
 }
 
 // Fig6Result pairs the two curves of Fig. 6.
 type Fig6Result struct {
 	Proposed     *ProposedResult
-	Conventional *ConventionalResult
+	Conventional *Curves
 	// ReductionPct is 100 * (1 - proposed/conventional) at the horizon —
 	// the paper reports "decreases the correspondences by 75%".
 	ReductionPct float64

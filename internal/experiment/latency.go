@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"avdb/internal/baseline"
 	"avdb/internal/cluster"
 	"avdb/internal/core"
 	"avdb/internal/metrics"
@@ -27,7 +25,7 @@ type LatencyResult struct {
 	DelayLocal    *metrics.Histogram // proposed, completed locally
 	DelayTransfer *metrics.Histogram // proposed, needed AV transfers
 	Immediate     *metrics.Histogram // proposed, 2PC path
-	Conventional  *metrics.Histogram // baseline, remote updates only
+	Conventional  *metrics.Histogram // conventional, remote updates only
 	OneWay        time.Duration
 }
 
@@ -45,8 +43,6 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 	if cfg.NonRegularFraction == 0 {
 		cfg.NonRegularFraction = 0.1 // represent the Immediate path too
 	}
-	lat := func(from, to wire.SiteID) time.Duration { return cfg.OneWay }
-
 	res := &LatencyResult{
 		DelayLocal:    metrics.NewHistogram(),
 		DelayTransfer: metrics.NewHistogram(),
@@ -54,40 +50,7 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 		Conventional:  metrics.NewHistogram(),
 		OneWay:        cfg.OneWay,
 	}
-	ctx := context.Background()
-
-	// Proposed system.
-	c, err := cluster.New(cluster.Config{
-		Sites:              cfg.Sites,
-		Items:              cfg.Items,
-		InitialAmount:      cfg.InitialAmount,
-		NonRegularFraction: cfg.NonRegularFraction,
-		Policy:             cfg.Policy,
-		Seed:               cfg.Seed,
-		Latency:            lat,
-		CallTimeout:        10 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	gen, err := workload.NewSCM(workload.SCMConfig{
-		Sites:         cfg.Sites,
-		Keys:          append(append([]string{}, c.RegularKeys...), c.NonRegularKeys...),
-		InitialAmount: cfg.InitialAmount,
-		Seed:          cfg.Seed,
-	})
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	for i := 0; i < cfg.Updates; i++ {
-		op := gen.Next()
-		start := time.Now()
-		r, err := c.Update(ctx, op.Site, op.Key, op.Delta)
-		elapsed := time.Since(start)
-		if err != nil {
-			continue // refused updates measured elsewhere
-		}
+	err := timeUpdates(cfg, cfg.proposed(), func(_ workload.Op, r core.Result, elapsed time.Duration) {
 		switch r.Path {
 		case core.PathDelayLocal:
 			res.DelayLocal.Observe(elapsed)
@@ -96,44 +59,41 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 		case core.PathImmediate:
 			res.Immediate.Observe(elapsed)
 		}
-	}
-	c.Close()
-
-	// Conventional system under the same latency. Only remote updates
-	// are measured (central-site updates are trivially local there too).
-	sys, err := baseline.New(baseline.Config{
-		Sites:         cfg.Sites,
-		Items:         cfg.Items,
-		InitialAmount: cfg.InitialAmount,
-		CallTimeout:   10 * time.Second,
-		Latency:       lat,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer sys.Close()
-	gen2, err := workload.NewSCM(workload.SCMConfig{
-		Sites:         cfg.Sites,
-		Keys:          sys.Keys,
-		InitialAmount: cfg.InitialAmount,
-		Seed:          cfg.Seed,
-	})
+	// Only remote updates are measured: the base's own are local in the
+	// conventional system too.
+	cc, err := cfg.conventional()
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.Updates; i++ {
-		op := gen2.Next()
-		start := time.Now()
-		err := sys.Update(ctx, op.Site, op.Key, op.Delta)
-		elapsed := time.Since(start)
-		if err != nil {
-			continue
-		}
+	err = timeUpdates(cfg, cc, func(op workload.Op, _ core.Result, elapsed time.Duration) {
 		if op.Site != 0 {
 			res.Conventional.Observe(elapsed)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// timeUpdates drives cfg's workload through a cluster built from cc
+// with cfg.OneWay on every message, handing each accepted update's wall
+// time to observe.
+func timeUpdates(cfg LatencyConfig, cc cluster.Config,
+	observe func(op workload.Op, r core.Result, elapsed time.Duration)) error {
+	cc.Latency = func(from, to wire.SiteID) time.Duration { return cfg.OneWay }
+	cc.CallTimeout = 10 * time.Second
+	c, err := cluster.New(cc)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	_, err = drive(c, cfg.Config, "", observe)
+	return err
 }
 
 // LatencyTable renders the distribution comparison.

@@ -13,11 +13,13 @@
 // Full replication — the paper's system, where every site holds the
 // whole catalog — is the one-partition map with RF = N (see Full), so
 // sharded and unsharded clusters run the same routing, replication
-// filter and oracles.
+// filter and oracles. The conventional centralized system is the
+// one-partition map with RF = 1 at the base (see Central).
 package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"avdb/internal/wire"
@@ -87,6 +89,22 @@ func Full(base wire.SiteID, sites []wire.SiteID) (*Map, error) {
 	}
 	m.rf = len(replicas)
 	m.assign(0, replicas)
+	return m, nil
+}
+
+// Central is the conventional centralized system as a map: one
+// partition whose only replica is base, so every other site routes its
+// updates to base and holds no copy. base must be one of sites.
+func Central(base wire.SiteID, sites []wire.SiteID) (*Map, error) {
+	m, err := newMap(sites, 1)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Contains(m.sites, base) {
+		return nil, fmt.Errorf("partition: base %d is not one of the sites %v", base, m.sites)
+	}
+	m.rf = 1
+	m.assign(0, []wire.SiteID{base})
 	return m, nil
 }
 

@@ -255,3 +255,31 @@ func TestFullIsOnePartitionOnEverySite(t *testing.T) {
 		t.Fatalf("site 3 hosts %v, want [0]", got)
 	}
 }
+
+// The centralized map is one partition whose only replica is the base:
+// every key is owned and hosted there and nowhere else, so the base has
+// no peers for it and every other site hosts nothing.
+func TestCentralHostsEveryKeyAtTheBaseOnly(t *testing.T) {
+	m, err := Central(0, sitesUpTo(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Parts() != 1 || m.RF() != 1 {
+		t.Fatalf("parts=%d rf=%d, want 1 and 1", m.Parts(), m.RF())
+	}
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprintf("product-%04d", i)
+		if m.OwnerOf(key) != 0 || !m.HostsKey(0, key) || m.HostsKey(1, key) || m.HostsKey(2, key) {
+			t.Fatalf("key %s: owner %d, replicas %v, want only the base", key, m.OwnerOf(key), m.ReplicasOf(key))
+		}
+	}
+	if got := m.PeersFor(0, "k"); len(got) != 0 {
+		t.Fatalf("peers of the base = %v, want none", got)
+	}
+	if got := m.Hosted(1); len(got) != 0 {
+		t.Fatalf("site 1 hosts %v, want nothing", got)
+	}
+	if _, err := Central(5, sitesUpTo(3)); err == nil {
+		t.Fatal("base outside the sites accepted")
+	}
+}

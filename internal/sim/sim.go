@@ -30,6 +30,7 @@ import (
 	"avdb/internal/cluster"
 	"avdb/internal/core"
 	"avdb/internal/eventlog"
+	"avdb/internal/partition"
 	"avdb/internal/readplane"
 	"avdb/internal/rng"
 	"avdb/internal/transport"
@@ -63,8 +64,9 @@ type Config struct {
 	// pre-epoch builds: same trace hashes for the same seed.
 	Epochs bool
 	// Partitions, when > 0, shards the cluster's key space over that
-	// many virtual partitions with replication factor RF (see
-	// cluster.Config); zero is full replication, the one-partition map.
+	// many virtual partitions with replication factor RF (default 2,
+	// capped at Sites; see cluster.Config.Map); zero is full
+	// replication, the one-partition map.
 	// The oracles check per partition either way: each key converges and
 	// conserves AV across its replica set, and a store locality oracle
 	// asserts no site holds a foreign key.
@@ -98,6 +100,12 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.EventCap == 0 {
 		cfg.EventCap = 1 << 14
+	}
+	if cfg.Partitions > 0 {
+		if cfg.RF <= 0 {
+			cfg.RF = 2
+		}
+		cfg.RF = min(cfg.RF, cfg.Sites)
 	}
 	return cfg
 }
@@ -297,8 +305,6 @@ func Run(cfg Config) (Result, error) {
 		Seed:               cfg.Seed,
 		AVAllAtBase:        true,
 		Dir:                dir,
-		Partitions:         cfg.Partitions,
-		RF:                 cfg.RF,
 		EpochInterval:      epochInterval,
 		Clock:              h.clk,
 		Interceptor:        h.inj,
@@ -317,6 +323,13 @@ func Run(cfg Config) (Result, error) {
 		LockTimeout:        100 * time.Millisecond,
 		FlushPeerTimeout:   200 * time.Millisecond,
 		SuspectAfter:       1000 * time.Hour,
+	}
+	if cfg.Partitions > 0 {
+		pm, err := partition.New(cluster.SiteIDs(cfg.Sites), cfg.Partitions, cfg.RF)
+		if err != nil {
+			return Result{}, err
+		}
+		ccfg.Map = pm
 	}
 	c, err := h.buildCluster(ccfg)
 	if err != nil {

@@ -252,8 +252,8 @@ func TestSyncFailureReturnsCurrentAck(t *testing.T) {
 func TestUnknownMessageIgnored(t *testing.T) {
 	net := memnet.New(memnet.Options{})
 	sites := openSites(t, net, 1, Config{})
-	if reply := sites[0].handle(context.Background(), 0, &wire.CentralUpdate{Key: "x", Delta: 1}); reply != nil {
-		t.Fatalf("baseline message answered by a site: %T", reply)
+	if reply := sites[0].handle(context.Background(), 0, &wire.AVReply{Key: "x", Granted: 1}); reply != nil {
+		t.Fatalf("a reply sent as a request was answered: %T", reply)
 	}
 }
 

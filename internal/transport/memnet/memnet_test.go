@@ -256,8 +256,8 @@ func TestConcurrentCalls(t *testing.T) {
 }
 
 func TestSelfCall(t *testing.T) {
-	// A site may address itself (the baseline central site does); the
-	// message loops through the full encode/decode path.
+	// A site may address itself; the message loops through the full
+	// encode/decode path.
 	net := New(Options{})
 	a, _ := net.Open(1, echoHandler)
 	reply, err := a.Call(context.Background(), 1, &wire.Read{Key: "selfcall"})

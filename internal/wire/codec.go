@@ -1,8 +1,8 @@
 // Package wire defines the avdb network protocol: every message exchanged
 // between sites (AV transfer requests and grants, Delay-Update delta
-// synchronization, Immediate-Update two-phase-commit traffic, the
-// centralized-baseline protocol and client reads) and a compact
-// hand-rolled binary codec for them.
+// synchronization, Immediate-Update two-phase-commit traffic, routed
+// updates and client reads) and a compact hand-rolled binary codec for
+// them.
 //
 // The encoding is deliberately simple and explicit: unsigned varints for
 // integers (zig-zag for signed), length-prefixed byte strings, and a

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -20,8 +21,6 @@ func fuzzSeeds() []*Envelope {
 		&IUVote{TxnID: 12, OK: true},
 		&IUDecision{TxnID: 12, Commit: true},
 		&IUAck{TxnID: 12, OK: true},
-		&CentralUpdate{Key: "product-0003", Delta: 7},
-		&CentralReply{OK: false, NewValue: 0, Reason: "rejected"},
 		&Read{Key: "product-0004"},
 		&ReadReply{OK: true, Value: 1234},
 		&SyncPull{},
@@ -54,6 +53,17 @@ func fuzzSeeds() []*Envelope {
 func FuzzDecodeEnvelope(f *testing.F) {
 	for _, e := range fuzzSeeds() {
 		f.Add(EncodeEnvelope(e))
+	}
+	// A central.update and a central.reply as they were framed (retired
+	// kinds 9 and 10): both must decode to an error.
+	for _, frame := range [][]byte{
+		appendVarint(appendString([]byte{1, 0, 11, 0, 9}, "product-0003"), 7),
+		appendString(appendVarint(appendBool([]byte{0, 1, 11, 1, 10}, false), 0), "rejected"),
+	} {
+		if _, err := DecodeEnvelope(frame); !errors.Is(err, ErrBadKind) {
+			f.Fatalf("retired kind %d: err = %v, want ErrBadKind", frame[4], err)
+		}
+		f.Add(frame)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})

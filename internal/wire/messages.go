@@ -29,9 +29,13 @@ const (
 	KindIUDecision // phase 2: commit or abort
 	KindIUAck      // participant acknowledgement of the decision
 
-	// Conventional centralized baseline.
-	KindCentralUpdate
-	KindCentralReply
+	// Retired (9, 10): central.update and central.reply of a separate
+	// centralized system, now the shipped stack with every key's only
+	// replica at the base (route.update/route.reply). The slots stay
+	// reserved so later kinds keep their numbers; decoding either fails
+	// as an unknown kind.
+	_
+	_
 
 	// Client/remote reads of the local replica.
 	KindRead
@@ -58,23 +62,21 @@ const (
 )
 
 var kindNames = map[Kind]string{
-	KindAVRequest:     "av.request",
-	KindAVReply:       "av.reply",
-	KindDeltaSync:     "delta.sync",
-	KindDeltaAck:      "delta.ack",
-	KindIUPrepare:     "iu.prepare",
-	KindIUVote:        "iu.vote",
-	KindIUDecision:    "iu.decision",
-	KindIUAck:         "iu.ack",
-	KindCentralUpdate: "central.update",
-	KindCentralReply:  "central.reply",
-	KindRead:          "read",
-	KindReadReply:     "read.reply",
-	KindSyncPull:      "sync.pull",
-	KindPing:          "ping",
-	KindPong:          "pong",
-	KindRouteUpdate:   "route.update",
-	KindRouteReply:    "route.reply",
+	KindAVRequest:   "av.request",
+	KindAVReply:     "av.reply",
+	KindDeltaSync:   "delta.sync",
+	KindDeltaAck:    "delta.ack",
+	KindIUPrepare:   "iu.prepare",
+	KindIUVote:      "iu.vote",
+	KindIUDecision:  "iu.decision",
+	KindIUAck:       "iu.ack",
+	KindRead:        "read",
+	KindReadReply:   "read.reply",
+	KindSyncPull:    "sync.pull",
+	KindPing:        "ping",
+	KindPong:        "pong",
+	KindRouteUpdate: "route.update",
+	KindRouteReply:  "route.reply",
 }
 
 // String returns the dotted metric name for the kind ("av.request", ...).
@@ -394,56 +396,6 @@ func (m *IUAck) decode(r *reader) (err error) {
 	return err
 }
 
-// CentralUpdate is the conventional baseline: every update is shipped to
-// the central site.
-type CentralUpdate struct {
-	Key   string
-	Delta int64
-}
-
-// Kind implements Message.
-func (*CentralUpdate) Kind() Kind { return KindCentralUpdate }
-
-func (m *CentralUpdate) encode(b []byte) []byte {
-	b = appendString(b, m.Key)
-	return appendVarint(b, m.Delta)
-}
-
-func (m *CentralUpdate) decode(r *reader) (err error) {
-	if m.Key, err = r.str(); err != nil {
-		return err
-	}
-	m.Delta, err = r.varint()
-	return err
-}
-
-// CentralReply reports the outcome of a CentralUpdate.
-type CentralReply struct {
-	OK       bool
-	NewValue int64
-	Reason   string
-}
-
-// Kind implements Message.
-func (*CentralReply) Kind() Kind { return KindCentralReply }
-
-func (m *CentralReply) encode(b []byte) []byte {
-	b = appendBool(b, m.OK)
-	b = appendVarint(b, m.NewValue)
-	return appendString(b, m.Reason)
-}
-
-func (m *CentralReply) decode(r *reader) (err error) {
-	if m.OK, err = r.boolean(); err != nil {
-		return err
-	}
-	if m.NewValue, err = r.varint(); err != nil {
-		return err
-	}
-	m.Reason, err = r.str()
-	return err
-}
-
 // Read asks a site for its current local value of Key.
 type Read struct {
 	Key string
@@ -643,10 +595,6 @@ func newMessage(k Kind) (Message, error) {
 		return &IUDecision{}, nil
 	case KindIUAck:
 		return &IUAck{}, nil
-	case KindCentralUpdate:
-		return &CentralUpdate{}, nil
-	case KindCentralReply:
-		return &CentralReply{}, nil
 	case KindRead:
 		return &Read{}, nil
 	case KindReadReply:

@@ -39,9 +39,6 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&IUDecision{TxnID: 99, Commit: true},
 		&IUAck{TxnID: 99, OK: true},
 		&IUAck{TxnID: 1 << 40, OK: false},
-		&CentralUpdate{Key: "x", Delta: 123456789},
-		&CentralReply{OK: true, NewValue: -1, Reason: ""},
-		&CentralReply{OK: false, NewValue: 0, Reason: "would go negative"},
 		&Read{Key: "k"},
 		&ReadReply{OK: true, Value: 314},
 		&Ping{},
@@ -64,15 +61,16 @@ func TestRoundTripAllMessages(t *testing.T) {
 	}
 }
 
-// TestRetiredSettleKinds pins the retirement of the escrowed transfer
-// messages: kinds 16 and 17 (av.settle, av.settle.ack) decode as
-// unknown kinds while the kinds after them keep their numbers, and an
-// av.request carrying the old trailing transfer id is rejected.
-func TestRetiredSettleKinds(t *testing.T) {
-	if KindRouteUpdate != 18 || KindRouteReply != 19 {
-		t.Fatalf("route kinds renumbered: %d, %d", KindRouteUpdate, KindRouteReply)
+// TestRetiredKinds pins the retired slots: kinds 9 and 10
+// (central.update, central.reply) and 16 and 17 (av.settle,
+// av.settle.ack) decode as unknown kinds while the kinds after them keep
+// their numbers, and an av.request carrying the escrowed transfer's
+// trailing id is rejected.
+func TestRetiredKinds(t *testing.T) {
+	if KindRead != 11 || KindRouteUpdate != 18 || KindRouteReply != 19 {
+		t.Fatalf("kinds renumbered: read %d, route %d, %d", KindRead, KindRouteUpdate, KindRouteReply)
 	}
-	for _, k := range []byte{16, 17} {
+	for _, k := range []byte{9, 10, 16, 17} {
 		frame := []byte{0, 0, 0, 0, k, 42, 1} // old payload: xfer 42, then a flag or amount
 		if _, err := DecodeEnvelope(frame); !errors.Is(err, ErrBadKind) {
 			t.Errorf("kind %d: err = %v, want ErrBadKind", k, err)

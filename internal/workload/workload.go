@@ -113,8 +113,8 @@ func (g *SCM) Next() Op {
 	return Op{Site: site, Key: key, Delta: delta}
 }
 
-// Keys builds the canonical catalog key list used by clusters and
-// baselines (product-0000 ... product-NNNN).
+// Keys builds the canonical catalog key list, the one clusters seed
+// (product-0000 ... product-NNNN).
 func Keys(items int) []string {
 	out := make([]string, items)
 	for i := range out {
