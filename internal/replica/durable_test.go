@@ -2,6 +2,10 @@ package replica
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"avdb/internal/lockmgr"
@@ -192,5 +196,125 @@ func TestVolatileCommitWithRecord(t *testing.T) {
 	}
 	if len(r.PendingFor(2)) != 1 {
 		t.Fatal("log entry missing")
+	}
+}
+
+// A durable peer whose partition filter drops every key of a window
+// still commits the window's watermark: the ack it returns lets the
+// sender trim the window for good, so a restart must not forget it.
+func TestDurableFilteredWindowPersistsWatermark(t *testing.T) {
+	dir := t.TempDir()
+	eng := durableEng(t, dir, 100)
+	r, err := NewDurable(2, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetPartitionFilter(func(wire.SiteID, string) bool { return false })
+	ack, err := r.HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 1, Deltas: []wire.Delta{
+		{Seq: 1, Key: "k", Amount: -1},
+		{Seq: 2, Key: "k", Amount: -2},
+	}})
+	if err != nil || ack.UpTo != 2 {
+		t.Fatalf("ack %+v, err %v; want up to 2", ack, err)
+	}
+	eng.Close()
+
+	eng2 := durableEng(t, dir, 100)
+	defer eng2.Close()
+	r2, err := NewDurable(2, eng2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r2.AppliedFrom(1); got != 2 {
+		t.Fatalf("recovered watermark = %d, want 2", got)
+	}
+	if v, _ := eng2.Amount("k"); v != 100 {
+		t.Fatalf("filtered window applied: k = %d, want 100", v)
+	}
+}
+
+// walBytes is the size of the WAL segments under an engine's dir.
+func walBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
+}
+
+// A durable peer applying a 150-key window of product-NNNN deltas that
+// arrives in log order applies it in key order, each key written as a
+// suffix of the one before: at most 7 B of WAL per key (15 B with every
+// key spelled out), and a reopen restores every amount and the
+// watermark.
+func TestDurablePeerWindowSharesKeyPrefixes(t *testing.T) {
+	const keys = 150
+	dir := t.TempDir()
+	eng, err := storage.Open(storage.Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) string { return fmt.Sprintf("product-%04d", i) }
+	for i := 0; i < keys; i++ {
+		if err := eng.Put(storage.Record{Key: key(i), Amount: 1000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewDurable(2, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The window arrives in log order, not key order.
+	msg := &wire.DeltaSync{Origin: 1, FirstSeq: 1}
+	want := make(map[string]int64)
+	for i := 0; i < keys; i++ {
+		k := key(i * 97 % keys)
+		msg.Deltas = append(msg.Deltas, wire.Delta{Seq: uint64(i + 1), Key: k, Amount: -int64(1 + i%7)})
+		want[k] = 1000 - int64(1+i%7)
+	}
+	var applied []string
+	eng.SetApplyObserver(func(_ uint64, ops []storage.Op) {
+		for _, op := range ops {
+			applied = append(applied, op.Key)
+		}
+	})
+	size := walBytes(t, dir)
+	if ack, err := r.HandleSync(msg); err != nil || ack.UpTo != keys {
+		t.Fatalf("ack %+v, err %v", ack, err)
+	}
+	if len(applied) != keys+1 || !slices.IsSorted(applied[:keys]) {
+		t.Fatalf("window applied as %d ops, keys in order %v; want %d keys sorted, then the watermark",
+			len(applied), slices.IsSorted(applied[:min(keys, len(applied))]), keys)
+	}
+	if perKey := float64(walBytes(t, dir)-size) / keys; perKey > 7 {
+		t.Errorf("window of %d keys: %.2f WAL bytes per key, want <= 7", keys, perKey)
+	}
+	eng.Close()
+
+	eng2, err := storage.Open(storage.Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	r2, err := NewDurable(2, eng2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r2.AppliedFrom(1); got != keys {
+		t.Fatalf("recovered watermark = %d, want %d", got, keys)
+	}
+	for k, v := range want {
+		if got, err := eng2.Amount(k); err != nil || got != v {
+			t.Fatalf("%s = %d, %v after reopen; want %d", k, got, err, v)
+		}
 	}
 }

@@ -133,7 +133,9 @@ func TestCommittedIncrementIsAcknowledged(t *testing.T) {
 // one-record shape of a logged delta beside an OpMetaAdd of its balance
 // row, then as one balanced-delta op reopens to the stock, AV and
 // outbound log of all three: no shape's balance change is lost or
-// applied twice.
+// applied twice. Beside them, a peer's window written with every key
+// spelled out and one written in key order with shared key prefixes
+// reopen to the amounts and watermark of both.
 func TestOldAndNewRecordsReopenTogether(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{ID: 0, Peers: []wire.SiteID{1}, StorageDir: dir, PersistAV: true, NoSync: true}
@@ -141,7 +143,10 @@ func TestOldAndNewRecordsReopenTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Seed(storage.Record{Key: "k", Amount: 100, Class: storage.Regular}); err != nil {
+	if err := s.Seed(storage.Record{Key: "k", Amount: 100, Class: storage.Regular},
+		storage.Record{Key: "item-1", Amount: 100, Class: storage.Regular},
+		storage.Record{Key: "item-2", Amount: 100, Class: storage.Regular},
+		storage.Record{Key: "item-3", Amount: 100, Class: storage.Regular}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DefineAV("k", 100); err != nil {
@@ -165,6 +170,22 @@ func TestOldAndNewRecordsReopenTogether(t *testing.T) {
 		}
 	}
 	s.Close()
+	// Site 1's window of entries 1–3 as a peer wrote it before keys were
+	// shared: item-1 −1, item-2 −2, item-3 −3 and repl/applied/1 = 3.
+	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append([]byte{0x04,
+		0x03, 0x06, 'i', 't', 'e', 'm', '-', '1', 0x01,
+		0x03, 0x06, 'i', 't', 'e', 'm', '-', '2', 0x03,
+		0x03, 0x06, 'i', 't', 'e', 'm', '-', '3', 0x05,
+		0x04, 0x0e, 'r', 'e', 'p', 'l', '/', 'a', 'p', 'p', 'l', 'i', 'e', 'd', '/', '1', 0x01, 0x03}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	reopen := func() *Site {
 		s, err := Open(cfg, memnet.New(memnet.Options{}))
@@ -188,6 +209,12 @@ func TestOldAndNewRecordsReopenTogether(t *testing.T) {
 	if balanced != 2 {
 		t.Fatalf("%d of 2 updates committed one balanced-delta op", balanced)
 	}
+	// Entries 4–6, written now: in key order, each key sharing "item-".
+	if ack, err := s.Replicator().HandleSync(&wire.DeltaSync{Origin: 1, FirstSeq: 4, Deltas: []wire.Delta{
+		{Seq: 4, Key: "item-3", Amount: -30}, {Seq: 5, Key: "item-1", Amount: -10}, {Seq: 6, Key: "item-2", Amount: -20},
+	}}); err != nil || ack.UpTo != 6 {
+		t.Fatalf("window 4–6: ack %+v, err %v", ack, err)
+	}
 	wantLog := []wire.Delta{{Seq: 1, Key: "k", Amount: -10}, {Seq: 2, Key: "k", Amount: -4},
 		{Seq: 3, Key: "k", Amount: 2}, {Seq: 4, Key: "k", Amount: -5}, {Seq: 5, Key: "k", Amount: 3}}
 	for round := 0; round < 2; round++ {
@@ -196,6 +223,14 @@ func TestOldAndNewRecordsReopenTogether(t *testing.T) {
 		}
 		if got := s.Replicator().PendingFor(1); !reflect.DeepEqual(got, wantLog) {
 			t.Fatalf("round %d: outbound log %v, want %v", round, got, wantLog)
+		}
+		for i, want := range []int64{89, 78, 67} {
+			if v, _ := s.Read(fmt.Sprintf("item-%d", i+1)); v != want {
+				t.Fatalf("round %d: item-%d = %d, want %d", round, i+1, v, want)
+			}
+		}
+		if got := s.Replicator().AppliedFrom(1); got != 6 {
+			t.Fatalf("round %d: applied from site 1 up to %d, want 6", round, got)
 		}
 		s.Close()
 		s = reopen()

@@ -220,15 +220,48 @@ func ParseLogRow(k string, v []byte) (seq uint64, key string, delta int64, err e
 	return seq, string(v[n:]), delta, nil
 }
 
-// encodeBatch serializes a batch of ops into one WAL payload.
+// opSharedKey is the kind byte's flag for an op whose key is written
+// as a suffix of the previous op's key in the same batch: uvarint
+// shared, uvarint len(suffix), suffix. Kinds stop at 8, so the high bit
+// is free, and an op without it spells its key out in full.
+const opSharedKey = 0x80
+
+// minSharedKey is the shortest common prefix worth the flag: writing the
+// shared length costs a byte, so sharing 2 saves at least 1.
+const minSharedKey = 2
+
+// sharedPrefix is the length of the common prefix of a and b.
+func sharedPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// encodeBatch serializes a batch of ops into one WAL payload. An op is
+// its kind byte, its key (uvarint length and bytes, or with opSharedKey
+// set the shared-prefix form), and the kind's fields. A one-op batch
+// never shares a key, so it spells the key out.
 func encodeBatch(ops []Op) []byte {
 	b := make([]byte, 0, 32*len(ops))
 	b = binary.AppendUvarint(b, uint64(len(ops)))
+	prev := ""
 	for i := range ops {
 		op := &ops[i]
-		b = append(b, byte(op.Kind))
-		b = binary.AppendUvarint(b, uint64(len(op.Key)))
-		b = append(b, op.Key...)
+		key := op.Key
+		if shared := sharedPrefix(prev, key); shared >= minSharedKey {
+			b = append(b, byte(op.Kind)|opSharedKey)
+			b = binary.AppendUvarint(b, uint64(shared))
+			key = key[shared:]
+		} else {
+			b = append(b, byte(op.Kind))
+		}
+		b = binary.AppendUvarint(b, uint64(len(key)))
+		b = append(b, key...)
+		prev = op.Key
 		switch op.Kind {
 		case OpPut:
 			val := encodeValue(&op.Rec)
@@ -260,18 +293,31 @@ func decodeBatch(b []byte) ([]Op, error) {
 		return nil, ErrCorrupt
 	}
 	ops := make([]Op, 0, count)
+	prev := ""
 	for i := uint64(0); i < count; i++ {
 		if len(b) < 1 {
 			return nil, ErrCorrupt
 		}
-		kind := OpKind(b[0])
+		flags := b[0]
+		kind := OpKind(flags &^ opSharedKey)
 		b = b[1:]
+		var shared uint64
+		if flags&opSharedKey != 0 {
+			var n int
+			shared, n = binary.Uvarint(b)
+			// The first op has no previous key to share.
+			if i == 0 || n <= 0 || shared > uint64(len(prev)) {
+				return nil, ErrCorrupt
+			}
+			b = b[n:]
+		}
 		keyLen, n := binary.Uvarint(b)
 		if n <= 0 || keyLen > uint64(len(b)-n) {
 			return nil, ErrCorrupt
 		}
-		key := string(b[n : n+int(keyLen)])
+		key := prev[:shared] + string(b[n:n+int(keyLen)])
 		b = b[n+int(keyLen):]
+		prev = key
 		op := Op{Kind: kind, Key: key}
 		switch kind {
 		case OpPut:

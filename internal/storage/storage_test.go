@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -292,6 +293,63 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// Batches as encodeBatch wrote them before keys were shared: every key
+// spelled out in full. A WAL of such records must keep replaying.
+var (
+	// A three-entry replicated window and its repl/applied/ watermark.
+	unsharedWindow = []byte{0x04,
+		0x03, 0x0c, 0x70, 0x72, 0x6f, 0x64, 0x75, 0x63, 0x74, 0x2d, 0x30, 0x30, 0x30, 0x37, 0x03,
+		0x03, 0x0c, 0x70, 0x72, 0x6f, 0x64, 0x75, 0x63, 0x74, 0x2d, 0x30, 0x30, 0x31, 0x32, 0x0a,
+		0x03, 0x0c, 0x70, 0x72, 0x6f, 0x64, 0x75, 0x63, 0x74, 0x2d, 0x30, 0x30, 0x31, 0x30, 0x01,
+		0x04, 0x0e, 0x72, 0x65, 0x70, 0x6c, 0x2f, 0x61, 0x70, 0x70, 0x6c, 0x69, 0x65, 0x64, 0x2f, 0x31, 0x01, 0x03}
+	// A Delay Update's one balanced delta.
+	unsharedBalanced = []byte{0x01,
+		0x08, 0x0c, 0x70, 0x72, 0x6f, 0x64, 0x75, 0x63, 0x74, 0x2d, 0x30, 0x30, 0x30, 0x31, 0x05, 0x2a}
+	// A transfer-funded Delay Update: a logged delta beside its balance change.
+	unsharedLogged = []byte{0x02,
+		0x07, 0x0c, 0x70, 0x72, 0x6f, 0x64, 0x75, 0x63, 0x74, 0x2d, 0x30, 0x30, 0x30, 0x31, 0x8f, 0x03, 0x2b,
+		0x06, 0x0f, 0x61, 0x76, 0x2f, 0x70, 0x72, 0x6f, 0x64, 0x75, 0x63, 0x74, 0x2d, 0x30, 0x30, 0x30, 0x31, 0xc7, 0x01}
+)
+
+// TestUnsharedKeyBatchesStillDecode: records written before keys were
+// shared decode to the ops they were written from, and those ops encode
+// to the bytes pinned here: a one-op batch and a batch whose
+// neighbouring keys share under 2 bytes exactly as before, the window
+// with each key after the first flagged (0x80) and written as a suffix.
+func TestUnsharedKeyBatchesStillDecode(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		ops     []Op
+		now     []byte // the current encoding; nil when it is payload
+	}{
+		{"window", unsharedWindow, []Op{DeltaOp("product-0007", -2), DeltaOp("product-0012", 5),
+			DeltaOp("product-0010", -1), MetaPutOp("repl/applied/1", []byte{3})}, []byte{0x04,
+			0x03, 0x0c, 'p', 'r', 'o', 'd', 'u', 'c', 't', '-', '0', '0', '0', '7', 0x03,
+			0x83, 0x0a, 0x02, '1', '2', 0x0a, // shares "product-00"
+			0x83, 0x0b, 0x01, '0', 0x01, // shares "product-001"
+			0x04, 0x0e, 'r', 'e', 'p', 'l', '/', 'a', 'p', 'p', 'l', 'i', 'e', 'd', '/', '1', 0x01, 0x03}},
+		{"balanced delta", unsharedBalanced, []Op{BalancedDeltaOp("product-0001", -3, 42)}, nil},
+		{"logged delta and balance", unsharedLogged, []Op{LoggedDeltaOp("product-0001", -200, 43),
+			MetaAddOp("av/product-0001", -100)}, nil},
+	} {
+		got, err := decodeBatch(tc.payload)
+		if err != nil || !reflect.DeepEqual(got, tc.ops) {
+			t.Fatalf("%s: decoded %+v, %v; want %+v", tc.name, got, err, tc.ops)
+		}
+		now := tc.now
+		if now == nil {
+			now = tc.payload
+		}
+		if re := encodeBatch(tc.ops); !bytes.Equal(re, now) {
+			t.Fatalf("%s: encodes to %x, want %x", tc.name, re, now)
+		}
+		if got, err := decodeBatch(now); err != nil || !reflect.DeepEqual(got, tc.ops) {
+			t.Fatalf("%s: current encoding decoded %+v, %v", tc.name, got, err)
+		}
+	}
+}
+
 // TestQuickBatchCodecRoundTrip: a batch of well-formed ops of every kind
 // decodes back to exactly those ops, every field its kind carries — a
 // logged or balanced delta's replication sequence included.
@@ -445,7 +503,7 @@ func TestLoggedDeltaWritesTheLogRow(t *testing.T) {
 }
 
 func TestBatchCodecRejectsGarbage(t *testing.T) {
-	valid := encodeBatch([]Op{DeltaOp("key", 7)})
+	valid := encodeBatch([]Op{DeltaOp("key1", 7), DeltaOp("key2", -7)})
 	for n := 0; n < len(valid); n++ {
 		if _, err := decodeBatch(valid[:n]); err == nil {
 			t.Fatalf("truncation to %d accepted", n)
@@ -453,6 +511,15 @@ func TestBatchCodecRejectsGarbage(t *testing.T) {
 	}
 	if _, err := decodeBatch(append(valid, 0xFF)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+	for name, payload := range map[string][]byte{
+		"first op shares a key":    {0x01, 0x83, 0x00, 0x01, 'k', 0x02},
+		"shares past the prev key": {0x02, 0x03, 0x01, 'k', 0x02, 0x83, 0x02, 0x01, 'x', 0x02},
+		"shares an unknown kind":   {0x02, 0x03, 0x01, 'k', 0x02, 0x89, 0x01, 0x00},
+	} {
+		if _, err := decodeBatch(payload); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
